@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from .ratfunc import RatFunc, eval_at
 from .rational import rat
-from .scalars import ALG_ONE, AlgNum, GaussRat
+from .scalars import AlgNum, GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
+from .series import Poly
 
 FactorList = list[tuple[GaussRat, int]]
 
@@ -83,24 +84,26 @@ def asai_L_multiplicative(mod: UnramifiedModule) -> RatFunc:
     return out
 
 
-def lstar_at_1(rep: GenericRep) -> AlgNum:
-    """Normalized value at the edge point s=1, t = 1/q_F.
-
-    For a representation that is ramified as a representation this is
-    the Asai factor of the unramified support evaluated at 1/q_F; for
-    an unramified representation the Asai factor is divided by the
-    rank-n Tate factor first.
-    """
-    fp = rep.fp
-    t0 = GaussRat(rat(1, fp.q_F))
+def closed_form_for(rep: GenericRep) -> RatFunc:
+    """Closed form of the mirabolic period series: the Asai factor of
+    the unramified support, times (1 - omega_pi(unif_F) t^n) when the
+    representation is unramified (the Tate factor L(ns, omega_pi|F*)
+    of the central character moves to the other side)."""
     mod = pi_u(rep)
+    cf = asai_L(mod)
+    if is_unramified_rep(rep):
+        cf = cf * Poly.one_minus(mod.omega_at_unif(), rep.n)
+    return cf
+
+
+def lstar_at_1(rep: GenericRep) -> AlgNum:
+    """Normalized value at the edge point s=1: the reduced closed form
+    of the mirabolic period evaluated at t = 1/q_F, so a pole that the
+    central Tate factor cancels is no pole."""
     try:
-        val = eval_at(asai_L(mod), t0)
+        return eval_at(closed_form_for(rep), GaussRat(rat(1, rep.fp.q_F)))
     except ZeroDivisionError:
         raise ValueError("non-holomorphic at s=1") from None
-    if is_unramified_rep(rep):
-        val = val * (ALG_ONE - AlgNum(t0 ** rep.n))
-    return val
 
 
 def kable_factorization_check(mod: UnramifiedModule) -> bool:

@@ -77,10 +77,6 @@ class FieldPair:
         """Valuation in E of a uniformizer of F."""
         return self.e
 
-    def q_F_pow(self, h: int):
-        """Exact rational q_F^h."""
-        return rat(self.q_F) ** h
-
     def q_E_half(self, h: int) -> AlgNum:
         """Exact q_E^(h/2) for integer h, as an AlgNum over sqrt(q_F).
 

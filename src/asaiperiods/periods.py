@@ -4,20 +4,27 @@ The three integrals in scope (the twisted-tensor integral against the
 standard lattice Schwartz function, the mirabolic period, and the
 Rankin-Selberg pairing) all collapse under the Iwasawa decomposition
 to sums over dominant cocharacter lattices, with all compact volumes
-normalized to one. Each sum is truncated by total t-degree, which is
-exact: every omitted term has strictly larger degree. Analytic
-continuation is implemented as exact rational reconstruction of the
-truncated series followed by evaluation, never by summing at a point.
+normalized to one. At each lattice point the Whittaker values are
+delta^(1/2) times Schur polynomials (Shintani's formula), and the
+modulus weight of the Iwasawa measure is exactly the inverse of those
+half powers: every power of q cancels termwise, which leaves plain
+sums of Schur values (the Littlewood and Cauchy sums). All three
+integrals are therefore one Schur-sum kernel with different ranks and
+scalings. Each sum is truncated by total t-degree, which is exact:
+every omitted term has strictly larger degree. Analytic continuation
+is implemented as exact rational reconstruction of the truncated
+series followed by evaluation, never by summing at a point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .lfactors import asai_L, lstar_at_1, rs_L
+from .lfactors import closed_form_for, lstar_at_1, rs_L
 from .ratfunc import RatFunc, eval_at, reconstruct, series_of
 from .rational import rat
-from .scalars import ALG_ONE, ALG_ZERO, AlgNum, GaussRat
+from .scalars import GAUSS_ZERO, AlgNum, GaussRat
 from .segments import (
     GenericRep,
     UnramifiedModule,
@@ -27,8 +34,8 @@ from .segments import (
     is_unramified_rep,
     pi_u,
 )
-from .series import Poly, Series
-from .whittaker import essential_value, modulus_exponent, spherical_value
+from .series import Series
+from .whittaker import h_table, jacobi_trudi
 
 
 def _partitions(total: int, max_parts: int, cap: int | None = None):
@@ -37,7 +44,7 @@ def _partitions(total: int, max_parts: int, cap: int | None = None):
     if total == 0:
         yield ()
         return
-    if max_parts == 0:
+    if max_parts <= 0:
         return
     first = total if cap is None else min(total, cap)
     for head in range(first, 0, -1):
@@ -45,101 +52,77 @@ def _partitions(total: int, max_parts: int, cap: int | None = None):
             yield (head,) + tail
 
 
+def _schur_sum(
+    alpha: Sequence[GaussRat],
+    k: int,
+    e: int,
+    order: int,
+    beta: Sequence[GaussRat] | None = None,
+) -> Series:
+    """Series whose coefficient d is the sum over partitions lam of d
+    with at most k parts of s_(e*lam)(alpha) * s_lam(beta), the beta
+    factor left out when beta is None.
+
+    This is every lattice sum of the module: the Iwasawa modulus weight
+    q^(modulus exponent) at a lattice point is the inverse of the
+    delta^(1/2) in Shintani's formula for the Whittaker values there,
+    so no power of q survives in any term. Each Schur value is a
+    Jacobi-Trudi determinant on one complete homogeneous table per
+    variable set, built once for the whole sum.
+    """
+    h = h_table(alpha, e * order + k)
+    hb = None if beta is None else h_table(beta, order + k)
+    coeffs = []
+    for d in range(order + 1):
+        acc = GAUSS_ZERO
+        for lam in _partitions(d, k):
+            term = jacobi_trudi(h, [e * x for x in lam])
+            if hb is not None and term:
+                term = term * jacobi_trudi(hb, lam)
+            acc = acc + term
+        coeffs.append(acc)
+    return Series(coeffs)
+
+
 def flicker_series(mod: UnramifiedModule, order: int) -> Series:
     """Twisted-tensor integral of the spherical vector against the unit
     lattice function, as a truncated series in t = q_F^(-s).
 
     Iwasawa form: sum over dominant lam >= 0 in Z^r of the spherical
-    value at e*lam times q_F^(modulus exponent of lam) times t^|lam|.
+    value at e*lam times q_F^(modulus exponent of lam) times t^|lam|,
+    which is the sum of s_(e*lam) over partitions of length <= r.
     """
-    fp, m, e = mod.fp, mod.r, mod.fp.e
-    coeffs = [ALG_ZERO] * (order + 1)
-    for d in range(order + 1):
-        acc = ALG_ZERO
-        for part in _partitions(d, m):
-            lam = part + (0,) * (m - len(part))
-            term = spherical_value(mod, tuple(e * x for x in lam))
-            if not term.is_zero():
-                acc = acc + term * fp.q_F_pow(modulus_exponent(lam))
-        coeffs[d] = acc
-    return Series(coeffs)
-
-
-def _mirabolic_unramified(mod: UnramifiedModule, order: int) -> Series:
-    fp, n, e = mod.fp, mod.r, mod.fp.e
-    if n <= 1:
-        return Series.constant(ALG_ONE, order)
-    coeffs = [ALG_ZERO] * (order + 1)
-    for d in range(order + 1):
-        acc = ALG_ZERO
-        for part in _partitions(d, n - 1):
-            lam = part + (0,) * (n - 1 - len(part))
-            w = spherical_value(mod, tuple(e * x for x in lam) + (0,))
-            if not w.is_zero():
-                acc = acc + w * fp.q_F_pow(modulus_exponent(lam) + d)
-        coeffs[d] = acc
-    return Series(coeffs)
-
-
-def _mirabolic_ramified(rep: GenericRep, order: int) -> Series:
-    fp, n = rep.fp, rep.n
-    e = fp.e
-    r = pi_u(rep).r
-    if n == 1:
-        return Series.constant(ALG_ONE, order)
-    coeffs = [ALG_ZERO] * (order + 1)
-    for d in range(order + 1):
-        acc = ALG_ZERO
-        for part in _partitions(d, r):
-            lam = part + (0,) * (n - 1 - len(part))
-            w = essential_value(rep, tuple(e * x for x in lam))
-            if not w.is_zero():
-                acc = acc + w * fp.q_F_pow(modulus_exponent(lam) + d)
-        coeffs[d] = acc
-    return Series(coeffs)
+    return _schur_sum(mod.satake, mod.r, mod.fp.e, order)
 
 
 def mirabolic_series(rep, order: int) -> Series:
     """Mirabolic period sum over the F-points of the (n-1)-torus, with
     the determinant twist |det|^(s-1), as a series in t = q_F^(-s).
 
-    Accepts a GenericRep (spherical route when it is unramified as a
-    representation, essential-vector route otherwise) or a bare
-    UnramifiedModule.
+    Accepts a GenericRep or a bare UnramifiedModule (n = r). The
+    essential vector is supported on the first r torus entries of the
+    unramified support, so both the spherical route (r = n) and the
+    essential-vector route (r < n) sum s_(e*lam) over partitions of
+    length <= min(r, n-1).
     """
     if isinstance(rep, UnramifiedModule):
-        return _mirabolic_unramified(rep, order)
-    if isinstance(rep, GenericRep):
-        if is_unramified_rep(rep):
-            return _mirabolic_unramified(pi_u(rep), order)
-        return _mirabolic_ramified(rep, order)
-    raise TypeError("expected GenericRep or UnramifiedModule")
+        mod, n = rep, rep.r
+    elif isinstance(rep, GenericRep):
+        mod, n = pi_u(rep), rep.n
+    else:
+        raise TypeError("expected GenericRep or UnramifiedModule")
+    return _schur_sum(mod.satake, min(mod.r, n - 1), mod.fp.e, order)
 
 
 def rs_series(m1: UnramifiedModule, m2: UnramifiedModule, order: int) -> Series:
     """Rankin-Selberg pairing of the two spherical vectors over the
-    E-points of the (n-1)-torus, as a series in t_E = q_E^(-s)."""
+    E-points of the (n-1)-torus, as a series in t_E = q_E^(-s): the
+    Cauchy sum of s_lam(alpha) * s_lam(beta) over lam of length <= n-1."""
     if m1.fp != m2.fp:
         raise ValueError("modules live over different field pairs")
     if m1.r != m2.r + 1:
         raise ValueError("rank mismatch: need modules of ranks n and n-1")
-    fp = m1.fp
-    n = m1.r
-    coeffs = [ALG_ZERO] * (order + 1)
-    for d in range(order + 1):
-        acc = ALG_ZERO
-        for part in _partitions(d, n - 1):
-            lam = part + (0,) * (n - 1 - len(part))
-            w1 = spherical_value(m1, lam + (0,))
-            if w1.is_zero():
-                continue
-            w2 = spherical_value(m2, lam)
-            if w2.is_zero():
-                continue
-            weight = fp.q_E_half(2 * modulus_exponent(lam) + d)
-            acc = acc + w1 * w2 * weight
-        coeffs[d] = acc
-    return Series(coeffs)
+    return _schur_sum(m1.satake, m2.r, 1, order, m2.satake)
 
 
 @dataclass
@@ -153,16 +136,6 @@ class PeriodReport:
     value_at_1: AlgNum | None  # None encodes a pole at the edge point
 
 
-def closed_form_for(rep: GenericRep) -> RatFunc:
-    """Closed form of the mirabolic period series: the Asai factor of
-    the unramified support, times (1 - t^n) when the representation is
-    unramified (the rank-n Tate factor moves to the other side)."""
-    cf = asai_L(pi_u(rep))
-    if is_unramified_rep(rep):
-        cf = cf * RatFunc(Poly.one_minus(GaussRat(1), rep.n))
-    return cf
-
-
 def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
     """Check the mirabolic period series against its closed form.
 
@@ -171,13 +144,13 @@ def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
     the match flag (series and reconstruction both agree), and the
     exact edge value (None on a pole).
     """
-    series = mirabolic_series(rep, order)
     cf = closed_form_for(rep)
     bounds = (cf.num_degree, cf.den_degree)
     if order < bounds[0] + bounds[1] + 1:
         raise ValueError(
             "order %d too small to certify reconstruction with bounds %r" % (order, bounds)
         )
+    series = mirabolic_series(rep, order)
     try:
         rec = reconstruct(series, bounds[0], bounds[1])
     except ValueError:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .localfields import FieldPair
 from .rational import RAT_ONE, rat
@@ -301,7 +301,3 @@ def asai_holomorphic_witness(rep: GenericRep) -> bool:
             if precedes(a, b, q_E):
                 return False
     return True
-
-
-def make_rep(fp: FieldPair, segments: Iterable[Segment]) -> GenericRep:
-    return GenericRep(fp, tuple(segments))

@@ -41,10 +41,6 @@ class Poly:
         return cls((ALG_ONE,))
 
     @classmethod
-    def monomial(cls, c, k: int) -> "Poly":
-        return cls((ALG_ZERO,) * k + (_coerce_alg(c),))
-
-    @classmethod
     def one_minus(cls, c, k: int = 1) -> "Poly":
         """The factor 1 - c*t^k."""
         if k == 0:
@@ -190,21 +186,12 @@ class Series:
             raise ValueError("a series stores at least the constant coefficient")
         self.coeffs = cs
 
-    @classmethod
-    def constant(cls, value, order: int) -> "Series":
-        return cls([value] + [ALG_ZERO] * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> AlgNum:
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[: order + 1])
 
     def __add__(self, other):
         if not isinstance(other, Series):

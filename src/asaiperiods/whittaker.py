@@ -9,9 +9,11 @@ constraints on the remaining torus entries; the additive character is
 normalized to conductor zero throughout.
 
 Schur polynomials are computed by the Jacobi-Trudi determinant over a
-cached table of complete homogeneous symmetric polynomials. The
-bialternant quotient is provided as a second, independent algorithm
-for cross-validation.
+table of complete homogeneous symmetric polynomials; schur() builds
+the table for each call, and the lattice sums build one per sum and
+read every determinant off it through jacobi_trudi(). The bialternant
+quotient is provided as a second, independent algorithm for
+cross-validation.
 """
 
 from __future__ import annotations
@@ -28,26 +30,13 @@ def is_dominant(lam: Sequence[int]) -> bool:
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
-# complete homogeneous polynomial tables keyed by the alpha tuple;
-# entries are replaced wholesale, so concurrent readers always see a
-# consistent tuple (CPython attribute/dict operations are atomic)
-_H_CACHE: dict[tuple, tuple] = {}
-_H_CACHE_MAX = 256
-
-
-def _h_table(alpha: tuple, upto: int) -> tuple:
-    got = _H_CACHE.get(alpha)
-    if got is not None and len(got) > upto:
-        return got
+def h_table(alpha: Sequence[GaussRat], upto: int) -> list:
+    """Complete homogeneous symmetric polynomials h_0..h_upto of alpha."""
     h = [GAUSS_ONE] + [GAUSS_ZERO] * upto
     for a in alpha:
         for k in range(1, upto + 1):
             h[k] = h[k] + a * h[k - 1]
-    table = tuple(h)
-    if len(_H_CACHE) >= _H_CACHE_MAX:
-        _H_CACHE.clear()
-    _H_CACHE[alpha] = table
-    return table
+    return h
 
 
 def _det(mat) -> GaussRat:
@@ -83,6 +72,17 @@ def _det(mat) -> GaussRat:
     return rec(0, 0)
 
 
+def jacobi_trudi(h: Sequence[GaussRat], lam: Sequence[int]) -> GaussRat:
+    """s_lam = det(h_(lam_i - i + j)) over the nonzero parts of the
+    partition lam, read off a table h that reaches lam_1 + len(lam) - 1.
+
+    Trailing zero parts add unit diagonal rows, so they are dropped.
+    """
+    parts = [x for x in lam if x]
+    return _det([[h[p - i + j] if p - i + j >= 0 else GAUSS_ZERO for j in range(len(parts))]
+                 for i, p in enumerate(parts)])
+
+
 def _shift_nonnegative(lam: Sequence[int], alpha: Sequence[GaussRat]):
     """Normalize lam to nonnegative entries; returns (lam', prefactor)
     with s_lam = prefactor * s_lam'."""
@@ -112,16 +112,7 @@ def schur(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
     lam2, pre = _shift_nonnegative(lam, alpha)
     if lam2[0] == 0:
         return pre
-    key = tuple(alpha)
-    h = _h_table(key, lam2[0] - 1 + m)
-    mat = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            idx = lam2[i - 1] - i + j
-            row.append(h[idx] if idx >= 0 else GAUSS_ZERO)
-        mat.append(row)
-    det = _det(mat)
+    det = jacobi_trudi(h_table(alpha, lam2[0] - 1 + m), lam2)
     return det if pre == GAUSS_ONE else pre * det
 
 

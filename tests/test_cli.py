@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through real subprocesses: exit codes, JSON
-shape, table mode, determinism, and rational-backend forcing."""
+shape, table mode, determinism, and rational-backend forcing. A test
+that patches the library calls cli.main in process instead."""
 
 import json
 import os
@@ -7,6 +8,12 @@ import subprocess
 import sys
 
 import pytest
+
+from asaiperiods import cli, periods
+from asaiperiods.lfactors import asai_L
+from asaiperiods.scalars import GaussRat
+from asaiperiods.segments import pi_u
+from asaiperiods.series import Poly
 
 STEINBERG = {
     "field": {"qF": 2, "ramified": False},
@@ -153,22 +160,54 @@ def test_verify_suite_passes_and_emits_json_lines():
                for line in lines)
 
 
-def test_verify_failure_reports_first_fail_index(descriptor):
-    # central restriction omega(unif_F) = 4: the theorem-form closed form
-    # diverges from the lattice sum at t^2, so the suite must fail with
-    # the first mismatching coefficient index
-    skew = {
-        "field": {"qF": 2, "ramified": False},
-        "segments": [
-            {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": ["8/1", "0/1"]}},
-            {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": ["1/2", "0/1"]}},
-        ],
-    }
-    res = run_cli("verify", "--suite", "theorem1", "--rep", descriptor(skew), "--order", "20")
-    assert res.returncode == 1
-    line = json.loads(res.stdout.splitlines()[0])
+SKEW = {
+    "field": {"qF": 2, "ramified": False},
+    "segments": [
+        {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": ["8/1", "0/1"]}},
+        {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": ["1/2", "0/1"]}},
+    ],
+}
+
+
+def test_verify_failure_reports_first_fail_index(descriptor, monkeypatch, capsys):
+    # central restriction omega(unif_F) = 4: the closed form carries
+    # (1 - 4t^2), which cancels a pair factor of the Asai factor, and the
+    # check passes with the edge value of the reduced form
+    path = descriptor(SKEW)
+    argv = ["verify", "--suite", "theorem1", "--rep", path, "--order", "20"]
+    assert cli.main(argv) == 0
+    line = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert line["pass"] is True
+    assert line["valueAt1"] == "-4/9"
+    assert "firstFailIndex" not in line
+    # with the closed form swapped for asai * (1 - t^2), which ignores the
+    # central character, the lattice sum diverges at t^2: the suite must
+    # fail and name that index
+    def trivial_center_form(rep):
+        return asai_L(pi_u(rep)) * Poly.one_minus(GaussRat(1), rep.n)
+    monkeypatch.setattr(periods, "closed_form_for", trivial_center_form)
+    assert cli.main(argv) == 1
+    line = json.loads(capsys.readouterr().out.splitlines()[0])
     assert line["pass"] is False
     assert line["firstFailIndex"] == 2
+
+
+def test_period_nontrivial_central_character(descriptor):
+    # closed form asai * (1 - omega(unif_F) t^n), reduced before the edge
+    # value: omega = 1/6 gives 1/((1 - t/2)(1 - t/3)); for GL(1) with
+    # Satake value 2 = q_F and for SKEW (omega = 4) the central factor
+    # cancels the Asai pole at s=1
+    def unram(*vals):
+        return {"field": {"qF": 2, "ramified": False}, "segments": [
+            {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": [v, "0/1"]}}
+            for v in vals]}
+    cases = ((unram("1/2", "1/3"), "8/5"), (unram("2/1"), "1/1"), (SKEW, "-4/9"))
+    for i, (payload, value) in enumerate(cases):
+        res = run_cli("period", "--rep", descriptor(payload, "rep%d.json" % i), "--order", "20")
+        assert res.returncode == 0
+        out = json.loads(res.stdout)
+        assert out["match"] is True
+        assert out["valueAt1"] == value
 
 
 def test_verify_table_mode():

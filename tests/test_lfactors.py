@@ -195,6 +195,16 @@ def test_lstar_empty_unramified_support():
     assert lstar_at_1(rep) == ALG_ONE
 
 
+def test_lstar_central_factor_cancels_asai_pole():
+    # the Asai factor has a pole at t = 1/q_F in both cases; the central
+    # factor (1 - omega(unif_F) t^n) of the closed form cancels it
+    gl1 = GenericRep(UFP, (Segment(MultChar.unramified(g(2)), 1),))
+    assert lstar_at_1(gl1) == ALG_ONE
+    gl2 = GenericRep(UFP, (Segment(MultChar.unramified(g(8)), 1),
+                           Segment(MultChar.unramified(g(1, 2)), 1)))
+    assert lstar_at_1(gl2) == AlgNum(g(-4, 9))
+
+
 def test_lstar_pole_raises():
     # alpha = q_E = 4 restricts to 4 on F*, so 1 - 4t vanishes at t = 1/4... use q_F=4
     fp = FieldPair(4, False)

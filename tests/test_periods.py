@@ -1,9 +1,12 @@
 """Lattice sums for the three integrals, reconstruction round trips, and
 the theorem-level verification reports.
 
-rs_series is additionally cross-checked against a brute-force sum over a
-full integer box (no dominance constraints assumed): every term outside
-the cone must vanish on its own through the Whittaker values.
+The Schur-sum kernel behind the lattice sums is cross-checked against
+the weighted Iwasawa sums themselves (brute_flicker, brute_mirabolic,
+brute_rs): Whittaker values from spherical_value/essential_value times
+the modulus weights, summed over an integer box with no dominance
+constraints assumed, so every term outside the cone must vanish on its
+own through the Whittaker values.
 """
 
 import itertools
@@ -20,9 +23,11 @@ from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import (
     GenericRep,
     MultChar,
+    NotGenericError,
     Segment,
     UnramifiedModule,
     conductor,
+    is_unramified_rep,
     pi_u,
 )
 from asaiperiods.lfactors import asai_L, lstar_at_1, rs_L, tate_L
@@ -35,8 +40,8 @@ from asaiperiods.periods import (
     verify_c_pi,
     verify_theorem1,
 )
-from asaiperiods.whittaker import modulus_exponent, spherical_value
-from asaiperiods import corpus
+from asaiperiods.whittaker import essential_value, modulus_exponent, spherical_value
+from asaiperiods import corpus, periods
 
 UFP = FieldPair(2, False)
 RFP = FieldPair(2, True, 1)
@@ -52,6 +57,98 @@ def umod(fp, *vals):
 
 def steinberg(fp):
     return GenericRep(fp, (Segment(MultChar.unramified(g(1)), 2),))
+
+
+def generic_draw(make):
+    """First generic representation that make() builds."""
+    while True:
+        try:
+            return make()
+        except NotGenericError:
+            pass
+
+
+def essential_route_rep(rng, fp, r):
+    """r unramified GL(1) pieces beside one ramified-character segment,
+    so the unramified support has rank r < n."""
+    def make():
+        mod = corpus.rand_module(rng, fp, r)
+        segs = [Segment(MultChar.unramified(v), 1) for v in mod.satake]
+        segs.append(Segment(corpus.ramified_char(rng, rng.randint(1, 2)), rng.randint(1, 2)))
+        return GenericRep(fp, tuple(segs))
+    return generic_draw(make)
+
+
+# -- the weighted Iwasawa sums, as references for the Schur-sum kernel ----
+
+
+def box(m, order):
+    """Every lam in Z_{>=0}^m of total degree <= order, dominant or not."""
+    for lam in itertools.product(range(order + 1), repeat=m):
+        if sum(lam) <= order:
+            yield lam
+
+
+def q_F_pow(fp, h):
+    return AlgNum(GaussRat(rat(fp.q_F) ** h))
+
+
+def brute_flicker(mod, order):
+    """Spherical values at e*lam times q_F^(modulus exponent of lam)."""
+    fp, e = mod.fp, mod.fp.e
+    coeffs = [ALG_ZERO] * (order + 1)
+    for lam in box(mod.r, order):
+        w = spherical_value(mod, tuple(e * x for x in lam))
+        if not w.is_zero():
+            d = sum(lam)
+            coeffs[d] = coeffs[d] + w * q_F_pow(fp, modulus_exponent(lam))
+    return Series(tuple(coeffs))
+
+
+def brute_mirabolic(rep, order):
+    """Spherical values at (e*lam, 0) for an unramified rep, essential
+    values at e*lam otherwise, times q_F^(modulus exponent of lam + |lam|)."""
+    fp, n, e = rep.fp, rep.n, rep.fp.e
+    mod, unramified = pi_u(rep), is_unramified_rep(rep)
+    coeffs = [ALG_ZERO] * (order + 1)
+    for lam in box(n - 1, order):
+        lam_e = tuple(e * x for x in lam)
+        w = spherical_value(mod, lam_e + (0,)) if unramified else essential_value(rep, lam_e)
+        if not w.is_zero():
+            d = sum(lam)
+            coeffs[d] = coeffs[d] + w * q_F_pow(fp, modulus_exponent(lam) + d)
+    return Series(tuple(coeffs))
+
+
+def test_kernel_matches_weighted_sums_random_modules():
+    rng = random.Random(1201)
+    for i in range(8):
+        fp = corpus.rand_field(rng, ramified=bool(i % 2))
+        rep = generic_draw(lambda: corpus.module_as_rep(
+            corpus.rand_module(rng, fp, rng.randint(1, 3))))
+        mod = pi_u(rep)
+        assert flicker_series(mod, 8) == brute_flicker(mod, 8)
+        assert mirabolic_series(rep, 8) == brute_mirabolic(rep, 8)
+        assert mirabolic_series(mod, 8) == brute_mirabolic(rep, 8)
+
+
+def test_kernel_matches_weighted_sums_essential_route():
+    rng = random.Random(1202)
+    for ramified in (False, True):
+        fp = corpus.rand_field(rng, ramified)
+        for r in range(4):
+            rep = essential_route_rep(rng, fp, r)
+            assert pi_u(rep).r == r < rep.n
+            assert mirabolic_series(rep, 7) == brute_mirabolic(rep, 7)
+
+
+def test_kernel_matches_weighted_sums_rank5():
+    rng = random.Random(1203)
+    fp = corpus.rand_field(rng, ramified=True)
+    rep = generic_draw(lambda: corpus.module_as_rep(corpus.rand_module(rng, fp, 5)))
+    mod = pi_u(rep)
+    assert flicker_series(mod, 5) == brute_flicker(mod, 5)
+    assert mirabolic_series(rep, 5) == brute_mirabolic(rep, 5)
 
 
 # -- flicker_series ------------------------------------------------------
@@ -275,21 +372,44 @@ def test_theorem1_engineered_pole():
     assert report.value_at_1 is None
 
 
-def test_theorem1_nontrivial_central_restriction_mismatch():
-    # omega(unif_F) = 4 here: the mirabolic sum equals asai*(1-4t^2), not
-    # the theorem form asai*(1-t^2), so match must honestly fail while
-    # reconstruction still finds the true (reduced) rational function
+def test_theorem1_nontrivial_central_restriction():
+    # omega(unif_F) = 4 here: the mirabolic sum is asai*(1-4t^2), whose
+    # central factor cancels the pair factor 1/(1-4t^2) of the Asai
+    # factor; the edge value comes from the reduced form, with no pole
     rep = GenericRep(UFP, (
         Segment(MultChar.unramified(g(8)), 1),
         Segment(MultChar.unramified(g(1, 2)), 1),
     ))
     report = verify_theorem1(rep, 20)
-    assert not report.match
+    assert report.match
     true_form = RatFunc(Poly([1]), Poly.one_minus(g(8)) * Poly.one_minus(g(1, 2)))
+    assert report.closed_form == true_form
     assert report.reconstructed == true_form
+    assert report.value_at_1 == AlgNum(g(-4, 9))
+
+
+def test_theorem1_randomized_central_character():
+    # rand_module draws omega(unif_F) freely, so this covers the central
+    # Tate factor L(ns, omega|F*) for omega nontrivial on F*
+    rng = random.Random(1204)
+    for i in range(12):
+        fp = corpus.rand_field(rng, ramified=bool(i % 2))
+        rep = generic_draw(lambda: corpus.module_as_rep(
+            corpus.rand_module(rng, fp, rng.randint(1, 3))))
+        report = verify_theorem1(rep, 16)
+        assert report.match
+        assert report.reconstructed == report.closed_form
 
 
 def test_theorem1_order_too_small():
+    with pytest.raises(ValueError, match="order"):
+        verify_theorem1(steinberg(UFP), 1)
+
+
+def test_theorem1_checks_order_before_summing(monkeypatch):
+    def never(rep, order):
+        raise AssertionError("series built before the order check")
+    monkeypatch.setattr(periods, "mirabolic_series", never)
     with pytest.raises(ValueError, match="order"):
         verify_theorem1(steinberg(UFP), 1)
 
