@@ -58,7 +58,10 @@ def workload(order: int, modules: int) -> dict:
 
 
 def run_child(backend: str, order: int, modules: int, repeats: int) -> dict:
-    env = dict(os.environ, ASAIPERIODS_RATIONAL=backend)
+    # the child imports the package from this checkout's src, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, ASAIPERIODS_RATIONAL=backend, PYTHONPATH=path)
     cmd = [
         sys.executable,
         os.path.abspath(__file__),

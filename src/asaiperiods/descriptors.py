@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .localfields import FieldPair
+from .localfields import Q_F_LIMIT, FieldPair
 from .ratfunc import RatFunc
 from .rational import parse_rat, rat_str
 from .scalars import AlgNum, GaussRat
@@ -62,6 +62,8 @@ def parse_field(d: Any, path: str = "field") -> FieldPair:
     ramified = _get(d, "ramified", path)
     if not isinstance(q_F, int) or isinstance(q_F, bool):
         _fail(path + ".qF", "expected an integer")
+    if q_F >= Q_F_LIMIT:
+        _fail(path + ".qF", "must be below 2^64, got %d" % q_F)
     if not isinstance(ramified, bool):
         _fail(path + ".ramified", "expected a boolean")
     ext = d.get("extConductor")

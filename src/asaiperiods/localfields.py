@@ -20,22 +20,61 @@ from .rational import rat
 from .scalars import AlgNum, GaussRat
 
 
-def is_prime_power(n: int) -> bool:
+Q_F_LIMIT = 2**64  # primality below it is decided exactly
+
+# Miller-Rabin with these bases is exact below 3.3 * 10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    p = None
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            while m % d == 0:
-                m //= d
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r^k <= n, for n >= 0 and k >= 1."""
+    if k == 1:
+        return n
+    r = int(round(n ** (1.0 / k)))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def is_prime_power(n: int) -> bool:
+    """Whether n = p^k for a prime p and k >= 1: integer k-th roots and
+    deterministic Miller-Rabin, exact for n below Q_F_LIMIT."""
+    if n >= Q_F_LIMIT:
+        raise ValueError("q_F must be below 2^64, where prime powers are decided exactly")
+    if n < 2:
+        return False
+    for k in range(1, n.bit_length()):
+        r = _iroot(n, k)
+        if r < 2:
             break
-        d += 1
-    if p is None:
-        return True  # n itself prime
-    return m == 1
+        if r**k == n and _is_prime(r):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Sequence
 from .lfactors import closed_form_for, lstar_at_1, rs_L
 from .ratfunc import RatFunc, eval_at, reconstruct, series_of
 from .rational import rat
-from .scalars import GAUSS_ZERO, AlgNum, GaussRat
+from .scalars import AlgNum, GaussRat
 from .segments import (
     GenericRep,
     UnramifiedModule,
@@ -35,7 +35,7 @@ from .segments import (
     pi_u,
 )
 from .series import Series
-from .whittaker import h_table, jacobi_trudi
+from .whittaker import clear_denominators, h_table, jacobi_trudi
 
 
 def _partitions(total: int, max_parts: int, cap: int | None = None):
@@ -66,21 +66,31 @@ def _schur_sum(
     This is every lattice sum of the module: the Iwasawa modulus weight
     q^(modulus exponent) at a lattice point is the inverse of the
     delta^(1/2) in Shintani's formula for the Whittaker values there,
-    so no power of q survives in any term. Each Schur value is a
-    Jacobi-Trudi determinant on one complete homogeneous table per
-    variable set, built once for the whole sum.
+    so no power of q survives in any term. The Satake denominators are
+    cleared once per variable set (alpha = a/D, beta = b/D_b), each
+    Schur value is an int-pair Jacobi-Trudi determinant on one complete
+    homogeneous table per variable set, and coefficient d is the integer
+    sum divided once, by D^(e*d) * D_b^d.
     """
-    h = h_table(alpha, e * order + k)
-    hb = None if beta is None else h_table(beta, order + k)
+    den, a = clear_denominators(alpha)
+    h = h_table(a, e * order + k)
+    if beta is None:
+        den_b, hb = 1, None
+    else:
+        den_b, b = clear_denominators(beta)
+        hb = h_table(b, order + k)
     coeffs = []
     for d in range(order + 1):
-        acc = GAUSS_ZERO
+        sr = si = 0
         for lam in _partitions(d, k):
-            term = jacobi_trudi(h, [e * x for x in lam])
-            if hb is not None and term:
-                term = term * jacobi_trudi(hb, lam)
-            acc = acc + term
-        coeffs.append(acc)
+            tr, ti = jacobi_trudi(h, [e * x for x in lam])
+            if hb is not None and (tr or ti):
+                br, bi = jacobi_trudi(hb, lam)
+                tr, ti = tr * br - ti * bi, tr * bi + ti * br
+            sr += tr
+            si += ti
+        den_d = den ** (e * d) * den_b ** d
+        coeffs.append(GaussRat(rat(sr, den_d), rat(si, den_d)))
     return Series(coeffs)
 
 

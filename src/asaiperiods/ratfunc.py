@@ -126,10 +126,12 @@ def eval_at(rf: RatFunc, t0) -> AlgNum:
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over AlgNum. rows: list of coefficient lists.
+    """Gaussian elimination over AlgNum: forward elimination below each
+    pivot, then back-substitution. rows: list of coefficient lists.
 
     Returns the solution with free variables set to zero, or None when
-    the system is inconsistent.
+    the system is inconsistent. The pivot columns depend on the matrix
+    alone, so this is the solution full Gauss-Jordan reduction gives.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -146,11 +148,13 @@ def _solve_exact(rows, rhs):
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
         inv = mat[row][col].inverse()
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(m):
-            if r != row and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
+        # entries left of col are zero in this row and every row below
+        prow = [x * inv for x in mat[row][col:]]
+        mat[row][col:] = prow
+        for r in range(row + 1, m):
+            f = mat[r][col]
+            if not f.is_zero():
+                mat[r][col:] = [x - f * y for x, y in zip(mat[r][col:], prow)]
         pivots.append(col)
         row += 1
         if row == m:
@@ -159,8 +163,14 @@ def _solve_exact(rows, rhs):
         if not mat[r][n].is_zero():
             return None
     sol = [ALG_ZERO] * n
-    for r, col in enumerate(pivots):
-        sol[col] = mat[r][n]
+    for r in range(row - 1, -1, -1):
+        col = pivots[r]
+        acc = mat[r][n]
+        for c in range(col + 1, n):
+            x = mat[r][c]
+            if not x.is_zero() and not sol[c].is_zero():
+                acc = acc - x * sol[c]
+        sol[col] = acc
     return sol
 
 

@@ -1,8 +1,9 @@
 """Rational number backend selection.
 
 Everything in this library is exact rational arithmetic. gmpy2's mpq
-(GMP-backed) is preferred because the lattice sums and determinants
-multiply large numerators; fractions.Fraction is the pure-Python
+(GMP-backed) is preferred because reconstruction and the closed forms
+multiply large numerators (the lattice sums run on plain ints and
+divide once per coefficient); fractions.Fraction is the pure-Python
 drop-in fallback. The backend is chosen once at import time and can be
 forced with the ASAIPERIODS_RATIONAL environment variable, one of
 "auto" (default), "gmpy2", "fraction".

@@ -9,17 +9,22 @@ constraints on the remaining torus entries; the additive character is
 normalized to conductor zero throughout.
 
 Schur polynomials are computed by the Jacobi-Trudi determinant over a
-table of complete homogeneous symmetric polynomials; schur() builds
-the table for each call, and the lattice sums build one per sum and
-read every determinant off it through jacobi_trudi(). The bialternant
-quotient is provided as a second, independent algorithm for
-cross-validation.
+table of complete homogeneous symmetric polynomials, in Gaussian
+integers held as plain (re, im) int pairs: the denominators of the
+Satake values are cleared once (beta = D*alpha), the table and the
+division-free determinant stay in integers, and s_lam(alpha) comes out
+of one division by D^|lam|. schur() builds the table for each call;
+the lattice sums build one per sum and read every determinant off it
+through jacobi_trudi(). The bialternant quotient, on GaussRat values,
+is provided as a second, independent algorithm for cross-validation.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
+from .rational import rat
 from .scalars import ALG_ZERO, GAUSS_ONE, GAUSS_ZERO, AlgNum, GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
 
@@ -30,17 +35,32 @@ def is_dominant(lam: Sequence[int]) -> bool:
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
-def h_table(alpha: Sequence[GaussRat], upto: int) -> list:
-    """Complete homogeneous symmetric polynomials h_0..h_upto of alpha."""
-    h = [GAUSS_ONE] + [GAUSS_ZERO] * upto
+def clear_denominators(alpha: Sequence[GaussRat]) -> tuple[int, list]:
+    """(D, beta) with D the lcm of the denominators of every real and
+    imaginary part of alpha and beta = D*alpha as (re, im) int pairs,
+    so that s_lam(alpha) = s_lam(beta) / D^|lam|."""
+    den = 1
     for a in alpha:
+        den = lcm(den, int(a.re.denominator), int(a.im.denominator))
+    return den, [(int(a.re * den), int(a.im * den)) for a in alpha]
+
+
+def h_table(beta: Sequence[tuple], upto: int) -> list:
+    """Complete homogeneous symmetric polynomials h_0..h_upto of the
+    Gaussian integers beta, as (re, im) int pairs."""
+    h = [(1, 0)] + [(0, 0)] * upto
+    for br, bi in beta:
+        cr, ci = 1, 0
         for k in range(1, upto + 1):
-            h[k] = h[k] + a * h[k - 1]
+            hr, hi = h[k]
+            cr, ci = hr + br * cr - bi * ci, hi + br * ci + bi * cr
+            h[k] = (cr, ci)
     return h
 
 
 def _det(mat) -> GaussRat:
-    """Division-free determinant: Laplace expansion over column subsets."""
+    """Division-free GaussRat determinant by Laplace expansion over
+    column subsets, for the bialternant oracle."""
     n = len(mat)
     if n == 0:
         return GAUSS_ONE
@@ -72,15 +92,44 @@ def _det(mat) -> GaussRat:
     return rec(0, 0)
 
 
-def jacobi_trudi(h: Sequence[GaussRat], lam: Sequence[int]) -> GaussRat:
+def jacobi_trudi(h: Sequence[tuple], lam: Sequence[int]) -> tuple:
     """s_lam = det(h_(lam_i - i + j)) over the nonzero parts of the
-    partition lam, read off a table h that reaches lam_1 + len(lam) - 1.
+    partition lam, read off an int-pair table h that reaches
+    lam_1 + len(lam) - 1; returns an (re, im) int pair.
 
     Trailing zero parts add unit diagonal rows, so they are dropped.
+    The determinant is the division-free Laplace expansion over column
+    subsets, memoized per call only.
     """
     parts = [x for x in lam if x]
-    return _det([[h[p - i + j] if p - i + j >= 0 else GAUSS_ZERO for j in range(len(parts))]
-                 for i, p in enumerate(parts)])
+    n = len(parts)
+    mat = [[h[p - i + j] if p - i + j >= 0 else (0, 0) for j in range(n)]
+           for i, p in enumerate(parts)]
+    memo: dict = {}
+
+    def rec(row: int, mask: int) -> tuple:
+        if row == n:
+            return 1, 0
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        tr = ti = 0
+        pos = 0
+        for col, (er, ei) in enumerate(mat[row]):
+            bit = 1 << col
+            if mask & bit:
+                continue
+            if er or ei:
+                if pos & 1:
+                    er, ei = -er, -ei
+                sr, si = rec(row + 1, mask | bit)
+                tr += er * sr - ei * si
+                ti += er * si + ei * sr
+            pos += 1
+        memo[mask] = tr, ti
+        return tr, ti
+
+    return rec(0, 0)
 
 
 def _shift_nonnegative(lam: Sequence[int], alpha: Sequence[GaussRat]):
@@ -112,7 +161,10 @@ def schur(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
     lam2, pre = _shift_nonnegative(lam, alpha)
     if lam2[0] == 0:
         return pre
-    det = jacobi_trudi(h_table(alpha, lam2[0] - 1 + m), lam2)
+    d, beta = clear_denominators(alpha)
+    re, im = jacobi_trudi(h_table(beta, lam2[0] - 1 + m), lam2)
+    den = d ** sum(lam2)
+    det = GaussRat(rat(re, den), rat(im, den))
     return det if pre == GAUSS_ONE else pre * det
 
 

@@ -310,6 +310,30 @@ def test_reconstruct_inconsistent_series():
         reconstruct(Series(coeffs), 0, 1)
 
 
+def test_reconstruct_bounds_above_true_degrees():
+    # bounds (3, 5) on a (0, 2) function: the denominator system is rank
+    # deficient, free variables stay 0, and the result reduces to rf
+    rf = RatFunc(Poly([1]), one_minus(2) * one_minus(g(1, 3)))
+    assert reconstruct(series_of(rf, 12), 3, 5) == rf
+    num = Poly([g(1), gi(0, 1, 2, 3)])
+    rf2 = RatFunc(num, one_minus(gi(1, 2, -1, 5)))
+    assert reconstruct(series_of(rf2, 10), 2, 4) == rf2
+
+
+def test_reconstruct_inconsistent_past_the_pivots():
+    # rows after the last pivot carry a nonzero right-hand side
+    coeffs = tuple(AlgNum(g(c)) for c in (1, 1, 1, 1, 1, 1, 7))
+    with pytest.raises(ValueError, match="reconstruction inconsistent"):
+        reconstruct(Series(coeffs), 0, 2)
+
+
+def test_reconstruct_polynomial_with_zero_den_degree():
+    s = Series(tuple(AlgNum(g(c)) for c in (1, 2, 3, 0, 0, 0)))
+    assert reconstruct(s, 2, 0) == RatFunc(Poly([1, 2, 3]))
+    with pytest.raises(ValueError, match="reconstruction inconsistent"):
+        reconstruct(Series(tuple(AlgNum(g(c)) for c in (1, 2, 3, 0, 4))), 2, 0)
+
+
 def test_reconstruct_order_too_small():
     s = Series((ALG_ONE, ALG_ONE))
     with pytest.raises(ValueError, match="too small"):

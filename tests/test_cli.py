@@ -145,6 +145,13 @@ def test_input_error_names_offending_field(descriptor):
     assert "q_F" in res.stderr
 
 
+def test_q_F_at_2_64_exits_2(descriptor):
+    bad = {"field": {"qF": 2**64, "ramified": False}, "segments": STEINBERG["segments"]}
+    res = run_cli("lfactor", "--rep", descriptor(bad))
+    assert res.returncode == 2
+    assert "field.qF" in res.stderr and "2^64" in res.stderr
+
+
 def test_missing_file_exits_2():
     res = run_cli("lfactor", "--rep", "/nonexistent/rep.json")
     assert res.returncode == 2

@@ -6,6 +6,7 @@ from asaiperiods.localfields import (
     AddCharData,
     FieldPair,
     conductor_zero_shift,
+    is_prime_power,
     trace_conductor,
     trace_zero_element_kind,
 )
@@ -38,6 +39,33 @@ def test_field_pair_ramified_default_conductor():
 def test_prime_powers_accepted():
     for q in (2, 4, 8, 9, 25, 27, 121):
         assert FieldPair(q, False).q_E == q * q
+
+
+def test_is_prime_power_matches_trial_division():
+    def trial(n):
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    assert not any(is_prime_power(n) for n in (-4, 0, 1))
+    assert all(is_prime_power(n) == trial(n) for n in range(2, 5000))
+
+
+def test_is_prime_power_large():
+    for q in (2**61 - 1, (2**31 - 1) ** 2, 2**63, 3**40, 10**18 + 3):
+        assert is_prime_power(q) and FieldPair(q, False).q_F == q
+    # 2^31 - 1 and 2^31 - 19 are both prime
+    assert is_prime_power(2**31 - 19)
+    assert not is_prime_power((2**31 - 1) * (2**31 - 19))
+    assert not is_prime_power((2**31 - 1) ** 2 * 3)
+
+
+def test_q_F_bounded_below_2_64():
+    with pytest.raises(ValueError, match="2\\^64"):
+        FieldPair(2**64, False)
+    with pytest.raises(ValueError, match="2\\^64"):
+        is_prime_power(2**64 + 13)
 
 
 def test_q_E_half():

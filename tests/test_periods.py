@@ -40,7 +40,13 @@ from asaiperiods.periods import (
     verify_c_pi,
     verify_theorem1,
 )
-from asaiperiods.whittaker import essential_value, modulus_exponent, spherical_value
+from asaiperiods.whittaker import (
+    essential_value,
+    modulus_exponent,
+    schur,
+    schur_bialternant,
+    spherical_value,
+)
 from asaiperiods import corpus, periods
 
 UFP = FieldPair(2, False)
@@ -149,6 +155,72 @@ def test_kernel_matches_weighted_sums_rank5():
     mod = pi_u(rep)
     assert flicker_series(mod, 5) == brute_flicker(mod, 5)
     assert mirabolic_series(rep, 5) == brute_mirabolic(rep, 5)
+
+
+# -- the integer kernel against the bialternant oracle --------------------
+
+# distinct Satake values with hostile denominators: large coprime ones,
+# purely imaginary, negative, and real beside complex
+HOSTILE = (
+    (g(-14322, 1185665), g(7), g(3, 1024), g(0, 1, 5, 7)),
+    (g(0, 1, 1, 3), g(0, 1, -2, 5), g(0, 1, 7)),
+    (g(-1, 2), g(-3), g(-5, 7), g(-11, 13)),
+    (g(1, 2, 1, 3), g(-4, 9), g(2, 1, -1), g(0, 1, 9, 10)),
+)
+
+
+def oracle_partitions(d, k):
+    """Weakly decreasing tuples of k nonnegative parts summing to d."""
+    return [lam for lam in itertools.product(range(d, -1, -1), repeat=k)
+            if sum(lam) == d and all(lam[i] >= lam[i + 1] for i in range(k - 1))]
+
+
+def bialternant_sum(alpha, k, e, order, beta=None):
+    """Coefficient d: sum over lam |- d with <= k parts of
+    s_(e*lam)(alpha) * s_lam(beta), every Schur value a bialternant."""
+    def pad(lam, m):
+        return tuple(lam) + (0,) * (m - len(lam))
+
+    coeffs = []
+    for d in range(order + 1):
+        acc = GaussRat(0)
+        for lam in oracle_partitions(d, k):
+            term = schur_bialternant(pad([e * x for x in lam], len(alpha)), alpha)
+            if beta is not None:
+                term = term * schur_bialternant(pad(lam, len(beta)), beta)
+            acc = acc + term
+        coeffs.append(acc)
+    return Series(coeffs)
+
+
+def test_integer_kernel_matches_bialternant_oracle():
+    for alpha in HOSTILE:
+        m = len(alpha)
+        for e in (1, 2):
+            for k in (m, m - 1):
+                got = periods._schur_sum(alpha, k, e, 5)
+                assert got == bialternant_sum(alpha, k, e, 5), (alpha, k, e)
+
+
+def test_integer_kernel_rs_different_denominators():
+    # the two variable sets clear different denominators
+    for alpha, beta in ((HOSTILE[0][:3], (g(5, 6), g(0, 1, -1, 11))),
+                        (HOSTILE[3][:3], HOSTILE[2][:2]),
+                        (HOSTILE[1], (g(-14322, 1185665), g(1, 2, 1, 2)))):
+        got = periods._schur_sum(alpha, 2, 1, 5, beta)
+        assert got == bialternant_sum(alpha, 2, 1, 5, beta), (alpha, beta)
+
+
+def test_schur_integer_path_matches_bialternant_oracle():
+    rng = random.Random(1717)
+    for alpha in HOSTILE:
+        m = len(alpha)
+        # negative parts go through the central shift
+        lams = [tuple(range(1, 1 - m, -1))]
+        lams += [tuple(sorted((rng.randint(-3, 4) for _ in range(m)), reverse=True))
+                 for _ in range(6)]
+        for lam in lams:
+            assert schur(lam, alpha) == schur_bialternant(lam, alpha), (lam, alpha)
 
 
 # -- flicker_series ------------------------------------------------------
