@@ -4,7 +4,8 @@ Everything is exact arithmetic: Gaussian rationals, optional adjoined
 square roots, truncated power series, and canonical rational functions
 in t = q_F^-s. The package computes closed-form local L-factors,
 spherical and essential Whittaker torus values, and the lattice sums
-whose rational reconstruction verifies the period identities.
+whose expansions, matched against the closed forms, verify the period
+identities.
 """
 
 from .localfields import AddCharData, FieldPair, conductor_zero_shift, trace_conductor

@@ -298,9 +298,7 @@ def _check_theorem1(name: str, rep: GenericRep, order: int) -> dict:
         "valueAt1": value_str(report.value_at_1),
     }
     if not report.match:
-        expected = series_of(report.closed_form, report.series.order)
-        idx = report.series.first_mismatch(expected)
-        out["firstFailIndex"] = idx
+        out["firstFailIndex"] = report.series.first_mismatch(report.expected)
     return out
 
 

@@ -116,7 +116,12 @@ def rho_json(rho: MultChar) -> dict:
 
 def parse_rep(d: Any, path: str = "rep") -> tuple[FieldPair, list[Segment]]:
     """Parse a representation descriptor WITHOUT the genericity check,
-    so callers can report non-generic input instead of erroring."""
+    so callers can report non-generic input instead of erroring.
+
+    Characters are compared by (unitLabel, atUnif), so a segment whose
+    character repeats an earlier label must agree with it: the same
+    unitConductor for the same unitLabel, and the same sigma data for
+    the same (unitLabel, atUnif). A conflict names the later field."""
     fp = parse_field(_get(d, "field", path), path + ".field")
     raw = _get(d, "segments", path)
     if not isinstance(raw, list):
@@ -124,12 +129,26 @@ def parse_rep(d: Any, path: str = "rep") -> tuple[FieldPair, list[Segment]]:
     if not raw:
         _fail(path + ".segments", "at least one segment is required (n >= 1)")
     segments = []
+    conductors: dict[str, int] = {}
+    sigmas: dict[tuple, tuple[str, GaussRat]] = {}
     for i, seg in enumerate(raw):
         spath = "%s.segments[%d]" % (path, i)
         k = _get(seg, "k", spath)
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             _fail(spath + ".k", "expected a positive integer")
-        rho = parse_rho(_get(seg, "rho", spath), spath + ".rho")
+        rpath = spath + ".rho"
+        rho = parse_rho(_get(seg, "rho", spath), rpath)
+        cond = conductors.setdefault(rho.unit_label, rho.unit_conductor)
+        if cond != rho.unit_conductor:
+            _fail(rpath + ".unitConductor", 'unitLabel "%s" has unitConductor %d in an earlier '
+                  "segment, got %d" % (rho.unit_label, cond, rho.unit_conductor))
+        sig_label, sig_at = sigmas.setdefault(rho.key(), (rho.sigma_unit_label, rho.sigma_at_unif))
+        if sig_label != rho.sigma_unit_label:
+            _fail(rpath + ".sigmaUnitLabel", 'conflicts with "%s" for the same character in an '
+                  "earlier segment" % sig_label)
+        if sig_at != rho.sigma_at_unif:
+            _fail(rpath + ".sigmaAtUnif", "conflicts with %s for the same character in an "
+                  "earlier segment" % sig_at)
         segments.append(Segment(rho, k))
     return fp, segments
 

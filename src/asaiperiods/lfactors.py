@@ -96,12 +96,15 @@ def closed_form_for(rep: GenericRep) -> RatFunc:
     return cf
 
 
-def lstar_at_1(rep: GenericRep) -> AlgNum:
+def lstar_at_1(rep: GenericRep, cf: RatFunc | None = None) -> AlgNum:
     """Normalized value at the edge point s=1: the reduced closed form
     of the mirabolic period evaluated at t = 1/q_F, so a pole that the
-    central Tate factor cancels is no pole."""
+    central Tate factor cancels is no pole. Pass cf when the caller has
+    already built closed_form_for(rep)."""
+    if cf is None:
+        cf = closed_form_for(rep)
     try:
-        return eval_at(closed_form_for(rep), GaussRat(rat(1, rep.fp.q_F)))
+        return eval_at(cf, GaussRat(rat(1, rep.fp.q_F)))
     except ZeroDivisionError:
         raise ValueError("non-holomorphic at s=1") from None
 

@@ -12,8 +12,11 @@ sums of Schur values (the Littlewood and Cauchy sums). All three
 integrals are therefore one Schur-sum kernel with different ranks and
 scalings. Each sum is truncated by total t-degree, which is exact:
 every omitted term has strictly larger degree. Analytic continuation
-is implemented as exact rational reconstruction of the truncated
-series followed by evaluation, never by summing at a point.
+goes through the closed form: a truncated series that matches it to
+order num_deg + den_deg + 1 or beyond determines it (Pade uniqueness),
+and its exact value is taken there, never by summing at a point.
+Rational reconstruction runs only on a mismatch, to report which
+rational function the series is.
 """
 
 from __future__ import annotations
@@ -140,6 +143,7 @@ class PeriodReport:
     """Outcome of one period computation against its closed form."""
 
     series: Series
+    expected: Series  # the closed form expanded to the same order
     reconstructed: RatFunc | None
     closed_form: RatFunc
     match: bool
@@ -149,10 +153,15 @@ class PeriodReport:
 def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
     """Check the mirabolic period series against its closed form.
 
-    The report carries the truncated series, its rational
-    reconstruction (None when reconstruction fails), the closed form,
-    the match flag (series and reconstruction both agree), and the
-    exact edge value (None on a pole).
+    The report carries the truncated series, the closed form's expansion
+    to the same order, the rational function the series determines
+    (None when no function within the closed form's degree bounds fits),
+    the closed form, the match flag, and the exact edge value (None on a
+    pole). A matching series certifies the closed form by Pade
+    uniqueness: order >= num_deg + den_deg + 1, so any other p/q within
+    the bounds that fits has p*den - num*q of degree <= num_deg + den_deg
+    vanishing to a higher order, hence zero. Reconstruction therefore
+    runs only on a mismatch, to report what the series actually is.
     """
     cf = closed_form_for(rep)
     bounds = (cf.num_degree, cf.den_degree)
@@ -161,16 +170,20 @@ def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
             "order %d too small to certify reconstruction with bounds %r" % (order, bounds)
         )
     series = mirabolic_series(rep, order)
+    expected = series_of(cf, order)
+    match = series == expected
+    if match:
+        rec = cf
+    else:
+        try:
+            rec = reconstruct(series, bounds[0], bounds[1])
+        except ValueError:
+            rec = None
     try:
-        rec = reconstruct(series, bounds[0], bounds[1])
-    except ValueError:
-        rec = None
-    match = series == series_of(cf, order) and rec == cf
-    try:
-        v1 = lstar_at_1(rep)
+        v1 = lstar_at_1(rep, cf)
     except ValueError:
         v1 = None
-    return PeriodReport(series, rec, cf, match, v1)
+    return PeriodReport(series, expected, rec, cf, match, v1)
 
 
 def verify_c_pi(rep: GenericRep) -> bool:

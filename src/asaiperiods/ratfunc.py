@@ -5,11 +5,13 @@ denominator coprime, denominator constant term equal to 1. With that
 normalization componentwise equality is true equality of rational
 functions.
 
-reconstruct is the computational stand-in for analytic continuation:
-it recovers the unique rational function within given degree bounds
-from a long enough truncated expansion, by exact Gaussian elimination
-on the linear relations satisfied by the denominator coefficients, and
-then re-checks every available coefficient.
+reconstruct recovers the unique rational function within given degree
+bounds from a long enough truncated expansion, by exact Gaussian
+elimination on the linear relations satisfied by the denominator
+coefficients, and then re-checks every available coefficient. The
+period checks do not need it when the series matches a closed form
+(Pade uniqueness already certifies that form); they call it only on a
+mismatch, to report which rational function the series actually is.
 """
 
 from __future__ import annotations

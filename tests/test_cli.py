@@ -152,6 +152,38 @@ def test_q_F_at_2_64_exits_2(descriptor):
     assert "field.qF" in res.stderr and "2^64" in res.stderr
 
 
+def eta_segment(cond, at, sigma_label, sigma_at):
+    return {"k": 1, "rho": {"unitLabel": "eta", "unitConductor": cond, "atUnif": [at, "0/1"],
+                            "sigmaUnitLabel": sigma_label, "sigmaAtUnif": [sigma_at, "0/1"]}}
+
+
+def test_unit_label_with_two_conductors_exits_2(descriptor):
+    bad = {"field": {"qF": 3, "ramified": False},
+           "segments": [eta_segment(1, "2/1", "eta", "2/1"), eta_segment(3, "2/1", "eta2", "5/1")]}
+    res = run_cli("segments", "--rep", descriptor(bad))
+    assert res.returncode == 2
+    assert "rep.segments[1].rho.unitConductor" in res.stderr
+    assert res.stdout == ""
+
+
+def test_same_character_with_two_sigma_data_exits_2(descriptor):
+    first = eta_segment(1, "2/1", "eta", "2/1")
+    cases = (("rep.segments[1].rho.sigmaUnitLabel", eta_segment(1, "2/1", "eta2", "2/1")),
+             ("rep.segments[1].rho.sigmaAtUnif", eta_segment(1, "2/1", "eta", "5/1")))
+    for i, (field, second) in enumerate(cases):
+        bad = {"field": {"qF": 3, "ramified": False}, "segments": [first, second]}
+        res = run_cli("segments", "--rep", descriptor(bad, "rep%d.json" % i))
+        assert res.returncode == 2
+        assert field in res.stderr
+    # a label that comes back at another value at the uniformizer is
+    # another character, and its sigma data may differ
+    ok = {"field": {"qF": 3, "ramified": False},
+          "segments": [first, eta_segment(1, "7/1", "eta2", "5/1")]}
+    res = run_cli("segments", "--rep", descriptor(ok, "ok.json"))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["generic"] is True
+
+
 def test_missing_file_exits_2():
     res = run_cli("lfactor", "--rep", "/nonexistent/rep.json")
     assert res.returncode == 2

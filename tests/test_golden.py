@@ -1,11 +1,13 @@
 """CLI stdout pinned byte for byte on three descriptors in tests/golden.
 
-Each NAME.json descriptor runs through cli.main with the arguments
-below, and stdout must equal NAME.out exactly. The three cover the
-spherical route with a central character trivial on F* (rank 3), the
-essential-vector route over a ramified pair (r = 2 < n = 4), and the
-Littlewood and Cauchy identity checks of a ramified-pair module, whose
-Rankin-Selberg Whittaker values carry sqrt(q) parts.
+Each run names a descriptor DESC.json and the arguments to run it
+through cli.main with, and stdout must equal NAME.out exactly. The three
+descriptors cover the spherical route with a central character trivial
+on F* (rank 3), the essential-vector route over a ramified pair (r = 2 <
+n = 4), and the Littlewood and Cauchy identity checks of a ramified-pair
+module, whose Rankin-Selberg Whittaker values carry sqrt(q) parts. The
+first two also run through the theorem-1 verify suite, once as JSON
+lines and once as a table.
 """
 
 from pathlib import Path
@@ -17,14 +19,20 @@ from asaiperiods import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 RUNS = {
-    "omega_trivial_rank3": ["period", "--order", "14"],
-    "essential_route": ["period", "--order", "10"],
-    "ramified_pair_module": ["verify", "--suite", "identities", "--order", "12"],
+    "omega_trivial_rank3": ("omega_trivial_rank3", ["period", "--order", "14"]),
+    "essential_route": ("essential_route", ["period", "--order", "10"]),
+    "ramified_pair_module": ("ramified_pair_module",
+                             ["verify", "--suite", "identities", "--order", "12"]),
+    "omega_trivial_rank3_theorem1": ("omega_trivial_rank3",
+                                     ["verify", "--suite", "theorem1", "--order", "14",
+                                      "--output", "table"]),
+    "essential_route_theorem1": ("essential_route",
+                                 ["verify", "--suite", "theorem1", "--order", "10"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_stdout_matches_golden(name, capsys):
-    cmd, *rest = RUNS[name]
-    assert cli.main([cmd, "--rep", str(GOLDEN / (name + ".json"))] + rest) == 0
+    desc, (cmd, *rest) = RUNS[name]
+    assert cli.main([cmd, "--rep", str(GOLDEN / (desc + ".json"))] + rest) == 0
     assert capsys.readouterr().out == (GOLDEN / (name + ".out")).read_text(encoding="utf-8")

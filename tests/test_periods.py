@@ -30,7 +30,7 @@ from asaiperiods.segments import (
     is_unramified_rep,
     pi_u,
 )
-from asaiperiods.lfactors import asai_L, lstar_at_1, rs_L, tate_L
+from asaiperiods.lfactors import asai_L, closed_form_for, lstar_at_1, rs_L, tate_L
 from asaiperiods.periods import (
     essential_rs_check,
     flicker_series,
@@ -484,6 +484,67 @@ def test_theorem1_checks_order_before_summing(monkeypatch):
     monkeypatch.setattr(periods, "mirabolic_series", never)
     with pytest.raises(ValueError, match="order"):
         verify_theorem1(steinberg(UFP), 1)
+
+
+def test_reconstruct_of_period_series_is_the_closed_form():
+    # the equality that lets verify_theorem1 skip the solve on a match:
+    # at the minimal certifying order num_deg + den_deg + 1 and above it,
+    # reconstruction within the closed form's degree bounds returns the
+    # closed form itself, on the spherical route (r = n) and on the
+    # essential-vector route (r < n), over both field types
+    rng = random.Random(1207)
+    cases = [(ramified, route, r) for ramified in (False, True)
+             for route, r in (("spherical", 1), ("spherical", 2), ("spherical", 3),
+                              ("essential", 1), ("essential", 2))]
+    for ramified, route, r in cases:
+        fp = corpus.rand_field(rng, ramified)
+        if route == "spherical":
+            rep = generic_draw(lambda: corpus.module_as_rep(corpus.rand_module(rng, fp, r)))
+        else:
+            rep = essential_route_rep(rng, fp, r)
+            assert pi_u(rep).r == r < rep.n
+        cf = closed_form_for(rep)
+        minimal = cf.num_degree + cf.den_degree + 1
+        for order in (minimal, minimal + rng.randint(1, 4)):
+            series = mirabolic_series(rep, order)
+            assert reconstruct(series, cf.num_degree, cf.den_degree) == cf
+
+
+def test_theorem1_match_never_reconstructs(monkeypatch):
+    def never(s, max_num_deg, max_den_deg):
+        raise AssertionError("reconstruct called on a matching series")
+    monkeypatch.setattr(periods, "reconstruct", never)
+    rng = random.Random(1208)
+    reps = [steinberg(UFP), steinberg(RFP), corpus.unitary_gl2_example()]
+    reps += [essential_route_rep(rng, RFP, 2), essential_route_rep(rng, UFP, 1)]
+    for rep in reps:
+        report = verify_theorem1(rep, 16)
+        assert report.match
+        assert report.reconstructed == report.closed_form
+        assert report.expected == series_of(report.closed_form, 16)
+
+
+def test_theorem1_mismatch_reconstructs_the_true_form(monkeypatch):
+    # omega(unif_F) = 4; with the closed form swapped for asai * (1 - t^2),
+    # which ignores the central character, the series diverges from it
+    # at t^2, and reconstruction within that form's bounds (2, 4) reports
+    # the true reduced form 1/((1 - 8t)(1 - t/2))
+    rep = GenericRep(UFP, (
+        Segment(MultChar.unramified(g(8)), 1),
+        Segment(MultChar.unramified(g(1, 2)), 1),
+    ))
+
+    def trivial_center_form(rep):
+        return asai_L(pi_u(rep)) * Poly.one_minus(g(1), rep.n)
+    monkeypatch.setattr(periods, "closed_form_for", trivial_center_form)
+    report = verify_theorem1(rep, 20)
+    assert not report.match
+    wrong = trivial_center_form(rep)
+    assert report.closed_form == wrong
+    assert report.expected == series_of(wrong, 20)
+    assert report.series.first_mismatch(report.expected) == 2
+    true_form = RatFunc(Poly([1]), Poly.one_minus(g(8)) * Poly.one_minus(g(1, 2)))
+    assert report.reconstructed == true_form
 
 
 # -- verify_c_pi ---------------------------------------------------------
