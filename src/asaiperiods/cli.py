@@ -32,12 +32,16 @@ from .lfactors import (
     asai_L,
     asai_L_multiplicative,
     asai_factor_list,
+    closed_form_for,
     kable_factorization_check,
     rs_L,
     rs_factor_list,
 )
 from .localfields import FieldPair
 from .periods import (
+    LatticeCostError,
+    OrderTooSmall,
+    certifying_order,
     flicker_series,
     lattice_value_at,
     rs_series,
@@ -219,10 +223,7 @@ def cmd_lfactor(cfg: RunConfig) -> int:
 
 def cmd_period(cfg: RunConfig) -> int:
     rep = _load_generic_rep(cfg.rep_path)
-    try:
-        report = verify_theorem1(rep, cfg.order)
-    except ValueError as exc:
-        raise DescriptorError(str(exc))
+    report = verify_theorem1(rep, cfg.order)
     obj = {
         "series": series_json(report.series),
         "reconstructed": None if report.reconstructed is None else ratfunc_json(report.reconstructed),
@@ -302,21 +303,33 @@ def _check_theorem1(name: str, rep: GenericRep, order: int) -> dict:
     return out
 
 
-def _suite_theorem1(cfg: RunConfig):
-    order = cfg.order
+def _theorem1_reps(cfg: RunConfig) -> list:
     if cfg.rep_path:
-        yield _check_theorem1("user-rep", _load_generic_rep(cfg.rep_path), order)
-        return
-    yield _check_theorem1("steinberg-gl2-unram-pair", corpus.steinberg_gl2(FieldPair(2, False)), order)
-    yield _check_theorem1("steinberg-gl2-ram-pair", corpus.steinberg_gl2(FieldPair(3, True, 1)), order)
-    yield _check_theorem1("unitary-gl2", corpus.unitary_gl2_example(), order)
+        return [("user-rep", _load_generic_rep(cfg.rep_path))]
+    reps = [
+        ("steinberg-gl2-unram-pair", corpus.steinberg_gl2(FieldPair(2, False))),
+        ("steinberg-gl2-ram-pair", corpus.steinberg_gl2(FieldPair(3, True, 1))),
+        ("unitary-gl2", corpus.unitary_gl2_example()),
+    ]
     rng = random.Random(61409)
     for i in range(3):
         fp = corpus.rand_field(rng, ramified=bool(i % 2))
-        yield _check_theorem1("ramified-mix-%d" % i, corpus.ramified_rep(rng, fp), order)
+        reps.append(("ramified-mix-%d" % i, corpus.ramified_rep(rng, fp)))
     fp = FieldPair(5, False)
-    r0 = GenericRep(fp, (corpus.selfdual_ramified_segment(rng, 1, 2),))
-    yield _check_theorem1("no-unramified-support", r0, order)
+    reps.append(("no-unramified-support",
+                 GenericRep(fp, (corpus.selfdual_ramified_segment(rng, 1, 2),))))
+    return reps
+
+
+def _suite_theorem1(cfg: RunConfig):
+    reps = _theorem1_reps(cfg)
+    try:
+        for name, rep in reps:
+            yield _check_theorem1(name, rep, cfg.order)
+    except OrderTooSmall:
+        # name the order that certifies every check, not just this one
+        need = max(certifying_order(closed_form_for(rep)) for _, rep in reps)
+        raise OrderTooSmall(cfg.order, need) from None
 
 
 def _suite_cpi(cfg: RunConfig):
@@ -410,23 +423,23 @@ _SUITES = {
 
 def cmd_verify(cfg: RunConfig) -> int:
     names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
-    all_ok = True
-    for name in names:
-        for check in _SUITES[name](cfg):
-            all_ok = all_ok and bool(check["pass"])
-            if cfg.output == "json":
-                print(json.dumps(check))
-            else:
-                status = "PASS" if check["pass"] else "FAIL"
-                extra = ""
-                if "valueAt1" in check:
-                    extra = " valueAt1=%s" % check["valueAt1"]
-                if "firstFailIndex" in check:
-                    extra += " firstFailIndex=%s" % check["firstFailIndex"]
-                if "error" in check:
-                    extra += " error=%s" % check["error"]
-                print("[%s] %s: %s%s" % (check["suite"], check["check"], status, extra))
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+    # every check runs before any is printed, so an input error found
+    # by a later suite leaves no partial report on stdout
+    checks = [check for name in names for check in _SUITES[name](cfg)]
+    for check in checks:
+        if cfg.output == "json":
+            print(json.dumps(check))
+        else:
+            status = "PASS" if check["pass"] else "FAIL"
+            extra = ""
+            if "valueAt1" in check:
+                extra = " valueAt1=%s" % check["valueAt1"]
+            if "firstFailIndex" in check:
+                extra += " firstFailIndex=%s" % check["firstFailIndex"]
+            if "error" in check:
+                extra += " error=%s" % check["error"]
+            print("[%s] %s: %s%s" % (check["suite"], check["check"], status, extra))
+    return EXIT_OK if all(check["pass"] for check in checks) else EXIT_VERIFY_FAIL
 
 
 _COMMANDS = {
@@ -445,6 +458,9 @@ def main(argv=None) -> int:
         return _COMMANDS[cfg.command](cfg)
     except DescriptorError as exc:
         print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except (OrderTooSmall, LatticeCostError) as exc:
+        print("input error: --order: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except NotGenericError as exc:
         print("not generic: %s" % exc, file=sys.stderr)

@@ -38,21 +38,59 @@ from .segments import (
     pi_u,
 )
 from .series import Series
-from .whittaker import clear_denominators, h_table, jacobi_trudi
+from .whittaker import clear_denominators, expand_row, h_table, jt_row
 
 
-def _partitions(total: int, max_parts: int, cap: int | None = None):
-    """Weakly decreasing positive tuples with sum total, at most
-    max_parts parts; () for total 0."""
-    if total == 0:
-        yield ()
-        return
-    if max_parts <= 0:
-        return
-    first = total if cap is None else min(total, cap)
-    for head in range(first, 0, -1):
-        for tail in _partitions(total - head, max_parts - 1, head):
-            yield (head,) + tail
+# Cap on lattice_work(k, order). The largest sums that the tests and the
+# benchmark workloads run are rank 4 at order 40 (118,176) and rank 4 at
+# order 30 (43,584); a rank-5 sum at order 40 (554,816) is 18x below the
+# cap. Past it, a sum runs for minutes to hours.
+MAX_LATTICE_WORK = 10_000_000
+
+
+class OrderTooSmall(ValueError):
+    """The truncation order is below the one that certifies the closed
+    form (num_deg + den_deg + 1)."""
+
+    def __init__(self, order: int, minimum: int):
+        super().__init__(
+            "order %d is too small to certify the closed form: "
+            "the smallest order that certifies is %d" % (order, minimum)
+        )
+
+
+class LatticeCostError(ValueError):
+    """A lattice sum whose work bound exceeds MAX_LATTICE_WORK."""
+
+
+def certifying_order(cf: RatFunc) -> int:
+    """Smallest order at which a matching series certifies cf."""
+    return cf.num_degree + cf.den_degree + 1
+
+
+def lattice_work(k: int, order: int) -> int:
+    """Bound on the Schur-sum kernel's work from k and order alone: the
+    number of partitions with at most k parts and size at most order,
+    times 2^m with m = min(k, order), the number of column sets that a
+    length-m walk can hold minors on. Exact up to MAX_LATTICE_WORK;
+    once the count passes it, the value returned is merely above it."""
+    m = min(k, order)
+    if m <= 1:
+        # () alone, or () and (1), ..., (order): no loop as long as order
+        return (order + 1 if m else 1) << m
+    # ways[j][d]: partitions of d into parts of size <= j, which are
+    # equinumerous (by conjugation) with those of at most j parts; with
+    # m >= 2 the count passes d^2/4 by size d, so the loop is short
+    ways = [[1] for _ in range(m + 1)]
+    count = 1
+    for d in range(1, order + 1):
+        ways[0].append(0)
+        for j in range(1, m + 1):
+            ways[j].append(ways[j - 1][d] + (ways[j][d - j] if d >= j else 0))
+        count += ways[m][d]
+        if count << m > MAX_LATTICE_WORK:
+            break
+    return count << m
 
 
 def _schur_sum(
@@ -74,7 +112,24 @@ def _schur_sum(
     Schur value is an int-pair Jacobi-Trudi determinant on one complete
     homogeneous table per variable set, and coefficient d is the integer
     sum divided once, by D^(e*d) * D_b^d.
+
+    The determinants share their minors. For each length n <= k, a
+    depth-first walk picks the parts from the last row up, a weakly
+    increasing suffix whose total stays within order, and expands along
+    each new row (whittaker.expand_row): the minors of a tail are built
+    once and serve every head above it, and the top row forms only the
+    full determinant. The beta minors ride on the same walk. Only the
+    minors on the current path are held.
+
+    Raises LatticeCostError, before any work, when lattice_work(k,
+    order) exceeds MAX_LATTICE_WORK.
     """
+    if lattice_work(k, order) > MAX_LATTICE_WORK:
+        raise LatticeCostError(
+            "a lattice sum of rank %d at order %d exceeds the work cap of %d "
+            "(partitions with at most %d parts and size at most %d, times 2^%d)"
+            % (k, order, MAX_LATTICE_WORK, k, order, min(k, order))
+        )
     den, a = clear_denominators(alpha)
     h = h_table(a, e * order + k)
     if beta is None:
@@ -82,18 +137,37 @@ def _schur_sum(
     else:
         den_b, b = clear_denominators(beta)
         hb = h_table(b, order + k)
+    sr = [1] + [0] * order
+    si = [0] * (order + 1)
+
+    def walk(n: int, i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
+        # row i takes part p >= low, and rows 0..i-1 each take at least p
+        for p in range(low, (order - total) // (i + 1) + 1):
+            ma = expand_row(jt_row(h, e * p - i, n), below_a)
+            if not ma:
+                continue
+            mb = None
+            if hb is not None:
+                mb = expand_row(jt_row(hb, p - i, n), below_b)
+                if not mb:
+                    continue
+            if i:
+                walk(n, i - 1, p, total + p, ma, mb)
+                continue
+            # row 0 leaves one minor: the determinant, on all n columns
+            (tr, ti), = ma.values()
+            if mb is not None:
+                (br, bi), = mb.values()
+                tr, ti = tr * br - ti * bi, tr * bi + ti * br
+            sr[total + p] += tr
+            si[total + p] += ti
+
+    for n in range(1, min(k, order) + 1):
+        walk(n, n - 1, 1, 0, {0: (1, 0)}, {0: (1, 0)})
     coeffs = []
     for d in range(order + 1):
-        sr = si = 0
-        for lam in _partitions(d, k):
-            tr, ti = jacobi_trudi(h, [e * x for x in lam])
-            if hb is not None and (tr or ti):
-                br, bi = jacobi_trudi(hb, lam)
-                tr, ti = tr * br - ti * bi, tr * bi + ti * br
-            sr += tr
-            si += ti
         den_d = den ** (e * d) * den_b ** d
-        coeffs.append(GaussRat(rat(sr, den_d), rat(si, den_d)))
+        coeffs.append(GaussRat(rat(sr[d], den_d), rat(si[d], den_d)))
     return Series(coeffs)
 
 
@@ -164,11 +238,9 @@ def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
     runs only on a mismatch, to report what the series actually is.
     """
     cf = closed_form_for(rep)
-    bounds = (cf.num_degree, cf.den_degree)
-    if order < bounds[0] + bounds[1] + 1:
-        raise ValueError(
-            "order %d too small to certify reconstruction with bounds %r" % (order, bounds)
-        )
+    need = certifying_order(cf)
+    if order < need:
+        raise OrderTooSmall(order, need)
     series = mirabolic_series(rep, order)
     expected = series_of(cf, order)
     match = series == expected
@@ -176,7 +248,7 @@ def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
         rec = cf
     else:
         try:
-            rec = reconstruct(series, bounds[0], bounds[1])
+            rec = reconstruct(series, cf.num_degree, cf.den_degree)
         except ValueError:
             rec = None
     try:

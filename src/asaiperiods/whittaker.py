@@ -13,10 +13,14 @@ table of complete homogeneous symmetric polynomials, in Gaussian
 integers held as plain (re, im) int pairs: the denominators of the
 Satake values are cleared once (beta = D*alpha), the table and the
 division-free determinant stay in integers, and s_lam(alpha) comes out
-of one division by D^|lam|. schur() builds the table for each call;
-the lattice sums build one per sum and read every determinant off it
-through jacobi_trudi(). The bialternant quotient, on GaussRat values,
-is provided as a second, independent algorithm for cross-validation.
+of one division by D^|lam|. Every determinant is built bottom-up, one
+row at a time, by expand_row(): the minors of the rows below on every
+column set, extended by a Laplace expansion along the new top row.
+schur() folds the rows of its one partition; the lattice sums
+(periods._schur_sum) walk all partitions from the last row up, so
+partitions with the same tail share its minors. The bialternant
+quotient, on GaussRat values, is provided as a second, independent
+algorithm for cross-validation.
 """
 
 from __future__ import annotations
@@ -92,44 +96,36 @@ def _det(mat) -> GaussRat:
     return rec(0, 0)
 
 
-def jacobi_trudi(h: Sequence[tuple], lam: Sequence[int]) -> tuple:
-    """s_lam = det(h_(lam_i - i + j)) over the nonzero parts of the
-    partition lam, read off an int-pair table h that reaches
-    lam_1 + len(lam) - 1; returns an (re, im) int pair.
+def jt_row(h: Sequence[tuple], start: int, n: int) -> list:
+    """Row (h_start, h_(start+1), ..., h_(start+n-1)) of a Jacobi-Trudi
+    matrix, read off the int-pair table h; negative indices are zero."""
+    return [h[start + j] if start + j >= 0 else (0, 0) for j in range(n)]
 
-    Trailing zero parts add unit diagonal rows, so they are dropped.
-    The determinant is the division-free Laplace expansion over column
-    subsets, memoized per call only.
+
+def expand_row(row: Sequence[tuple], below: dict) -> dict:
+    """Minors of a matrix one row taller, by Laplace expansion along
+    the new top row.
+
+    below maps each column set S (a bitmask) to the nonzero int-pair
+    minor on the rows under row and the columns S; the result maps each
+    S + {j} to sum over j of (-1)^(columns of S before j) * row[j] *
+    minor(S). Zero entries and zero minors are left out, so the top row
+    of an n x n matrix over the n minors of size n-1 costs n products
+    and leaves the determinant alone, under the full mask.
     """
-    parts = [x for x in lam if x]
-    n = len(parts)
-    mat = [[h[p - i + j] if p - i + j >= 0 else (0, 0) for j in range(n)]
-           for i, p in enumerate(parts)]
-    memo: dict = {}
-
-    def rec(row: int, mask: int) -> tuple:
-        if row == n:
-            return 1, 0
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        tr = ti = 0
-        pos = 0
-        for col, (er, ei) in enumerate(mat[row]):
-            bit = 1 << col
+    entries = [(1 << j, er, ei) for j, (er, ei) in enumerate(row) if er or ei]
+    out: dict = {}
+    for mask, (mr, mi) in below.items():
+        for bit, er, ei in entries:
             if mask & bit:
                 continue
-            if er or ei:
-                if pos & 1:
-                    er, ei = -er, -ei
-                sr, si = rec(row + 1, mask | bit)
-                tr += er * sr - ei * si
-                ti += er * si + ei * sr
-            pos += 1
-        memo[mask] = tr, ti
-        return tr, ti
-
-    return rec(0, 0)
+            tr, ti = er * mr - ei * mi, er * mi + ei * mr
+            if (mask & (bit - 1)).bit_count() & 1:
+                tr, ti = -tr, -ti
+            key = mask | bit
+            got = out.get(key)
+            out[key] = (tr, ti) if got is None else (got[0] + tr, got[1] + ti)
+    return {key: v for key, v in out.items() if v[0] or v[1]}
 
 
 def _shift_nonnegative(lam: Sequence[int], alpha: Sequence[GaussRat]):
@@ -162,7 +158,14 @@ def schur(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
     if lam2[0] == 0:
         return pre
     d, beta = clear_denominators(alpha)
-    re, im = jacobi_trudi(h_table(beta, lam2[0] - 1 + m), lam2)
+    h = h_table(beta, lam2[0] - 1 + m)
+    # trailing zero parts add unit diagonal rows, so they are dropped
+    parts = [x for x in lam2 if x]
+    n = len(parts)
+    minors = {0: (1, 0)}
+    for i in range(n - 1, -1, -1):
+        minors = expand_row(jt_row(h, parts[i] - i, n), minors)
+    re, im = minors.get((1 << n) - 1, (0, 0))
     den = d ** sum(lam2)
     det = GaussRat(rat(re, den), rat(im, den))
     return det if pre == GAUSS_ONE else pre * det

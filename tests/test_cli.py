@@ -4,8 +4,10 @@ that patches the library calls cli.main in process instead."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,6 +199,83 @@ def test_verify_suite_passes_and_emits_json_lines():
     assert all(line["pass"] for line in lines)
     assert any(line["check"] == "unitary-gl2" and line["valueAt1"] == "20/13"
                for line in lines)
+
+
+def unramified_module_rep(*values):
+    """Descriptor of the unramified rep induced from GL(1) characters
+    with the given (unlinked) values at the uniformizer, qF = 2."""
+    return {
+        "field": {"qF": 2, "ramified": False},
+        "segments": [
+            {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0,
+                             "atUnif": ["%d/1" % v, "0/1"]}}
+            for v in values
+        ],
+    }
+
+
+def certifying_order_named(stderr):
+    found = re.search(r"smallest order that certifies is (\d+)", stderr)
+    assert found, stderr
+    return int(found.group(1))
+
+
+@pytest.mark.parametrize("with_rep, low", [(True, "1"), (False, "3"), (False, "1")],
+                         ids=["rank2-rep", "corpus", "corpus-order1"])
+def test_verify_theorem1_order_too_small_exits_2(descriptor, with_rep, low):
+    # at order 1 the first corpus check to fail needs order 2, another 5
+    rep_args = ["--rep", descriptor(UNITARY)] if with_rep else []
+    res = run_cli("verify", "--suite", "theorem1", *rep_args, "--order", low)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--order" in res.stderr and "Traceback" not in res.stderr
+    need = certifying_order_named(res.stderr)
+    # the named order certifies every check of the suite, one less does not
+    assert run_cli("verify", "--suite", "theorem1", *rep_args,
+                   "--order", str(need)).returncode == 0
+    short = run_cli("verify", "--suite", "theorem1", *rep_args, "--order", str(need - 1))
+    assert short.returncode == 2
+    assert certifying_order_named(short.stderr) == need
+
+
+def test_verify_all_order_too_small_prints_no_partial_report():
+    res = run_cli("verify", "--suite", "all", "--order", "3")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--order" in res.stderr and "Traceback" not in res.stderr
+    assert certifying_order_named(res.stderr) == 5
+
+
+def test_period_order_too_small_names_order(descriptor):
+    res = run_cli("period", "--rep", descriptor(UNITARY), "--order", "1")
+    assert res.returncode == 2
+    assert "--order" in res.stderr and "Traceback" not in res.stderr
+    need = certifying_order_named(res.stderr)
+    assert run_cli("period", "--rep", descriptor(UNITARY), "--order", str(need)).returncode == 0
+
+
+def test_period_work_cap_exits_2_fast(descriptor, capsys):
+    # rank 5: the mirabolic sum runs over partitions with at most 4 parts
+    path = descriptor(unramified_module_rep(3, 5, 7, 11, 13))
+    start = time.perf_counter()
+    code = cli.main(["period", "--rep", path, "--order", "100000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert "--order" in captured.err and "rank 4" in captured.err
+
+
+def test_identities_work_cap_on_high_rank_rep(descriptor):
+    # identities truncate at order 20, but a rank-14 Littlewood sum at
+    # order 20 is still past the cap
+    path = descriptor(unramified_module_rep(3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+    res = run_cli("verify", "--suite", "identities", "--rep", path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--order" in res.stderr and "rank 14" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 SKEW = {

@@ -166,6 +166,7 @@ HOSTILE = (
     (g(0, 1, 1, 3), g(0, 1, -2, 5), g(0, 1, 7)),
     (g(-1, 2), g(-3), g(-5, 7), g(-11, 13)),
     (g(1, 2, 1, 3), g(-4, 9), g(2, 1, -1), g(0, 1, 9, 10)),
+    (g(5, 3, -1, 2), g(-7, 11), g(0, 1, 2, 9), g(4), g(-1, 6, 5, 4)),
 )
 
 
@@ -194,21 +195,29 @@ def bialternant_sum(alpha, k, e, order, beta=None):
 
 
 def test_integer_kernel_matches_bialternant_oracle():
+    # at order 7 the rank-5 tuple meets partitions of every length 1..5,
+    # and Jacobi-Trudi entries h_(lam_i - i + j) with a negative index
+    # (lam = (1, 1, 1): row 2, column 0) for e = 1
+    lengths = {len([x for x in lam if x]) for lam in oracle_partitions(7, 5)}
+    assert lengths == {1, 2, 3, 4, 5}
     for alpha in HOSTILE:
         m = len(alpha)
+        order = 7 if m == 5 else 5
         for e in (1, 2):
             for k in (m, m - 1):
-                got = periods._schur_sum(alpha, k, e, 5)
-                assert got == bialternant_sum(alpha, k, e, 5), (alpha, k, e)
+                got = periods._schur_sum(alpha, k, e, order)
+                assert got == bialternant_sum(alpha, k, e, order), (alpha, k, e)
 
 
 def test_integer_kernel_rs_different_denominators():
-    # the two variable sets clear different denominators
+    # the two variable sets clear different denominators; k = len(beta)
     for alpha, beta in ((HOSTILE[0][:3], (g(5, 6), g(0, 1, -1, 11))),
                         (HOSTILE[3][:3], HOSTILE[2][:2]),
-                        (HOSTILE[1], (g(-14322, 1185665), g(1, 2, 1, 2)))):
-        got = periods._schur_sum(alpha, 2, 1, 5, beta)
-        assert got == bialternant_sum(alpha, 2, 1, 5, beta), (alpha, beta)
+                        (HOSTILE[1], (g(-14322, 1185665), g(1, 2, 1, 2))),
+                        (HOSTILE[4], HOSTILE[3])):
+        k = len(beta)
+        got = periods._schur_sum(alpha, k, 1, 6, beta)
+        assert got == bialternant_sum(alpha, k, 1, 6, beta), (alpha, beta)
 
 
 def test_schur_integer_path_matches_bialternant_oracle():
@@ -221,6 +230,24 @@ def test_schur_integer_path_matches_bialternant_oracle():
                  for _ in range(6)]
         for lam in lams:
             assert schur(lam, alpha) == schur_bialternant(lam, alpha), (lam, alpha)
+
+
+def test_lattice_work_counts_partitions():
+    for k in range(6):
+        for order in range(9):
+            count = sum(len(oracle_partitions(d, k)) for d in range(order + 1))
+            assert periods.lattice_work(k, order) == count << min(k, order), (k, order)
+
+
+def test_schur_sum_over_work_cap_raises_before_summing(monkeypatch):
+    def never(*args):
+        raise AssertionError("table built past the work cap")
+    monkeypatch.setattr(periods, "h_table", never)
+    assert periods.lattice_work(5, 40) * 10 < periods.MAX_LATTICE_WORK
+    for k, order in ((5, 100000), (1, 10 ** 9), (30, 20)):
+        assert periods.lattice_work(k, order) > periods.MAX_LATTICE_WORK
+        with pytest.raises(periods.LatticeCostError, match="rank %d" % k):
+            periods._schur_sum(HOSTILE[4], k, 1, order)
 
 
 # -- flicker_series ------------------------------------------------------
@@ -474,8 +501,12 @@ def test_theorem1_randomized_central_character():
 
 
 def test_theorem1_order_too_small():
-    with pytest.raises(ValueError, match="order"):
-        verify_theorem1(steinberg(UFP), 1)
+    rep = steinberg(UFP)
+    cf = closed_form_for(rep)
+    assert cf.num_degree + cf.den_degree + 1 == 2
+    with pytest.raises(periods.OrderTooSmall, match="smallest order that certifies is 2"):
+        verify_theorem1(rep, 1)
+    assert verify_theorem1(rep, 2).match
 
 
 def test_theorem1_checks_order_before_summing(monkeypatch):
