@@ -1,8 +1,8 @@
 """Exact local Asai / Rankin-Selberg L-factors and mirabolic periods.
 
-Everything is exact arithmetic: Gaussian rationals, optional adjoined
-square roots, truncated power series, and canonical rational functions
-in t = q_F^-s. The package computes closed-form local L-factors,
+Everything is exact arithmetic: truncated power series and canonical
+rational functions in t = q_F^-s over the Gaussian rationals, and the
+Whittaker torus values over Q(i, sqrt(q_F)). The package computes closed-form local L-factors,
 spherical and essential Whittaker torus values, and the lattice sums
 whose expansions, matched against the closed forms, verify the period
 identities.

@@ -42,15 +42,19 @@ from .periods import (
     LatticeCostError,
     OrderTooSmall,
     certifying_order,
+    coefficient_bits,
     flicker_series,
     lattice_value_at,
+    printable_bits,
     rs_series,
+    too_long,
     verify_c_pi,
     verify_theorem1,
+    value_bits,
 )
 from .ratfunc import series_of
 from .rational import is_integral, rat_str
-from .scalars import AlgNum, GaussRat
+from .scalars import GaussRat
 from .segments import (
     GenericRep,
     NotGenericError,
@@ -138,10 +142,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
     )
 
 
-def _scalar_str(g: GaussRat) -> str:
-    return value_str(AlgNum(g))
-
-
 def _short(g: GaussRat) -> str:
     """Compact coefficient display for factored forms."""
     if g.is_real():
@@ -166,9 +166,39 @@ def _factored(factors, var: str = "t") -> str:
     return "1 / " + "".join(_factor_str(c, k, var) for c, k in factors)
 
 
-def _load_generic_rep(path: str) -> GenericRep:
+def _bits(g: GaussRat) -> int:
+    return max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in (g.re, g.im))
+
+
+def _too_large(field: str, what: str, need: int, hint: str = "") -> DescriptorError:
+    return DescriptorError("%s: %s%s" % (field, too_long(what, need), hint))
+
+
+def _check_sizes(rep: GenericRep, at_s: int | None = None) -> None:
+    """Refuse rep before any evaluation when its closed form or value at
+    s = 1 (naming its largest Satake value) or its value at s = at_s
+    (--at-s) could need integers longer than printable_bits(). The
+    lattice sums check --order themselves."""
+    fp, segments = rep.fp, rep.segments
+    alpha = pi_u(rep).satake
+    at_0 = value_bits(alpha, fp.e, fp.q_F, 0)
+    per_s = value_bits(alpha, fp.e, fp.q_F, 1) - at_0
+    cap = printable_bits()
+    if at_0 + per_s > cap:
+        i = max((i for i, seg in enumerate(segments) if seg.rho.is_unramified),
+                key=lambda i: _bits(segments[i].rho.at_unif))
+        raise _too_large("rep.segments[%d].rho.atUnif" % i,
+                         "too large: the closed form and its value at s=1", at_0 + per_s)
+    if at_s is not None and at_0 + at_s * per_s > cap:
+        raise _too_large("--at-s", "the value at s=%d" % at_s, at_0 + at_s * per_s,
+                         "; the largest s for this descriptor is %d" % ((cap - at_0) // per_s))
+
+
+def _load_generic_rep(path: str, at_s: int | None = None) -> GenericRep:
     fp, segments = load_rep_file(path)
-    return GenericRep(fp, tuple(segments))
+    rep = GenericRep(fp, tuple(segments))
+    _check_sizes(rep, at_s)
+    return rep
 
 
 def _emit(obj: dict, cfg: RunConfig, table_lines) -> None:
@@ -187,7 +217,7 @@ def cmd_lfactor(cfg: RunConfig) -> int:
     mod = pi_u(rep)
     report = {
         "field": field_json(rep.fp),
-        "piU": [_scalar_str(v) for v in mod.satake],
+        "piU": [value_str(v) for v in mod.satake],
         "asai": ratfunc_json(asai_L(mod)),
     }
     rs_info = None
@@ -200,6 +230,9 @@ def cmd_lfactor(cfg: RunConfig) -> int:
                 "--against: the Rankin-Selberg factor is modeled for unramified representations"
             )
         m2 = pi_u(other)
+        need = mod.r * m2.r * (coefficient_bits(mod.satake) + coefficient_bits(m2.satake))
+        if need > printable_bits():
+            raise _too_large("--against", "the Rankin-Selberg factor", need)
         rs_info = (mod, m2)
         report["rs"] = {
             "tE": ratfunc_json(rs_L(mod, m2)),
@@ -222,7 +255,7 @@ def cmd_lfactor(cfg: RunConfig) -> int:
 
 
 def cmd_period(cfg: RunConfig) -> int:
-    rep = _load_generic_rep(cfg.rep_path)
+    rep = _load_generic_rep(cfg.rep_path, cfg.at_s)
     report = verify_theorem1(rep, cfg.order)
     obj = {
         "series": series_json(report.series),
@@ -265,7 +298,7 @@ def cmd_segments(cfg: RunConfig) -> int:
     obj = {
         "generic": True,
         "standardOrder": [segment_json(s) for s in standard_order(segments, fp.q_E)],
-        "piU": [_scalar_str(v) for v in pi_u(rep).satake],
+        "piU": [value_str(v) for v in pi_u(rep).satake],
         "conductor": conductor(rep),
         "conjugateSelfDual": csd,
         "asaiHolomorphicWitness": asai_holomorphic_witness(rep) if csd else None,
@@ -274,7 +307,7 @@ def cmd_segments(cfg: RunConfig) -> int:
     def tables(o):
         yield "generic: yes"
         yield "standard order: " + " x ".join(
-            "[%s; k=%d]" % (_scalar_str(s.rho.at_unif), s.k)
+            "[%s; k=%d]" % (value_str(s.rho.at_unif), s.k)
             for s in standard_order(segments, fp.q_E)
         )
         yield "pi_u: [%s]" % ", ".join(o["piU"])

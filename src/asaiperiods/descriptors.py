@@ -1,10 +1,12 @@
 """JSON descriptors: parsing with field-level diagnostics, serialization.
 
 Rationals serialize as canonical "p/q" strings (integral values
-included, e.g. "1/1"). Complex values extend that to "p/q+r/si"; a
-value with a sqrt component prints as "(a)+(b)*sqrt(q)". AlgNum
-serializes as {"a": [re, im], "b": [re, im]}, RatFunc as {"num": [...],
-"den": [...]} with ascending-degree AlgNum coefficient arrays.
+included, e.g. "1/1"), and complex values extend that to "p/q+r/si".
+A series or polynomial coefficient c serializes as {"a": [re, im],
+"b": ["0/1", "0/1"]}: the output format has a slot for a sqrt(q_F)
+component, which no coefficient of the package has, so "b" is always
+zero. RatFunc serializes as {"num": [...], "den": [...]} with
+ascending-degree coefficient arrays.
 
 Parse errors raise DescriptorError whose message names the offending
 field; the CLI maps that to the input-error exit code.
@@ -18,7 +20,7 @@ from typing import Any
 from .localfields import Q_F_LIMIT, FieldPair
 from .ratfunc import RatFunc
 from .rational import parse_rat, rat_str
-from .scalars import AlgNum, GaussRat
+from .scalars import GaussRat
 from .segments import GenericRep, MultChar, Segment
 from .series import Poly, Series
 
@@ -170,17 +172,17 @@ def load_rep_file(path: str) -> tuple[FieldPair, list[Segment]]:
             data = json.load(fh)
     except OSError as exc:
         raise DescriptorError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-str limit
         raise DescriptorError("%s: invalid JSON (%s)" % (path, exc)) from None
     return parse_rep(data)
 
 
-def algnum_json(x: AlgNum) -> dict:
-    return {"a": gauss_json(x.a), "b": gauss_json(x.b)}
+def coeff_json(c: GaussRat) -> dict:
+    return {"a": gauss_json(c), "b": ["0/1", "0/1"]}
 
 
 def poly_json(p: Poly) -> list[dict]:
-    return [algnum_json(c) for c in p.coeffs]
+    return [coeff_json(c) for c in p.coeffs]
 
 
 def ratfunc_json(rf: RatFunc) -> dict:
@@ -188,14 +190,12 @@ def ratfunc_json(rf: RatFunc) -> dict:
 
 
 def series_json(s: Series) -> list[dict]:
-    return [algnum_json(c) for c in s.coeffs]
+    return [coeff_json(c) for c in s.coeffs]
 
 
-def value_str(x: AlgNum | None) -> str:
-    """Edge-value string: "pole" for a pole, canonical "p/q" for plain
-    rationals, the extended scalar form otherwise."""
+def value_str(x: GaussRat | None) -> str:
+    """Value string: "pole" for a pole, canonical "p/q" for a real
+    value, "p/q+r/si" otherwise."""
     if x is None:
         return "pole"
-    if x.is_rational_real():
-        return rat_str(x.a.re)
     return str(x)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .ratfunc import RatFunc, eval_at
 from .rational import rat
-from .scalars import AlgNum, GaussRat
+from .scalars import GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
 from .series import Poly
 
@@ -96,7 +96,7 @@ def closed_form_for(rep: GenericRep) -> RatFunc:
     return cf
 
 
-def lstar_at_1(rep: GenericRep, cf: RatFunc | None = None) -> AlgNum:
+def lstar_at_1(rep: GenericRep, cf: RatFunc | None = None) -> GaussRat:
     """Normalized value at the edge point s=1: the reduced closed form
     of the mirabolic period evaluated at t = 1/q_F, so a pole that the
     central Tate factor cancels is no pole. Pass cf when the caller has

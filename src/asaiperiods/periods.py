@@ -17,17 +17,22 @@ order num_deg + den_deg + 1 or beyond determines it (Pade uniqueness),
 and its exact value is taken there, never by summing at a point.
 Rational reconstruction runs only on a mismatch, to report which
 rational function the series is.
+
+Every sum is capped before it starts, by its work (lattice_work) and by
+the size of its coefficients (coefficient_bits against printable_bits).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from math import log10
 from typing import Sequence
 
 from .lfactors import closed_form_for, lstar_at_1, rs_L
 from .ratfunc import RatFunc, eval_at, reconstruct, series_of
 from .rational import rat
-from .scalars import AlgNum, GaussRat
+from .scalars import GaussRat
 from .segments import (
     GenericRep,
     UnramifiedModule,
@@ -93,6 +98,59 @@ def lattice_work(k: int, order: int) -> int:
     return count << m
 
 
+def printable_bits() -> int:
+    """Largest bit length of an integer that prints within the
+    interpreter's int-to-str limit, sys.get_int_max_str_digits(). With
+    that limit off or raised past its default of 4300 digits, the
+    default still applies, because it also bounds the integers the
+    arithmetic runs on: at it, the largest GL(2) period admitted (order
+    1785 for Satake values 1/2 and 1/3) took 0.43 s on a 2-vCPU host
+    with Python 3.11."""
+    digits = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+    digits = min(digits, default) if digits else default
+    # an integer below 2^b has at most floor(b * log10(2)) + 1 digits
+    return int((digits - 1) / log10(2))
+
+
+def too_long(what: str, need: int) -> str:
+    """Message for a result that could need need-bit integers, past
+    printable_bits()."""
+    return ("%s could need %d-bit integers, more than the %d bits that the interpreter's "
+            "int-to-str limit prints" % (what, need, printable_bits()))
+
+
+def coefficient_bits(alpha: Sequence[GaussRat]) -> int:
+    """Bits per unit of t-degree and of e in the exact results over the
+    Satake values alpha, from their sizes alone.
+
+    Let D be the common denominator of alpha, beta = D*alpha and r its
+    length. Coefficient m of a lattice sum over alpha, or of a reduced
+    closed form over it, is a Gaussian integer over D^(e*m) of absolute
+    value at most (r^2 + r)^m * max|beta|^(e*m): the sum of s_mu(|beta|)
+    over |mu| = e*m is at most (|beta_1| + ... + |beta_r|)^(e*m), and a
+    closed form has at most r^2 + r inverse roots, each at most
+    max|beta|^e / D^e in absolute value and integral over Z[i] after
+    scaling by D^e. So its numerators and denominators have at most
+    e*m*coefficient_bits(alpha) bits. Over two sets of values (the
+    Rankin-Selberg factor) the bits per degree add.
+    """
+    den, beta = clear_denominators(alpha)
+    top = max((max(abs(br), abs(bi)).bit_length() for br, bi in beta), default=0)
+    return max(den.bit_length(), top + 2 * len(alpha).bit_length() + 2)
+
+
+def value_bits(alpha: Sequence[GaussRat], e: int, q_F: int, s: int) -> int:
+    """Bound on the bits of the value at t = q_F^(-s) of a closed form
+    over the Satake values alpha. Its degrees sum to at most d = r^2 + r,
+    so with X = D^e * q_F^s the numerator and the denominator, each at
+    t = q_F^(-s), are sums of at most d + 1 terms a_m * X^(deg - m) over
+    X^deg, with a_m bounded by coefficient_bits; the value's numerator
+    and denominator each multiply at most three such integers."""
+    d = len(alpha) ** 2 + len(alpha)
+    return 2 * (d + 1) * (e * coefficient_bits(alpha) + s * q_F.bit_length())
+
+
 def _schur_sum(
     alpha: Sequence[GaussRat],
     k: int,
@@ -122,13 +180,21 @@ def _schur_sum(
     minors on the current path are held.
 
     Raises LatticeCostError, before any work, when lattice_work(k,
-    order) exceeds MAX_LATTICE_WORK.
+    order) exceeds MAX_LATTICE_WORK, or when the coefficients through
+    order could need integers longer than printable_bits().
     """
     if lattice_work(k, order) > MAX_LATTICE_WORK:
         raise LatticeCostError(
             "a lattice sum of rank %d at order %d exceeds the work cap of %d "
             "(partitions with at most %d parts and size at most %d, times 2^%d)"
             % (k, order, MAX_LATTICE_WORK, k, order, min(k, order))
+        )
+    per_order = e * coefficient_bits(alpha) + (0 if beta is None else coefficient_bits(beta))
+    if order * per_order > printable_bits():
+        raise LatticeCostError(
+            "%s; the largest order for this sum is %d"
+            % (too_long("the series through order %d" % order, order * per_order),
+               printable_bits() // per_order)
         )
     den, a = clear_denominators(alpha)
     h = h_table(a, e * order + k)
@@ -221,7 +287,7 @@ class PeriodReport:
     reconstructed: RatFunc | None
     closed_form: RatFunc
     match: bool
-    value_at_1: AlgNum | None  # None encodes a pole at the edge point
+    value_at_1: GaussRat | None  # None encodes a pole at the edge point
 
 
 def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
@@ -292,7 +358,7 @@ def essential_rs_check(rep: GenericRep, t_module: UnramifiedModule, order: int) 
     return rs_series(mod, t_module, order) == series_of(rs_L(mod, t_module), order)
 
 
-def lattice_value_at(rep: GenericRep, s: int) -> AlgNum:
+def lattice_value_at(rep: GenericRep, s: int) -> GaussRat:
     """Exact closed-form value of the mirabolic period at integer s >= 1,
     t = q_F^(-s). Raises ZeroDivisionError on a pole."""
     if s < 1:

@@ -1,9 +1,10 @@
 """Rational functions in t, series expansion, and series reconstruction.
 
-RatFunc is always kept in canonical reduced form: numerator and
-denominator coprime, denominator constant term equal to 1. With that
-normalization componentwise equality is true equality of rational
-functions.
+Coefficients and values are GaussRat: the closed forms, their
+expansions and their values at t = q_F^(-s) all lie in Q(i). RatFunc
+is always kept in canonical reduced form: numerator and denominator
+coprime, denominator constant term equal to 1. With that normalization
+componentwise equality is true equality of rational functions.
 
 reconstruct recovers the unique rational function within given degree
 bounds from a long enough truncated expansion, by exact Gaussian
@@ -16,7 +17,7 @@ mismatch, to report which rational function the series actually is.
 
 from __future__ import annotations
 
-from .scalars import ALG_ONE, ALG_ZERO, AlgNum
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 from .series import Poly, Series, poly_gcd
 
 
@@ -40,7 +41,7 @@ class RatFunc:
                 num = num // g
                 den = den // g
         c = den.coeff(0).inverse()
-        if c != ALG_ONE:
+        if c != GAUSS_ONE:
             num = num * c
             den = den * c
         self.num = num
@@ -92,7 +93,7 @@ class RatFunc:
             return self
 
         def blow(p: Poly) -> Poly:
-            out = [ALG_ZERO] * (k * p.degree + 1) if not p.is_zero() else []
+            out = [GAUSS_ZERO] * (k * p.degree + 1) if not p.is_zero() else []
             for i, c in enumerate(p.coeffs):
                 out[k * i] = c
             return Poly(out)
@@ -105,7 +106,7 @@ def series_of(rf: RatFunc, order: int) -> Series:
     if order < 0:
         raise ValueError("order must be >= 0")
     den = rf.den.coeffs
-    coeffs = [ALG_ZERO] * (order + 1)
+    coeffs = [GAUSS_ZERO] * (order + 1)
     for k in range(order + 1):
         acc = rf.num.coeff(k)
         for j in range(1, min(k, len(den) - 1) + 1):
@@ -116,9 +117,9 @@ def series_of(rf: RatFunc, order: int) -> Series:
     return Series(coeffs)
 
 
-def eval_at(rf: RatFunc, t0) -> AlgNum:
+def eval_at(rf: RatFunc, t0) -> GaussRat:
     """Exact value at t0; raises ZeroDivisionError on a pole."""
-    x = AlgNum._coerce(t0)
+    x = GaussRat._coerce(t0)
     if x is None:
         raise TypeError("evaluation point must be a scalar")
     d = rf.den(x)
@@ -128,7 +129,7 @@ def eval_at(rf: RatFunc, t0) -> AlgNum:
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over AlgNum: forward elimination below each
+    """Gaussian elimination over Q(i): forward elimination below each
     pivot, then back-substitution. rows: list of coefficient lists.
 
     Returns the solution with free variables set to zero, or None when
@@ -164,7 +165,7 @@ def _solve_exact(rows, rhs):
     for r in range(row, m):
         if not mat[r][n].is_zero():
             return None
-    sol = [ALG_ZERO] * n
+    sol = [GAUSS_ZERO] * n
     for r in range(row - 1, -1, -1):
         col = pivots[r]
         acc = mat[r][n]
@@ -194,7 +195,7 @@ def reconstruct(s: Series, max_num_deg: int, max_den_deg: int) -> RatFunc:
     rows = []
     rhs = []
     for j in range(max_num_deg + 1, s.order + 1):
-        rows.append([(c[j - i] if j - i >= 0 else ALG_ZERO) for i in range(1, max_den_deg + 1)])
+        rows.append([(c[j - i] if j - i >= 0 else GAUSS_ZERO) for i in range(1, max_den_deg + 1)])
         rhs.append(-c[j])
     if max_den_deg == 0:
         for v in rhs:
@@ -205,10 +206,10 @@ def reconstruct(s: Series, max_num_deg: int, max_den_deg: int) -> RatFunc:
         sol = _solve_exact(rows, rhs)
         if sol is None:
             raise ValueError("reconstruction inconsistent")
-    den = Poly([ALG_ONE] + list(sol))
+    den = Poly([GAUSS_ONE] + list(sol))
     num_coeffs = []
     for k in range(max_num_deg + 1):
-        acc = ALG_ZERO
+        acc = GAUSS_ZERO
         for i in range(0, min(k, den.degree) + 1):
             di = den.coeff(i)
             if not di.is_zero():

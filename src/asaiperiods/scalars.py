@@ -1,13 +1,18 @@
 """Scalar tower: Gaussian rationals and their formal sqrt(q) extension.
 
-GaussRat is Q(i) with exact rational components; it houses Satake
-values and character values at the uniformizer. AlgNum is a + b*sqrt(q)
-with GaussRat components and a fixed integer radicand q, the field
-where half-integer powers of the residue cardinality live. Arithmetic
-is formal in the symbol sqrt(q): q is never required to be squarefree
-or a non-square. The one degenerate consequence is that for perfect
-square q a nonzero element can have zero norm, in which case division
-raises ZeroDivisionError.
+GaussRat is Q(i) with exact rational components. It is the ring of the
+whole computation: Satake values, character values at the uniformizer,
+every series, polynomial and closed-form coefficient, and every value
+of a closed form, since the modulus weights of the lattice sums cancel
+each half power of q.
+
+AlgNum is a + b*sqrt(q) with GaussRat components and a fixed integer
+radicand q. Only the Whittaker torus values live there, through
+FieldPair.q_E_half: over a ramified pair they carry odd powers of
+sqrt(q_F). Arithmetic is formal in the symbol sqrt(q): q is never
+required to be squarefree or a non-square. The one degenerate
+consequence is that for perfect square q a nonzero element can have
+zero norm, in which case division raises ZeroDivisionError.
 
 Elements with b = 0 normalize their radicand to 0, so equality and
 hashing of plain Gaussian values never depend on the ambient q.
@@ -199,9 +204,6 @@ class AlgNum:
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
-    def is_rational_real(self) -> bool:
-        return self.b.is_zero() and self.a.is_real()
-
     def gauss(self) -> GaussRat:
         if not self.b.is_zero():
             raise ValueError("value has a nonzero sqrt component")
@@ -219,10 +221,6 @@ class AlgNum:
             )
         ninv = n.inverse()
         return AlgNum(self.a * ninv, -self.b * ninv, self.q)
-
-    def to_complex(self, sqrt_q: float | None = None) -> complex:
-        root = self.q**0.5 if sqrt_q is None else sqrt_q
-        return self.a.to_complex() + self.b.to_complex() * root
 
     # -- arithmetic ----------------------------------------------------
 
@@ -251,12 +249,6 @@ class AlgNum:
         if o is None:
             return NotImplemented
         q = self._join_q(o)
-        if self.b.is_zero():
-            if o.b.is_zero():
-                return AlgNum(self.a * o.a)
-            return AlgNum(self.a * o.a, self.a * o.b, q)
-        if o.b.is_zero():
-            return AlgNum(self.a * o.a, self.b * o.a, q)
         return AlgNum(
             self.a * o.a + self.b * o.b * q,
             self.a * o.b + self.b * o.a,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .localfields import FieldPair
-from .rational import RAT_ONE, rat
+from .rational import RAT_ONE
 from .scalars import GaussRat
 
 UNRAMIFIED_LABEL = "triv"
@@ -143,15 +143,15 @@ def precedes(d1: Segment, d2: Segment, q_E: int) -> bool:
     that makes the two chains linked with d1 starting lower."""
     if d1.rho.unit_label != d2.rho.unit_label:
         return False
-    lo = max(1, d2.k - d1.k + 1)
     ratio = d2.rho.at_unif / d1.rho.at_unif
-    step = GaussRat(rat(1, q_E))
-    tw = step**lo
-    for _ in range(lo, d2.k + 1):
-        if ratio == tw:
-            return True
-        tw = tw * step
-    return False
+    if ratio.im or ratio.re.numerator != 1:
+        return False
+    # ratio = q_E^(-j) for the j found by division, in log time for any k
+    den, j = ratio.re.denominator, 0
+    while den % q_E == 0:
+        den //= q_E
+        j += 1
+    return den == 1 and max(1, d2.k - d1.k + 1) <= j <= d2.k
 
 
 def is_generic(segments: Sequence[Segment], q_E: int) -> bool:

@@ -1,7 +1,8 @@
-"""Dense polynomials and truncated power series over AlgNum.
+"""Dense polynomials and truncated power series over GaussRat.
 
-Both types are immutable value objects in the single variable t.
-Series carry an explicit truncation order (the index of the last
+Both types are immutable value objects in the single variable t, with
+coefficients in Q(i): a scalar with a sqrt(q) component raises
+TypeError. Series carry an explicit truncation order (the index of the last
 stored coefficient); binary operations truncate at the minimum of the
 operand orders. Equality of Series is strict: same order and same
 coefficients.
@@ -11,23 +12,23 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalars import ALG_ONE, ALG_ZERO, AlgNum
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 
 
-def _coerce_alg(x) -> AlgNum:
-    c = AlgNum._coerce(x)
+def _coerce(x) -> GaussRat:
+    c = GaussRat._coerce(x)
     if c is None:
-        raise TypeError("cannot coerce %r into AlgNum" % (x,))
+        raise TypeError("cannot coerce %r into GaussRat" % (x,))
     return c
 
 
 class Poly:
-    """Polynomial with AlgNum coefficients, ascending degree order."""
+    """Polynomial with GaussRat coefficients, ascending degree order."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce_alg(c) for c in coeffs]
+        cs = [_coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
@@ -38,14 +39,14 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((ALG_ONE,))
+        return cls((GAUSS_ONE,))
 
     @classmethod
     def one_minus(cls, c, k: int = 1) -> "Poly":
         """The factor 1 - c*t^k."""
         if k == 0:
-            return cls((ALG_ONE - _coerce_alg(c),))
-        return cls((ALG_ONE,) + (ALG_ZERO,) * (k - 1) + (-_coerce_alg(c),))
+            return cls((GAUSS_ONE - _coerce(c),))
+        return cls((GAUSS_ONE,) + (GAUSS_ZERO,) * (k - 1) + (-_coerce(c),))
 
     @property
     def degree(self) -> int:
@@ -54,8 +55,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, k: int) -> AlgNum:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ALG_ZERO
+    def coeff(self, k: int) -> GaussRat:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GAUSS_ZERO
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -76,7 +77,7 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():
                 return Poly.zero()
-            out = [ALG_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [GAUSS_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, ci in enumerate(self.coeffs):
                 if ci.is_zero():
                     continue
@@ -85,7 +86,7 @@ class Poly:
                         continue
                     out[i + j] = out[i + j] + ci * cj
             return Poly(out)
-        c = AlgNum._coerce(other)
+        c = GaussRat._coerce(other)
         if c is None:
             return NotImplemented
         return Poly([x * c for x in self.coeffs])
@@ -93,7 +94,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly"):
-        """Exact field division; requires AlgNum coefficient inverses."""
+        """Exact division over the field Q(i)."""
         if not isinstance(other, Poly):
             return NotImplemented
         if other.is_zero():
@@ -103,7 +104,7 @@ class Poly:
         if dq < 0:
             return Poly.zero(), self
         lead_inv = other.coeffs[-1].inverse()
-        quot = [ALG_ZERO] * (dq + 1)
+        quot = [GAUSS_ZERO] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[k + len(other.coeffs) - 1] * lead_inv
             if not c.is_zero():
@@ -120,9 +121,9 @@ class Poly:
         _, r = divmod(self, other)
         return r
 
-    def __call__(self, x) -> AlgNum:
-        x = _coerce_alg(x)
-        acc = ALG_ZERO
+    def __call__(self, x) -> GaussRat:
+        x = _coerce(x)
+        acc = GAUSS_ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -150,9 +151,9 @@ class Poly:
                 parts.append(str(c))
                 continue
             mono = var if k == 1 else "%s^%d" % (var, k)
-            if c == ALG_ONE:
+            if c == GAUSS_ONE:
                 piece = mono
-            elif c == -ALG_ONE:
+            elif c == -GAUSS_ONE:
                 piece = "-" + mono
             else:
                 piece = "%s*%s" % (c, mono)
@@ -167,7 +168,7 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm over the AlgNum field."""
+    """Monic gcd by the Euclidean algorithm over Q(i)."""
     while not b.is_zero():
         a, b = b, a % b
     if a.is_zero():
@@ -181,7 +182,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = tuple(_coerce_alg(c) for c in coeffs)
+        cs = tuple(_coerce(c) for c in coeffs)
         if not cs:
             raise ValueError("a series stores at least the constant coefficient")
         self.coeffs = cs
@@ -190,7 +191,7 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> AlgNum:
+    def coeff(self, k: int) -> GaussRat:
         return self.coeffs[k]
 
     def __add__(self, other):
@@ -208,7 +209,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            out = [ALG_ZERO] * (n + 1)
+            out = [GAUSS_ZERO] * (n + 1)
             for i in range(n + 1):
                 ci = self.coeffs[i]
                 if ci.is_zero():
@@ -218,7 +219,7 @@ class Series:
                     if not cj.is_zero():
                         out[i + j] = out[i + j] + ci * cj
             return Series(out)
-        c = AlgNum._coerce(other)
+        c = GaussRat._coerce(other)
         if c is None:
             return NotImplemented
         return Series([x * c for x in self.coeffs])

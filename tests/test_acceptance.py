@@ -2,9 +2,9 @@
 
 Every criterion prints (and records for the terminal summary) a single
 "[criterion N] PASS/FAIL" line. All identities are exact over the
-Gaussian rationals with adjoined square roots; the only tolerances are
-the one float cross-check (1e-6) and the wall-clock budget of
-criterion 1.
+Gaussian rationals, and criterion 11 sums Whittaker values over
+Q(i, sqrt(q_F)); the only tolerances are the one float cross-check
+(1e-6) and the wall-clock budget of criterion 1.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from functools import lru_cache
 from conftest import record_criterion
 
 from asaiperiods.rational import rat
-from asaiperiods.scalars import AlgNum, GaussRat
+from asaiperiods.scalars import GAUSS_ZERO, GaussRat
 from asaiperiods.series import Poly, Series
 from asaiperiods.ratfunc import RatFunc, eval_at, series_of
 from asaiperiods.localfields import (
@@ -45,6 +45,7 @@ from asaiperiods.lfactors import (
 )
 from asaiperiods.periods import flicker_series, mirabolic_series, rs_series
 from asaiperiods import corpus
+from iwasawa import brute_flicker, brute_mirabolic, iwasawa_sum, kernel_mismatches, rs_terms
 
 
 def _check(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -107,6 +108,19 @@ def corpus_ramified_reps():
     return [(rep, mirabolic_series(rep, 30)) for rep in reps]
 
 
+@lru_cache(maxsize=None)
+def corpus_rs_pairs():
+    """Criterion 6 corpus: 30 module pairs of ranks n and n-1, n <= 3,
+    both field types."""
+    rng = random.Random(306)
+    out = []
+    for i in range(30):
+        fp = corpus.rand_field(rng, ramified=bool(i % 2))
+        n = rng.randint(1, 3)
+        out.append((corpus.rand_module(rng, fp, n), corpus.rand_module(rng, fp, n - 1)))
+    return out
+
+
 # -- criteria --------------------------------------------------------------
 
 
@@ -128,10 +142,10 @@ def test_criterion_2_mirabolic_chain_and_edge_value():
             chain_ok = False
     rep = corpus.unitary_gl2_example()
     exact = lstar_at_1(rep)
-    exact_ok = exact == AlgNum(g(20, 13))
+    exact_ok = exact == g(20, 13)
     total = 0.0
     for d, c in enumerate(flicker_series(pi_u(rep), 60).coeffs):
-        total += float(c.a.re) * 0.5**d
+        total += float(c.re) * 0.5**d
     float_val = total * (1 - 0.5**rep.n)
     float_ok = abs(float_val - 20 / 13) < 1e-6
     _check(2, "central cofactor chain at order 30 and L*(1) = 20/13 "
@@ -146,7 +160,7 @@ def test_criterion_3_mirabolic_equals_asai_of_support():
         if mira != series_of(asai_L(pi_u(rep)), 30):
             bad += 1
     steinberg = corpus.steinberg_gl2(FieldPair(2, False))
-    value_ok = lstar_at_1(steinberg) == AlgNum(g(2))
+    value_ok = lstar_at_1(steinberg) == g(2)
     _check(3, "mirabolic period of ramified reps = Asai of the unramified "
               "support, order 30; Steinberg value 2",
            bad == 0 and value_ok,
@@ -178,13 +192,8 @@ def test_criterion_5_kable_factorization():
 
 
 def test_criterion_6_rs_series_identity():
-    rng = random.Random(306)
     bad = 0
-    for i in range(30):
-        fp = corpus.rand_field(rng, ramified=bool(i % 2))
-        n = rng.randint(1, 3)
-        m1 = corpus.rand_module(rng, fp, n)
-        m2 = corpus.rand_module(rng, fp, n - 1)
+    for m1, m2 in corpus_rs_pairs():
         if rs_series(m1, m2, 25) != series_of(rs_L(m1, m2), 25):
             bad += 1
     _check(6, "Rankin-Selberg lattice sum = closed form, order 25, n <= 3",
@@ -285,14 +294,14 @@ def test_criterion_9_symmetric_function_engine():
     m = len(alpha)
 
     def sum_series(pick, grade):
-        coeffs = [AlgNum(g(0))] * (order + 1)
+        coeffs = [GAUSS_ZERO] * (order + 1)
         for lam in _partitions_up_to(order, m):
             d = grade(lam)
             if d > order:
                 continue
             if not pick(lam):
                 continue
-            coeffs[d] = coeffs[d] + AlgNum(schur(_pad(lam, m), alpha))
+            coeffs[d] = coeffs[d] + schur(_pad(lam, m), alpha)
         return Series(tuple(coeffs))
 
     littlewood = sum_series(lambda lam: True, lambda lam: sum(lam))
@@ -312,10 +321,10 @@ def test_criterion_9_symmetric_function_engine():
     ev_ok = even == series_of(RatFunc(Poly([1]), ev_den), order)
 
     beta = (g(3), g(7, 5))
-    cauchy_coeffs = [AlgNum(g(0))] * (order + 1)
+    cauchy_coeffs = [GAUSS_ZERO] * (order + 1)
     for lam in _partitions_up_to(order, len(beta)):
         d = sum(lam)
-        cauchy_coeffs[d] = cauchy_coeffs[d] + AlgNum(
+        cauchy_coeffs[d] = cauchy_coeffs[d] + (
             schur(_pad(lam, m), alpha) * schur(_pad(lam, len(beta)), beta))
     ca_den = Poly([1])
     for a, b in itertools.product(alpha, beta):
@@ -356,15 +365,23 @@ def test_criterion_10_conductor_grid():
 
 
 def test_criterion_11_sqrt_component_vanishes():
-    bad = 0
-    series_pool = [s for _, s in corpus_flicker()]
-    for _, _, flick, mira in corpus_chain():
-        series_pool.extend((flick, mira))
-    series_pool.extend(s for _, s in corpus_ramified_reps())
-    for s in series_pool:
-        for c in s.coeffs:
-            if not c.b.is_zero():
-                bad += 1
-    _check(11, "zero sqrt(q)-component in every F-point series coefficient "
-               "across the criteria 1-3 corpora (%d series)" % len(series_pool),
-           bad == 0, "%d offending coefficients" % bad)
+    # the Iwasawa sums themselves, term by term in AlgNum, over the
+    # criteria 1-3 corpora and the criterion 6 pairs at low order: on
+    # ramified pairs single Whittaker values and weights of the
+    # Rankin-Selberg sums carry sqrt(q_F) parts, and every coefficient
+    # must come out free of them and equal to the kernel's
+    order = 8
+    sums = [(s, brute_flicker(mod, order)) for mod, s in corpus_flicker()]
+    for mod, rep, flick, mira in corpus_chain():
+        sums.append((mira, brute_mirabolic(rep, order)))
+    sums.extend((s, brute_mirabolic(rep, order)) for rep, s in corpus_ramified_reps())
+    with_sqrt = 0
+    for m1, m2 in corpus_rs_pairs():
+        terms = list(rs_terms(m1, m2, order, order + 1))
+        with_sqrt += sum(1 for _, factors in terms for x in factors if not x.b.is_zero())
+        sums.append((rs_series(m1, m2, order), iwasawa_sum(terms, order)))
+    bad = sum(len(kernel_mismatches(Series(s.coeffs[:order + 1]), brute)) for s, brute in sums)
+    _check(11, "zero sqrt(q)-component, and the kernel's value, in every coefficient "
+               "of %d brute Iwasawa sums through order %d (%d factors with a sqrt(q) part)"
+               % (len(sums), order, with_sqrt),
+           bad == 0 and with_sqrt > 0, "%d offending coefficients" % bad)

@@ -8,7 +8,7 @@ import pytest
 
 from asaiperiods.rational import BACKEND, is_integral, parse_rat, rat, rat_str
 from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_of
-from asaiperiods.scalars import ALG_ONE, AlgNum, GaussRat, sqrt_of
+from asaiperiods.scalars import ALG_ONE, GAUSS_ONE, AlgNum, GaussRat, sqrt_of
 from asaiperiods.series import Poly, Series, poly_gcd
 
 
@@ -121,6 +121,15 @@ def test_algnum_perfect_square_radicand_zero_norm():
         x.inverse()
 
 
+def test_algnum_mul_by_plain_values():
+    # one general product formula serves b = 0 operands as well
+    root = sqrt_of(3)
+    assert AlgNum(g(2)) * root == AlgNum(g(0), g(2), 3)
+    assert root * g(2) == AlgNum(g(0), g(2), 3)
+    assert (AlgNum(g(2)) * AlgNum(g(5))).q == 0
+    assert AlgNum(g(1), g(1), 3) * AlgNum(g(1), g(-1), 3) == AlgNum(g(-2))
+
+
 def test_algnum_gauss_extraction():
     assert AlgNum(g(5)).gauss() == g(5)
     with pytest.raises(ValueError):
@@ -168,12 +177,12 @@ def test_poly_mul_and_strip():
     p = Poly([1, -3])  # 1 - 3t
     q = Poly([g(1), g(-1, 3)])  # 1 - t/3
     prod = p * q
-    assert prod.coeff(0) == AlgNum(g(1))
-    assert prod.coeff(1) == AlgNum(g(-10, 3))
-    assert prod.coeff(2) == AlgNum(g(1))
+    assert prod.coeff(0) == g(1)
+    assert prod.coeff(1) == g(-10, 3)
+    assert prod.coeff(2) == g(1)
     # zero polynomial strips to the empty tuple, degree -1
     assert (p - p).degree == -1
-    assert (p - p).coeff(0) == AlgNum(g(0))
+    assert (p - p).coeff(0) == g(0)
 
 
 def test_poly_divmod_exact():
@@ -199,26 +208,52 @@ def test_poly_gcd_common_factor():
 
 def test_poly_eval_horner():
     p = Poly([1, -3, 2])
-    val = p(AlgNum(g(1, 2)))
-    assert val == AlgNum(g(0))  # 1 - 3/2 + 2/4
+    val = p(g(1, 2))
+    assert val == g(0)  # 1 - 3/2 + 2/4
+
+
+# -- the coefficient ring is Q(i) -----------------------------------------
+
+
+def test_series_and_poly_refuse_sqrt_components():
+    for bad in (sqrt_of(3), AlgNum(g(1), g(2), 5), AlgNum(g(1))):
+        with pytest.raises(TypeError):
+            Series([bad])
+        with pytest.raises(TypeError):
+            Poly([g(1), bad])
+        with pytest.raises(TypeError):
+            Poly.one_minus(bad)
+        with pytest.raises(TypeError):
+            Poly([1, 2]) * bad
+        with pytest.raises(TypeError):
+            eval_at(RatFunc(Poly([1]), one_minus(2)), bad)
+
+
+def test_coefficients_are_gauss_rationals():
+    p = Poly([1, rat(1, 2), g(3)]) * Poly.one_minus(gi(1, 2, 1, 3), 2)
+    s = Series((1, rat(2, 3), gi(1, 1, -1, 1))) * Series((g(1), g(2), g(3)))
+    rf = RatFunc(Poly([1, 1]), one_minus(3) * one_minus(gi(0, 1, 1, 2)))
+    coeffs = list(p.coeffs) + list(s.coeffs) + list(rf.num.coeffs) + list(rf.den.coeffs)
+    coeffs += list(series_of(rf, 6).coeffs) + [p(g(1, 2)), eval_at(rf, g(1, 5))]
+    assert all(type(c) is GaussRat for c in coeffs)
 
 
 # -- Series -------------------------------------------------------------
 
 
 def test_series_truncating_arithmetic():
-    a = Series(tuple(AlgNum(g(1)) for _ in range(5)))
-    b = Series(tuple(AlgNum(g(k)) for k in range(3)))
+    a = Series(tuple(g(1) for _ in range(5)))
+    b = Series(tuple(g(k) for k in range(3)))
     assert (a + b).order == 2
     assert (a * b).order == 2
     prod = a * b
     # (1+t+t^2)(0+t+2t^2) truncated: 0, 1, 3
-    assert [x.a.re for x in prod.coeffs] == [rat(0), rat(1), rat(3)]
+    assert [x.re for x in prod.coeffs] == [rat(0), rat(1), rat(3)]
 
 
 def test_series_first_mismatch():
-    a = Series((ALG_ONE, ALG_ONE, ALG_ONE))
-    b = Series((ALG_ONE, ALG_ONE, AlgNum(g(2))))
+    a = Series((GAUSS_ONE, GAUSS_ONE, GAUSS_ONE))
+    b = Series((GAUSS_ONE, GAUSS_ONE, g(2)))
     assert a.first_mismatch(b) == 2
     assert a.first_mismatch(a) is None
 
@@ -229,24 +264,24 @@ def test_series_first_mismatch():
 def test_series_of_geometric():
     rf = RatFunc(Poly([1]), one_minus(1))
     s = series_of(rf, 3)
-    assert [x.a.re for x in s.coeffs] == [rat(1)] * 4
+    assert [x.re for x in s.coeffs] == [rat(1)] * 4
 
 
 def test_series_of_cancelling_factor():
     # (1 - t^2)/(1 - t) reduces to 1 + t
     rf = RatFunc(Poly([1, 0, -1]), one_minus(1))
     s = series_of(rf, 2)
-    assert [x.a.re for x in s.coeffs] == [rat(1), rat(1), rat(0)]
+    assert [x.re for x in s.coeffs] == [rat(1), rat(1), rat(0)]
 
 
 def test_series_of_two_geometric_factors_vs_convolution_oracle():
     rf = RatFunc(Poly([1]), one_minus(3) * one_minus(g(1, 3)))
     s = series_of(rf, 8)
     expected = convolve(geometric(g(3), 8), geometric(g(1, 3), 8), 8)
-    assert [x.a for x in s.coeffs] == expected
+    assert list(s.coeffs) == expected
     # order-2 values, frozen from the oracle: 1, 10/3, 91/9
-    assert s.coeffs[1].a.re == rat(10, 3)
-    assert s.coeffs[2].a.re == rat(91, 9)
+    assert s.coeffs[1].re == rat(10, 3)
+    assert s.coeffs[2].re == rat(91, 9)
 
 
 def test_series_of_triple_product_vs_oracle():
@@ -256,7 +291,7 @@ def test_series_of_triple_product_vs_oracle():
     pair = convolve(geometric(g(3), 10), geometric(g(1, 3), 10), 10)
     sq = [g(1) if k % 2 == 0 else g(0) for k in range(11)]
     expected = convolve(pair, sq, 10)
-    assert [x.a for x in s.coeffs] == expected
+    assert list(s.coeffs) == expected
 
 
 def test_ratfunc_pole_at_origin_rejected():
@@ -269,17 +304,17 @@ def test_ratfunc_pole_at_origin_rejected():
 
 def test_eval_geometric_at_half():
     rf = RatFunc(Poly([1]), one_minus(1))
-    assert eval_at(rf, g(1, 2)) == AlgNum(g(2))
+    assert eval_at(rf, g(1, 2)) == g(2)
 
 
 def test_eval_unitary_denominator_at_half():
     den = Poly([g(1), g(-6, 5), g(1)]) * Poly([1, 0, -1])
     rf = RatFunc(Poly([1]), den)
     val = eval_at(rf, g(1, 2))
-    assert val == AlgNum(g(80, 39))
+    assert val == g(80, 39)
     # float cross-check
     approx = 1.0 / ((1 - 6 / 5 * 0.5 + 0.25) * (1 - 0.25))
-    assert math.isclose(float(val.a.re), approx, rel_tol=1e-12)
+    assert math.isclose(float(val.re), approx, rel_tol=1e-12)
 
 
 def test_eval_at_pole_raises():
@@ -292,7 +327,7 @@ def test_eval_at_pole_raises():
 
 
 def test_reconstruct_geometric():
-    s = Series(tuple(ALG_ONE for _ in range(5)))
+    s = Series(tuple(GAUSS_ONE for _ in range(5)))
     rf = reconstruct(s, 0, 1)
     assert rf == RatFunc(Poly([1]), one_minus(1))
 
@@ -305,7 +340,7 @@ def test_reconstruct_round_trip_degree_four():
 
 
 def test_reconstruct_inconsistent_series():
-    coeffs = tuple(AlgNum(g(c)) for c in (1, 0, 0, 0, 5))
+    coeffs = tuple(g(c) for c in (1, 0, 0, 0, 5))
     with pytest.raises(ValueError, match="reconstruction inconsistent"):
         reconstruct(Series(coeffs), 0, 1)
 
@@ -322,20 +357,20 @@ def test_reconstruct_bounds_above_true_degrees():
 
 def test_reconstruct_inconsistent_past_the_pivots():
     # rows after the last pivot carry a nonzero right-hand side
-    coeffs = tuple(AlgNum(g(c)) for c in (1, 1, 1, 1, 1, 1, 7))
+    coeffs = tuple(g(c) for c in (1, 1, 1, 1, 1, 1, 7))
     with pytest.raises(ValueError, match="reconstruction inconsistent"):
         reconstruct(Series(coeffs), 0, 2)
 
 
 def test_reconstruct_polynomial_with_zero_den_degree():
-    s = Series(tuple(AlgNum(g(c)) for c in (1, 2, 3, 0, 0, 0)))
+    s = Series(tuple(g(c) for c in (1, 2, 3, 0, 0, 0)))
     assert reconstruct(s, 2, 0) == RatFunc(Poly([1, 2, 3]))
     with pytest.raises(ValueError, match="reconstruction inconsistent"):
-        reconstruct(Series(tuple(AlgNum(g(c)) for c in (1, 2, 3, 0, 4))), 2, 0)
+        reconstruct(Series(tuple(g(c) for c in (1, 2, 3, 0, 4))), 2, 0)
 
 
 def test_reconstruct_order_too_small():
-    s = Series((ALG_ONE, ALG_ONE))
+    s = Series((GAUSS_ONE, GAUSS_ONE))
     with pytest.raises(ValueError, match="too small"):
         reconstruct(s, 2, 3)
 
@@ -345,7 +380,7 @@ def test_reconstruct_random_round_trips():
     for _ in range(20):
         dn = rng.randint(0, 2)
         dd = rng.randint(1, 3)
-        num = Poly([AlgNum(rand_gauss(rng)) for _ in range(dn + 1)])
+        num = Poly([rand_gauss(rng) for _ in range(dn + 1)])
         den_factors = Poly([1])
         for _ in range(dd):
             c = rand_gauss(rng)
@@ -363,4 +398,4 @@ def test_substitute_power():
     rf = RatFunc(Poly([1]), one_minus(1))  # 1/(1-t)
     blown = rf.substitute_power(2)
     s = series_of(blown, 6)
-    assert [x.a.re for x in s.coeffs] == [rat(1), rat(0), rat(1), rat(0), rat(1), rat(0), rat(1)]
+    assert [x.re for x in s.coeffs] == [rat(1), rat(0), rat(1), rat(0), rat(1), rat(0), rat(1)]

@@ -362,3 +362,95 @@ def test_invalid_backend_env_var_fails_loudly(descriptor):
                   env_extra={"ASAIPERIODS_RATIONAL": "decimal"})
     assert res.returncode != 0
     assert "ASAIPERIODS_RATIONAL" in res.stderr
+
+
+# -- hostile sizes: refused before the sum or the evaluation ---------------
+
+GL2_SMALL = {
+    "field": {"qF": 2, "ramified": False},
+    "segments": [
+        {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": ["1/2", "0/1"]}},
+        {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": ["1/3", "0/1"]}},
+    ],
+}
+
+
+def with_satake(value, index=0, payload=GL2_SMALL):
+    out = json.loads(json.dumps(payload))
+    out["segments"][index]["rho"]["atUnif"] = value
+    return out
+
+
+def run_fast(argv, capsys):
+    """cli.main in process: (exit code, stdout, stderr, seconds)."""
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, elapsed
+
+
+def largest_named(stderr, what):
+    return int(re.search(r"the largest %s for this \w+ is (\d+)" % what, stderr).group(1))
+
+
+@pytest.mark.parametrize("argv, flag, what", [
+    (["--order", "6000"], "--order", "order"),
+    (["--order", "5", "--at-s", "10000"], "--at-s", "s"),
+    (["--order", "5", "--at-s", "1000000"], "--at-s", "s"),
+])
+def test_hostile_order_and_at_s_exit_2_fast(descriptor, capsys, argv, flag, what):
+    path = descriptor(GL2_SMALL)
+    code, out, err, elapsed = run_fast(["period", "--rep", path] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert elapsed < 1.0
+    assert err.startswith("input error: %s: " % flag) and "Traceback" not in err
+    # the largest value the message names is admitted, and its output prints
+    most = largest_named(err, what)
+    fixed = ["--order", str(most)] if flag == "--order" else ["--order", "5", "--at-s", str(most)]
+    code, out, err, _ = run_fast(["period", "--rep", path] + fixed, capsys)
+    assert code == 0 and json.loads(out)["match"] is True
+
+
+def test_hostile_satake_height_at_default_order(descriptor, capsys):
+    # a 121-digit Satake value: the series through order 40 is past the
+    # limit, a shorter one is not
+    path = descriptor(with_satake([str(7 ** 143) + "/1", "0/1"]))
+    code, out, err, elapsed = run_fast(["period", "--rep", path], capsys)
+    assert (code, out) == (2, "") and elapsed < 1.0
+    assert err.startswith("input error: --order: ")
+    most = largest_named(err, "order")
+    assert 5 <= most < 40
+    code, out, err, _ = run_fast(["period", "--rep", path, "--order", str(most)], capsys)
+    assert code == 0 and json.loads(out)["match"] is True
+
+
+def test_hostile_satake_value_names_the_field(descriptor, capsys):
+    # 3^8000 / 7 (3,818 digits) parses, but its closed form cannot print
+    path = descriptor(with_satake([str(3 ** 8000) + "/7", "0/1"], index=1))
+    for command in ("period", "lfactor", "verify"):
+        code, out, err, elapsed = run_fast([command, "--rep", path], capsys)
+        assert (code, out) == (2, "") and elapsed < 1.0
+        assert err.startswith("input error: rep.segments[1].rho.atUnif: too large")
+    # the segments report builds no closed form and prints the value as parsed
+    code, out, err, _ = run_fast(["segments", "--rep", path], capsys)
+    assert code == 0 and str(3 ** 8000) + "/7" in out
+
+
+def test_hostile_rankin_selberg_pair_names_against(descriptor, capsys):
+    # each closed form of its own prints; the rank 7 x 1 factor cannot
+    rep = descriptor(unramified_module_rep(3, 5, 7, 11, 13, 17, 19), "rank7.json")
+    other = descriptor(unramified_module_rep(3 ** 1350), "other.json")
+    assert run_fast(["lfactor", "--rep", other], capsys)[0] == 0
+    code, out, err, _ = run_fast(["lfactor", "--rep", rep, "--against", other], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --against: the Rankin-Selberg factor")
+
+
+def test_json_integer_past_the_str_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(GL2_SMALL).replace('"qF": 2', '"qF": 1' + "0" * 5000),
+                    encoding="utf-8")
+    code, out, err, _ = run_fast(["period", "--rep", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "invalid JSON" in err and "Traceback" not in err

@@ -5,14 +5,14 @@ import json
 import pytest
 
 from asaiperiods.rational import rat
-from asaiperiods.scalars import AlgNum, GaussRat
+from asaiperiods.scalars import GaussRat
 from asaiperiods.series import Poly, Series
 from asaiperiods.ratfunc import RatFunc
 from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import GenericRep, MultChar, Segment
 from asaiperiods.descriptors import (
     DescriptorError,
-    algnum_json,
+    coeff_json,
     field_json,
     gauss_json,
     load_rep_file,
@@ -105,15 +105,17 @@ def test_load_rep_file_errors(tmp_path):
 
 
 def test_value_serializations():
-    x = AlgNum(g(3, 2))
+    x = g(3, 2)
     assert value_str(x) == "3/2"
+    assert value_str(GaussRat(rat(1, 2), rat(-3))) == "1/2-3/1i"
     assert value_str(None) == "pole"
-    assert algnum_json(x) == {"a": ["3/2", "0/1"], "b": ["0/1", "0/1"]}
+    # the "b" slot of a coefficient is always zero
+    assert coeff_json(x) == {"a": ["3/2", "0/1"], "b": ["0/1", "0/1"]}
     p = Poly([1, -1])
-    assert poly_json(p) == [algnum_json(AlgNum(g(1))), algnum_json(AlgNum(g(-1)))]
+    assert poly_json(p) == [coeff_json(g(1)), coeff_json(g(-1))]
     rf = RatFunc(Poly([1]), p)
     assert ratfunc_json(rf) == {"num": poly_json(Poly([1])), "den": poly_json(p)}
-    s = Series((AlgNum(g(1)), AlgNum(g(2))))
-    assert series_json(s) == [algnum_json(AlgNum(g(1))), algnum_json(AlgNum(g(2)))]
+    s = Series((g(1), g(2)))
+    assert series_json(s) == [coeff_json(g(1)), coeff_json(g(2))]
     # everything stays JSON-serializable
     json.dumps(ratfunc_json(rf))

@@ -2,11 +2,12 @@
 the theorem-level verification reports.
 
 The Schur-sum kernel behind the lattice sums is cross-checked against
-the weighted Iwasawa sums themselves (brute_flicker, brute_mirabolic,
-brute_rs): Whittaker values from spherical_value/essential_value times
-the modulus weights, summed over an integer box with no dominance
-constraints assumed, so every term outside the cone must vanish on its
-own through the Whittaker values.
+the weighted Iwasawa sums themselves (iwasawa.brute_flicker,
+brute_mirabolic, brute_rs): Whittaker values from
+spherical_value/essential_value times the q_E_half modulus weights,
+summed over an integer box with no dominance constraints assumed, so
+every term outside the cone must vanish on its own through the
+Whittaker values, and every sqrt(q_F) part must cancel.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import random
 import pytest
 
 from asaiperiods.rational import rat
-from asaiperiods.scalars import ALG_ZERO, AlgNum, GaussRat
+from asaiperiods.scalars import GaussRat
 from asaiperiods.series import Poly, Series
 from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_of
 from asaiperiods.localfields import FieldPair
@@ -27,7 +28,6 @@ from asaiperiods.segments import (
     Segment,
     UnramifiedModule,
     conductor,
-    is_unramified_rep,
     pi_u,
 )
 from asaiperiods.lfactors import asai_L, closed_form_for, lstar_at_1, rs_L, tate_L
@@ -40,14 +40,9 @@ from asaiperiods.periods import (
     verify_c_pi,
     verify_theorem1,
 )
-from asaiperiods.whittaker import (
-    essential_value,
-    modulus_exponent,
-    schur,
-    schur_bialternant,
-    spherical_value,
-)
+from asaiperiods.whittaker import schur, schur_bialternant
 from asaiperiods import corpus, periods
+from iwasawa import brute_flicker, brute_mirabolic, brute_rs, kernel_mismatches
 
 UFP = FieldPair(2, False)
 RFP = FieldPair(2, True, 1)
@@ -85,47 +80,6 @@ def essential_route_rep(rng, fp, r):
     return generic_draw(make)
 
 
-# -- the weighted Iwasawa sums, as references for the Schur-sum kernel ----
-
-
-def box(m, order):
-    """Every lam in Z_{>=0}^m of total degree <= order, dominant or not."""
-    for lam in itertools.product(range(order + 1), repeat=m):
-        if sum(lam) <= order:
-            yield lam
-
-
-def q_F_pow(fp, h):
-    return AlgNum(GaussRat(rat(fp.q_F) ** h))
-
-
-def brute_flicker(mod, order):
-    """Spherical values at e*lam times q_F^(modulus exponent of lam)."""
-    fp, e = mod.fp, mod.fp.e
-    coeffs = [ALG_ZERO] * (order + 1)
-    for lam in box(mod.r, order):
-        w = spherical_value(mod, tuple(e * x for x in lam))
-        if not w.is_zero():
-            d = sum(lam)
-            coeffs[d] = coeffs[d] + w * q_F_pow(fp, modulus_exponent(lam))
-    return Series(tuple(coeffs))
-
-
-def brute_mirabolic(rep, order):
-    """Spherical values at (e*lam, 0) for an unramified rep, essential
-    values at e*lam otherwise, times q_F^(modulus exponent of lam + |lam|)."""
-    fp, n, e = rep.fp, rep.n, rep.fp.e
-    mod, unramified = pi_u(rep), is_unramified_rep(rep)
-    coeffs = [ALG_ZERO] * (order + 1)
-    for lam in box(n - 1, order):
-        lam_e = tuple(e * x for x in lam)
-        w = spherical_value(mod, lam_e + (0,)) if unramified else essential_value(rep, lam_e)
-        if not w.is_zero():
-            d = sum(lam)
-            coeffs[d] = coeffs[d] + w * q_F_pow(fp, modulus_exponent(lam) + d)
-    return Series(tuple(coeffs))
-
-
 def test_kernel_matches_weighted_sums_random_modules():
     rng = random.Random(1201)
     for i in range(8):
@@ -133,9 +87,9 @@ def test_kernel_matches_weighted_sums_random_modules():
         rep = generic_draw(lambda: corpus.module_as_rep(
             corpus.rand_module(rng, fp, rng.randint(1, 3))))
         mod = pi_u(rep)
-        assert flicker_series(mod, 8) == brute_flicker(mod, 8)
-        assert mirabolic_series(rep, 8) == brute_mirabolic(rep, 8)
-        assert mirabolic_series(mod, 8) == brute_mirabolic(rep, 8)
+        assert kernel_mismatches(flicker_series(mod, 8), brute_flicker(mod, 8)) == []
+        assert kernel_mismatches(mirabolic_series(rep, 8), brute_mirabolic(rep, 8)) == []
+        assert kernel_mismatches(mirabolic_series(mod, 8), brute_mirabolic(rep, 8)) == []
 
 
 def test_kernel_matches_weighted_sums_essential_route():
@@ -145,7 +99,7 @@ def test_kernel_matches_weighted_sums_essential_route():
         for r in range(4):
             rep = essential_route_rep(rng, fp, r)
             assert pi_u(rep).r == r < rep.n
-            assert mirabolic_series(rep, 7) == brute_mirabolic(rep, 7)
+            assert kernel_mismatches(mirabolic_series(rep, 7), brute_mirabolic(rep, 7)) == []
 
 
 def test_kernel_matches_weighted_sums_rank5():
@@ -153,8 +107,8 @@ def test_kernel_matches_weighted_sums_rank5():
     fp = corpus.rand_field(rng, ramified=True)
     rep = generic_draw(lambda: corpus.module_as_rep(corpus.rand_module(rng, fp, 5)))
     mod = pi_u(rep)
-    assert flicker_series(mod, 5) == brute_flicker(mod, 5)
-    assert mirabolic_series(rep, 5) == brute_mirabolic(rep, 5)
+    assert kernel_mismatches(flicker_series(mod, 5), brute_flicker(mod, 5)) == []
+    assert kernel_mismatches(mirabolic_series(rep, 5), brute_mirabolic(rep, 5)) == []
 
 
 # -- the integer kernel against the bialternant oracle --------------------
@@ -255,7 +209,7 @@ def test_schur_sum_over_work_cap_raises_before_summing(monkeypatch):
 
 def test_flicker_rank_zero_is_one():
     s = flicker_series(umod(UFP), 5)
-    assert s.coeffs[0] == AlgNum(g(1))
+    assert s.coeffs[0] == g(1)
     assert all(c.is_zero() for c in s.coeffs[1:])
 
 
@@ -295,12 +249,15 @@ def test_flicker_reconstruct_recovers_asai():
 
 
 def test_flicker_sqrt_component_vanishes():
-    # ramified pairs produce half powers of q_E termwise; they must cancel
+    # the Iwasawa sum over a ramified pair, built from AlgNum Whittaker
+    # values and q_E_half weights, has no sqrt(q_F) part left, and its
+    # Q(i) part is the kernel's series
     rng = random.Random(232)
     for _ in range(6):
         mod = corpus.rand_module(rng, RFP, rng.randint(1, 3))
-        for c in flicker_series(mod, 10).coeffs:
-            assert c.b.is_zero()
+        brute = brute_flicker(mod, 10)
+        assert all(c.b.is_zero() for c in brute)
+        assert [c.a for c in brute] == list(flicker_series(mod, 10).coeffs)
 
 
 # -- mirabolic_series ----------------------------------------------------
@@ -309,7 +266,7 @@ def test_flicker_sqrt_component_vanishes():
 def test_mirabolic_gl1_is_constant():
     rep = GenericRep(UFP, (Segment(MultChar.unramified(g(7)), 1),))
     s = mirabolic_series(rep, 6)
-    assert s.coeffs[0] == AlgNum(g(1))
+    assert s.coeffs[0] == g(1)
     assert all(c.is_zero() for c in s.coeffs[1:])
 
 
@@ -365,33 +322,17 @@ def test_mirabolic_sqrt_component_vanishes():
     rng = random.Random(787)
     for _ in range(5):
         rep = corpus.ramified_rep(rng, RFP)
-        for c in mirabolic_series(rep, 8).coeffs:
-            assert c.b.is_zero()
+        brute = brute_mirabolic(rep, 8)
+        assert all(c.b.is_zero() for c in brute)
+        assert [c.a for c in brute] == list(mirabolic_series(rep, 8).coeffs)
 
 
 # -- rs_series -----------------------------------------------------------
 
 
-def brute_rs(m1, m2, order, box):
-    """Sum over the whole integer box; off-cone terms must self-vanish."""
-    n1 = m1.r
-    coeffs = [ALG_ZERO] * (order + 1)
-    for lam in itertools.product(range(-box, box + 1), repeat=n1 - 1):
-        d = sum(lam)
-        if d < 0 or d > order:
-            continue
-        w1 = spherical_value(m1, tuple(lam) + (0,))
-        w2 = spherical_value(m2, tuple(lam))
-        if w1.is_zero() or w2.is_zero():
-            continue
-        weight = m1.fp.q_E_half(2 * modulus_exponent(tuple(lam)) + d)
-        coeffs[d] = coeffs[d] + w1 * w2 * weight
-    return Series(tuple(coeffs))
-
-
 def test_rs_series_gl1():
     s = rs_series(umod(UFP, g(3)), umod(UFP), 6)
-    assert s.coeffs[0] == AlgNum(g(1))
+    assert s.coeffs[0] == g(1)
     assert all(c.is_zero() for c in s.coeffs[1:])
 
 
@@ -405,10 +346,10 @@ def test_rs_series_matches_brute_enumeration():
     for fp in (UFP, RFP):
         m1 = umod(fp, g(2), g(1, 3))
         m2 = umod(fp, g(5))
-        assert rs_series(m1, m2, 6) == brute_rs(m1, m2, 6, box=7)
+        assert kernel_mismatches(rs_series(m1, m2, 6), brute_rs(m1, m2, 6, width=7)) == []
         m1b = umod(fp, g(2), g(1, 2), g(3))
         m2b = umod(fp, g(1, 5), g(7))
-        assert rs_series(m1b, m2b, 5) == brute_rs(m1b, m2b, 5, box=6)
+        assert kernel_mismatches(rs_series(m1b, m2b, 5), brute_rs(m1b, m2b, 5, width=6)) == []
 
 
 def test_rs_series_randomized_vs_closed_form():
@@ -433,14 +374,14 @@ def test_theorem1_steinberg():
     report = verify_theorem1(steinberg(UFP), 25)
     assert report.match
     assert report.reconstructed == report.closed_form
-    assert report.value_at_1 == AlgNum(g(2))
+    assert report.value_at_1 == g(2)
 
 
 def test_theorem1_unitary_example():
     rep = corpus.unitary_gl2_example()
     report = verify_theorem1(rep, 25)
     assert report.match
-    assert report.value_at_1 == AlgNum(g(20, 13))
+    assert report.value_at_1 == g(20, 13)
 
 
 def test_theorem1_unitary_float_partial_sums():
@@ -451,10 +392,10 @@ def test_theorem1_unitary_float_partial_sums():
     mod = pi_u(rep)
     total = 0.0
     for d, c in enumerate(flicker_series(mod, 60).coeffs):
-        total += complex(c.a.to_complex()).real * 0.5**d
+        total += c.to_complex().real * 0.5**d
     lstar = total * (1 - 0.5**rep.n)
     assert math.isclose(lstar, 20 / 13, abs_tol=1e-6)
-    assert report.value_at_1 == AlgNum(g(20, 13))
+    assert report.value_at_1 == g(20, 13)
 
 
 def test_theorem1_engineered_pole():
@@ -484,7 +425,7 @@ def test_theorem1_nontrivial_central_restriction():
     true_form = RatFunc(Poly([1]), Poly.one_minus(g(8)) * Poly.one_minus(g(1, 2)))
     assert report.closed_form == true_form
     assert report.reconstructed == true_form
-    assert report.value_at_1 == AlgNum(g(-4, 9))
+    assert report.value_at_1 == g(-4, 9)
 
 
 def test_theorem1_randomized_central_character():
@@ -653,7 +594,65 @@ def test_no_pole_at_edge_for_csd_corpus():
 
 def test_lattice_value_at_integer_points():
     rep = steinberg(UFP)
-    assert lattice_value_at(rep, 2) == AlgNum(g(4, 3))
-    assert lattice_value_at(rep, 1) == AlgNum(g(2))
+    assert lattice_value_at(rep, 2) == g(4, 3)
+    assert lattice_value_at(rep, 1) == g(2)
     with pytest.raises(ValueError):
         lattice_value_at(rep, 0)
+
+
+def test_period_values_are_gauss_rationals():
+    # every series, closed form and value of the period layer lies in Q(i)
+    rng = random.Random(911)
+    reps = [corpus.unitary_gl2_example(), steinberg(RFP),
+            essential_route_rep(rng, RFP, 2),
+            corpus.module_as_rep(corpus.omega_trivial_module(rng, RFP, 3))]
+    for rep in reps:
+        mod = pi_u(rep)
+        report = verify_theorem1(rep, 12)
+        scalars = list(report.series.coeffs) + list(report.expected.coeffs)
+        for rf in (report.closed_form, report.reconstructed, asai_L(mod)):
+            scalars += list(rf.num.coeffs) + list(rf.den.coeffs)
+        scalars += list(flicker_series(mod, 6).coeffs)
+        scalars += list(rs_series(mod, umod(rep.fp, g(3)), 6).coeffs) if mod.r == 2 else []
+        scalars += [report.value_at_1, lstar_at_1(rep), eval_at(report.closed_form, g(1, 7))]
+        assert all(type(c) is GaussRat for c in scalars)
+    assert type(lattice_value_at(reps[0], 2)) is GaussRat
+
+
+def bits(c):
+    return max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in (c.re, c.im))
+
+
+def test_size_bounds_hold_on_large_values():
+    # coefficient_bits and value_bits bound what the sums, closed forms
+    # and values really need, here on Satake values up to 2^40 in height
+    rng = random.Random(1301)
+
+    def big_gauss():
+        im = rng.choice((0, rng.randint(-2 ** 30, 2 ** 30)))
+        return GaussRat(rat(rng.randint(-2 ** 40, 2 ** 40) or 1, rng.randint(1, 2 ** 20)),
+                        rat(im, rng.randint(1, 99)))
+
+    for i in range(10):
+        fp = corpus.rand_field(rng, ramified=bool(i % 2))
+        rep = generic_draw(lambda: corpus.module_as_rep(
+            umod(fp, *(big_gauss() for _ in range(rng.randint(1, 3))))))
+        mod, e = pi_u(rep), fp.e
+        u = periods.coefficient_bits(mod.satake)
+        for series in (flicker_series(mod, 8), mirabolic_series(rep, 8)):
+            for d, c in enumerate(series.coeffs):
+                assert bits(c) <= max(1, e * d * u)
+        other = umod(fp, *(big_gauss() for _ in range(mod.r - 1)))
+        rs_u = u + periods.coefficient_bits(other.satake)
+        for d, c in enumerate(rs_series(mod, other, 6).coeffs):
+            assert bits(c) <= max(1, d * rs_u)
+        for rf, per_degree in ((closed_form_for(rep), e * u), (rs_L(mod, other), rs_u)):
+            for poly in (rf.num, rf.den):
+                for m, c in enumerate(poly.coeffs):
+                    assert bits(c) <= max(1, m * per_degree)
+        for s in (1, 2, 5):
+            try:
+                value = lattice_value_at(rep, s)
+            except ZeroDivisionError:
+                continue
+            assert bits(value) <= periods.value_bits(mod.satake, e, fp.q_F, s)

@@ -82,6 +82,26 @@ def test_precedes_spec_instances():
     assert not precedes(useg(1, q_E), useg(1), q_E)
 
 
+def test_precedes_matches_the_twist_chain_and_takes_any_length():
+    # d1 precedes d2 when rho2 = rho1 * |.|^(-l) for some l in
+    # [max(1, k2 - k1 + 1), k2]: the chain of twists, walked out
+    rng = random.Random(74)
+    for fp in (UFP, RFP):
+        q_E = fp.q_E
+        step = GaussRat(rat(1, q_E))
+        for _ in range(200):
+            k1, k2 = rng.randint(1, 4), rng.randint(1, 4)
+            base = corpus.rand_gauss(rng)
+            ratio = rng.choice((step ** rng.randint(-1, 6), -step, step * GaussRat(rat(1, 2)),
+                                GaussRat(rat(0), rat(1, q_E))))
+            d1, d2 = Segment(MultChar.unramified(base), k1), Segment(MultChar.unramified(base * ratio), k2)
+            walked = any(ratio == step ** l for l in range(max(1, k2 - k1 + 1), k2 + 1))
+            assert precedes(d1, d2, q_E) == walked
+    far = 10 ** 12  # no walk over the chain: this returns at once
+    assert precedes(useg(1, k=far), useg(1, UFP.q_E ** 5, k=far), UFP.q_E)
+    assert not precedes(useg(1, k=far), useg(3, k=far), UFP.q_E)
+
+
 def test_precedes_needs_same_unit_label():
     a = Segment(rchar("x", GaussRat(rat(1))), 1)
     b = useg(1, UFP.q_E)
