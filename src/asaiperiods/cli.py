@@ -45,6 +45,7 @@ from .periods import (
     coefficient_bits,
     flicker_series,
     lattice_value_at,
+    mirabolic_largest_order,
     printable_bits,
     rs_series,
     too_long,
@@ -234,9 +235,10 @@ def cmd_lfactor(cfg: RunConfig) -> int:
         if need > printable_bits():
             raise _too_large("--against", "the Rankin-Selberg factor", need)
         rs_info = (mod, m2)
+        rs = rs_L(mod, m2)
         report["rs"] = {
-            "tE": ratfunc_json(rs_L(mod, m2)),
-            "t": ratfunc_json(rs_L(mod, m2, as_t=True)),
+            "tE": ratfunc_json(rs),
+            "t": ratfunc_json(rs.substitute_power(rep.fp.f)),
         }
 
     def tables(obj):
@@ -363,6 +365,10 @@ def _suite_theorem1(cfg: RunConfig):
         # name the order that certifies every check, not just this one
         need = max(certifying_order(closed_form_for(rep)) for _, rep in reps)
         raise OrderTooSmall(cfg.order, need) from None
+    except LatticeCostError as exc:
+        # and the order that every check's sum admits
+        least = min(mirabolic_largest_order(rep) for _, rep in reps)
+        raise LatticeCostError(exc.reason, least, "suite") from None
 
 
 def _suite_cpi(cfg: RunConfig):

@@ -5,7 +5,10 @@ Rankin-Selberg factor is native in t_E = q_E^(-s), which equals t^2
 for unramified pairs and t for ramified ones (t_E = t^f in general);
 it converts on request. All factories return canonical reduced
 RatFunc values and also expose their factor lists (coefficient c and
-power k per factor 1 - c*t^k) for display purposes.
+power k per factor 1 - c*t^k) for display purposes. The factor
+products run on scaled Gaussian integers inside RatFunc.from_factors
+and Poly products (one int-pair product, one division per coefficient);
+the factor lists and the returned RatFunc keep GaussRat coefficients.
 """
 
 from __future__ import annotations

@@ -42,8 +42,8 @@ from .segments import (
     is_unramified_rep,
     pi_u,
 )
-from .series import Series
-from .whittaker import clear_denominators, expand_row, h_table, jt_row
+from .series import Series, clear_denominators
+from .whittaker import expand_row, h_table, jt_row
 
 
 # Cap on lattice_work(k, order). The largest sums that the tests and the
@@ -65,7 +65,13 @@ class OrderTooSmall(ValueError):
 
 
 class LatticeCostError(ValueError):
-    """A lattice sum whose work bound exceeds MAX_LATTICE_WORK."""
+    """A lattice sum past the work cap (MAX_LATTICE_WORK) or the size cap
+    (printable_bits). The message names largest, the largest order that
+    passes both for this sum, or for every sum of a suite."""
+
+    def __init__(self, reason: str, largest: int, scope: str = "sum"):
+        super().__init__("%s; the largest order for this %s is %d" % (reason, scope, largest))
+        self.reason = reason
 
 
 def certifying_order(cf: RatFunc) -> int:
@@ -111,6 +117,22 @@ def printable_bits() -> int:
     digits = min(digits, default) if digits else default
     # an integer below 2^b has at most floor(b * log10(2)) + 1 digits
     return int((digits - 1) / log10(2))
+
+
+def largest_order(k: int, per_order: int) -> int:
+    """Largest order at which a rank-k lattice sum whose coefficients
+    take per_order bits per degree passes the work and size caps."""
+    top = printable_bits() // per_order
+    if lattice_work(k, top) <= MAX_LATTICE_WORK:
+        return top
+    low, high = 0, top  # lattice_work grows with the order
+    while high - low > 1:
+        mid = (low + high) // 2
+        if lattice_work(k, mid) <= MAX_LATTICE_WORK:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 def too_long(what: str, need: int) -> str:
@@ -183,18 +205,18 @@ def _schur_sum(
     order) exceeds MAX_LATTICE_WORK, or when the coefficients through
     order could need integers longer than printable_bits().
     """
+    per_order = e * coefficient_bits(alpha) + (0 if beta is None else coefficient_bits(beta))
     if lattice_work(k, order) > MAX_LATTICE_WORK:
         raise LatticeCostError(
             "a lattice sum of rank %d at order %d exceeds the work cap of %d "
             "(partitions with at most %d parts and size at most %d, times 2^%d)"
-            % (k, order, MAX_LATTICE_WORK, k, order, min(k, order))
+            % (k, order, MAX_LATTICE_WORK, k, order, min(k, order)),
+            largest_order(k, per_order),
         )
-    per_order = e * coefficient_bits(alpha) + (0 if beta is None else coefficient_bits(beta))
     if order * per_order > printable_bits():
         raise LatticeCostError(
-            "%s; the largest order for this sum is %d"
-            % (too_long("the series through order %d" % order, order * per_order),
-               printable_bits() // per_order)
+            too_long("the series through order %d" % order, order * per_order),
+            largest_order(k, per_order),
         )
     den, a = clear_denominators(alpha)
     h = h_table(a, e * order + k)
@@ -258,13 +280,25 @@ def mirabolic_series(rep, order: int) -> Series:
     essential-vector route (r < n) sum s_(e*lam) over partitions of
     length <= min(r, n-1).
     """
+    return _schur_sum(*_mirabolic_sum(rep), order)
+
+
+def _mirabolic_sum(rep) -> tuple:
+    """(alpha, k, e) of the Schur sum of mirabolic_series(rep, order)."""
     if isinstance(rep, UnramifiedModule):
         mod, n = rep, rep.r
     elif isinstance(rep, GenericRep):
         mod, n = pi_u(rep), rep.n
     else:
         raise TypeError("expected GenericRep or UnramifiedModule")
-    return _schur_sum(mod.satake, min(mod.r, n - 1), mod.fp.e, order)
+    return mod.satake, min(mod.r, n - 1), mod.fp.e
+
+
+def mirabolic_largest_order(rep) -> int:
+    """Largest order at which mirabolic_series(rep, order) passes the
+    work and size caps."""
+    alpha, k, e = _mirabolic_sum(rep)
+    return largest_order(k, e * coefficient_bits(alpha))
 
 
 def rs_series(m1: UnramifiedModule, m2: UnramifiedModule, order: int) -> Series:

@@ -6,6 +6,13 @@ is always kept in canonical reduced form: numerator and denominator
 coprime, denominator constant term equal to 1. With that normalization
 componentwise equality is true equality of rational functions.
 
+Factor products and expansions run on scaled Gaussian integers, held
+as (re, im) int pairs: from_factors builds prod(1 - c*t^k) in u = t/D,
+where coefficient m is a Gaussian integer over D^m, and series_of runs
+an integer recurrence whose coefficient k is over D^(k+1). Each output
+coefficient becomes a GaussRat once, by one division; the public
+coefficients stay GaussRat.
+
 reconstruct recovers the unique rational function within given degree
 bounds from a long enough truncated expansion, by exact Gaussian
 elimination on the linear relations satisfied by the denominator
@@ -17,8 +24,11 @@ mismatch, to report which rational function the series actually is.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
+from .rational import rat
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
-from .series import Poly, Series, poly_gcd
+from .series import Poly, Series, clear_denominators, poly_gcd, scaled_pair
 
 
 class RatFunc:
@@ -53,11 +63,34 @@ class RatFunc:
 
     @classmethod
     def from_factors(cls, factors) -> "RatFunc":
-        """1 / prod(1 - c*t^k) for (c, k) pairs."""
-        den = Poly.one()
-        for c, k in factors:
-            den = den * Poly.one_minus(c, k)
-        return cls(Poly.one(), den)
+        """1 / prod(1 - c*t^k) for (c, k) pairs, k >= 1.
+
+        The product runs in u = t/D, D the common denominator of the c:
+        the factor c*t^k is the Gaussian integer c*D^k times u^k, so
+        coefficient m of the product is a Gaussian integer over D^m.
+        """
+        factors = list(factors)
+        if any(k < 1 for _, k in factors):
+            raise ValueError("factor powers must be >= 1")
+        den, scaled = clear_denominators([c for c, _ in factors])
+        re, im = [1], [0]
+        for (cr, ci), (_, k) in zip(scaled, factors):
+            # c*D^k = (D*c) * D^(k-1); multiply by 1 - (that) u^k in place
+            w = den ** (k - 1)
+            br, bi = cr * w, ci * w
+            re += [0] * k
+            im += [0] * k
+            for m in range(len(re) - 1, k - 1, -1):
+                pr, pi = re[m - k], im[m - k]
+                if pr or pi:
+                    re[m] -= br * pr - bi * pi
+                    im[m] -= br * pi + bi * pr
+        coeffs = []
+        den_m = 1
+        for x, y in zip(re, im):
+            coeffs.append(GaussRat(rat(x, den_m), rat(y, den_m)))
+            den_m *= den
+        return cls(Poly.one(), Poly(coeffs))
 
     @property
     def num_degree(self) -> int:
@@ -101,19 +134,48 @@ class RatFunc:
         return RatFunc(blow(self.num), blow(self.den))
 
 
+def _covering_scale(scale: int, c: GaussRat, j: int) -> int:
+    """A multiple of scale whose j-th power times c is a Gaussian integer."""
+    g = lcm(int(c.re.denominator), int(c.im.denominator))
+    return scale * (g // gcd(pow(scale, j, g), g))
+
+
 def series_of(rf: RatFunc, order: int) -> Series:
-    """Maclaurin coefficients 0..order of rf, exact."""
+    """Maclaurin coefficients 0..order of rf, exact.
+
+    An integer recurrence at scale D^(k+1): D is chosen so that den
+    coefficient j times D^j and num coefficient k times D^(k+1) are
+    Gaussian integers (the extra power of D covers a num whose constant
+    term is not integral), and then coefficient k of the series is a
+    Gaussian integer over D^(k+1), divided once.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    den = rf.den.coeffs
-    coeffs = [GAUSS_ZERO] * (order + 1)
+    num, den = rf.num.coeffs, rf.den.coeffs
+    scale = 1
+    for j in range(1, len(den)):
+        scale = _covering_scale(scale, den[j], j)
+    for k, c in enumerate(num):
+        scale = _covering_scale(scale, c, k + 1)
+    steps = []  # (j, den coefficient j * D^j) for the nonzero ones
+    for j in range(1, len(den)):
+        if not den[j].is_zero():
+            steps.append((j,) + scaled_pair(den[j], scale ** j))
+    sr, si = [], []
+    coeffs = []
+    scale_k = scale
     for k in range(order + 1):
-        acc = rf.num.coeff(k)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            dj = den[j]
-            if not dj.is_zero():
-                acc = acc - dj * coeffs[k - j]
-        coeffs[k] = acc
+        r, i = scaled_pair(num[k], scale_k) if k < len(num) else (0, 0)
+        for j, dr, di in steps:
+            if j > k:
+                break
+            pr, pi = sr[k - j], si[k - j]
+            r -= dr * pr - di * pi
+            i -= dr * pi + di * pr
+        sr.append(r)
+        si.append(i)
+        coeffs.append(GaussRat(rat(r, scale_k), rat(i, scale_k)))
+        scale_k *= scale
     return Series(coeffs)
 
 

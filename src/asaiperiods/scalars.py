@@ -20,7 +20,7 @@ hashing of plain Gaussian values never depend on the ambient q.
 
 from __future__ import annotations
 
-from .rational import RAT_ONE, RAT_TYPES, RAT_ZERO, Rat, rat_str
+from .rational import RAT_TYPES, RAT_ZERO, Rat, rat_str
 
 _RatT = type(RAT_ZERO)
 

@@ -6,13 +6,37 @@ TypeError. Series carry an explicit truncation order (the index of the last
 stored coefficient); binary operations truncate at the minimum of the
 operand orders. Equality of Series is strict: same order and same
 coefficients.
+
+Polynomial products run on scaled Gaussian integers: each operand is
+cleared to one common denominator and (re, im) int pairs
+(clear_denominators), the pairs are convolved, and each coefficient of
+the product is divided once. The public coefficients stay GaussRat;
+the scaled form is internal, as in the lattice-sum kernel.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
+from .rational import rat
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
+
+
+def scaled_pair(c: GaussRat, s: int) -> tuple:
+    """c*s as an (re, im) int pair; s must be a multiple of the
+    denominators of both parts of c."""
+    return (int(c.re.numerator) * (s // int(c.re.denominator)),
+            int(c.im.numerator) * (s // int(c.im.denominator)))
+
+
+def clear_denominators(values: Sequence[GaussRat]) -> tuple[int, list]:
+    """(D, beta) with D the lcm of the denominators of every real and
+    imaginary part of values and beta = D*values as (re, im) int pairs."""
+    den = 1
+    for v in values:
+        den = lcm(den, int(v.re.denominator), int(v.im.denominator))
+    return den, [scaled_pair(v, den) for v in values]
 
 
 def _coerce(x) -> GaussRat:
@@ -77,15 +101,18 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():
                 return Poly.zero()
-            out = [GAUSS_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, ci in enumerate(self.coeffs):
-                if ci.is_zero():
+            den_a, a = clear_denominators(self.coeffs)
+            den_b, b = clear_denominators(other.coeffs)
+            re = [0] * (len(a) + len(b) - 1)
+            im = [0] * len(re)
+            for i, (ar, ai) in enumerate(a):
+                if not (ar or ai):
                     continue
-                for j, cj in enumerate(other.coeffs):
-                    if cj.is_zero():
-                        continue
-                    out[i + j] = out[i + j] + ci * cj
-            return Poly(out)
+                for j, (br, bi) in enumerate(b, i):
+                    re[j] += ar * br - ai * bi
+                    im[j] += ar * bi + ai * br
+            den = den_a * den_b
+            return Poly([GaussRat(rat(x, den), rat(y, den)) for x, y in zip(re, im)])
         c = GaussRat._coerce(other)
         if c is None:
             return NotImplemented

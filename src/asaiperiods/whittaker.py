@@ -25,28 +25,18 @@ algorithm for cross-validation.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Sequence
 
 from .rational import rat
 from .scalars import ALG_ZERO, GAUSS_ONE, GAUSS_ZERO, AlgNum, GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
+from .series import clear_denominators
 
 Cochar = tuple  # integer tuple (lam_1, ..., lam_m) for diag(unif^lam_i)
 
 
 def is_dominant(lam: Sequence[int]) -> bool:
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
-
-def clear_denominators(alpha: Sequence[GaussRat]) -> tuple[int, list]:
-    """(D, beta) with D the lcm of the denominators of every real and
-    imaginary part of alpha and beta = D*alpha as (re, im) int pairs,
-    so that s_lam(alpha) = s_lam(beta) / D^|lam|."""
-    den = 1
-    for a in alpha:
-        den = lcm(den, int(a.re.denominator), int(a.im.denominator))
-    return den, [(int(a.re * den), int(a.im * den)) for a in alpha]
 
 
 def h_table(beta: Sequence[tuple], upto: int) -> list:

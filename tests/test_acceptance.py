@@ -8,7 +8,6 @@ Q(i, sqrt(q_F)); the only tolerances are the one float cross-check
 """
 
 import itertools
-import math
 import random
 import time
 from functools import lru_cache
@@ -27,9 +26,6 @@ from asaiperiods.localfields import (
 )
 from asaiperiods.segments import (
     GenericRep,
-    MultChar,
-    Segment,
-    UnramifiedModule,
     asai_holomorphic_witness,
     conductor,
     pi_u,

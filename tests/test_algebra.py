@@ -399,3 +399,112 @@ def test_substitute_power():
     blown = rf.substitute_power(2)
     s = series_of(blown, 6)
     assert [x.re for x in s.coeffs] == [rat(1), rat(0), rat(1), rat(0), rat(1), rat(0), rat(1)]
+
+
+# -- scaled Gaussian-integer paths against GaussRat schoolbook oracles --
+#
+# Poly.__mul__, RatFunc.from_factors and series_of run on (re, im) int
+# pairs over a common denominator; each is checked here against the
+# schoolbook computation on GaussRat values, on coefficients with large
+# coprime denominators, complex and negative parts.
+
+BIG = [
+    gi(-7, 2**61 - 1, 5, 3**20),
+    gi(10**30 + 7, 11, -13, 17**5),
+    gi(0, 1, -1, 9),
+    g(-4, 25),
+    gi(3, 8, 1, 2),
+    g(2**89 - 1, 10**12 + 39),
+    gi(-1, 1, 1, 1),
+]
+
+
+def schoolbook_mul(a, b):
+    """Coefficient list of the product, on GaussRat, trailing zeros stripped."""
+    out = [g(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def schoolbook_series(num, den, order):
+    """Coefficients 0..order of num/den by the GaussRat recurrence."""
+    inv = den[0].inverse()
+    out = []
+    for k in range(order + 1):
+        acc = num[k] if k < len(num) else g(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[j] * out[k - j]
+        out.append(acc * inv)
+    return out
+
+
+def random_poly(rng, degree):
+    return [rng.choice(BIG + [g(0), g(1), g(rng.randint(-9, 9), rng.randint(1, 9))])
+            for _ in range(degree + 1)]
+
+
+def test_poly_mul_matches_schoolbook():
+    rng = random.Random(1109)
+    for _ in range(60):
+        a = random_poly(rng, rng.randint(0, 6))
+        b = random_poly(rng, rng.randint(0, 6))
+        assert list((Poly(a) * Poly(b)).coeffs) == schoolbook_mul(Poly(a).coeffs, Poly(b).coeffs)
+
+
+def test_poly_mul_zero_and_constant_operands():
+    p = Poly(BIG)
+    for c in BIG + [g(1), g(-1)]:
+        assert (Poly([c]) * p).coeffs == tuple(c * x for x in BIG)
+        assert (p * Poly([c])).coeffs == tuple(x * c for x in BIG)
+    assert Poly([BIG[0]]) * Poly([BIG[1]]) == Poly([BIG[0] * BIG[1]])
+    for zero in (Poly.zero(), Poly([0, 0])):
+        assert (zero * p).is_zero() and (p * zero).is_zero()
+        assert (zero * zero).is_zero()
+
+
+def test_from_factors_matches_schoolbook():
+    rng = random.Random(2203)
+    cases = [[], [(BIG[0], 1)], [(c, 2) for c in BIG], [(c, k) for c in BIG for k in (1, 2, 3)]]
+    for _ in range(30):
+        cases.append([(rng.choice(BIG), rng.choice((1, 2, 3, 4))) for _ in range(rng.randint(1, 8))])
+    for factors in cases:
+        den = [g(1)]
+        for c, k in factors:
+            den = schoolbook_mul(den, [g(1)] + [g(0)] * (k - 1) + [-c])
+        rf = RatFunc.from_factors(factors)
+        assert rf.num == Poly.one() and list(rf.den.coeffs) == den
+
+
+def test_from_factors_refuses_power_zero():
+    with pytest.raises(ValueError, match="powers"):
+        RatFunc.from_factors([(g(2), 1), (g(3), 0)])
+
+
+def test_series_of_non_integral_numerator_constant():
+    # 1/2 - t/3 over (1 - 5t/7)(1 - (2+i)t^2/3): coefficient k is not
+    # integral over D^k, the numerator's constant term already needs D
+    num = Poly([g(1, 2), g(-1, 3)])
+    den = one_minus(g(5, 7)) * one_minus(gi(2, 3, 1, 3), 2)
+    rf = RatFunc(num, den)
+    assert list(series_of(rf, 12).coeffs) == schoolbook_series(rf.num.coeffs, rf.den.coeffs, 12)
+    for c in (g(1, 2), gi(-3, 10, 7, 4), BIG[1]):
+        rf = RatFunc(Poly([c]), Poly([1]))
+        assert list(series_of(rf, 3).coeffs) == [c, g(0), g(0), g(0)]
+
+
+def test_series_of_matches_schoolbook():
+    rng = random.Random(3307)
+    for _ in range(40):
+        den = RatFunc.from_factors([(rng.choice(BIG), rng.choice((1, 2, 3)))
+                                    for _ in range(rng.randint(0, 4))]).den
+        num = Poly(random_poly(rng, rng.randint(0, 3)))
+        if num.is_zero():
+            continue
+        rf = RatFunc(num, den)
+        order = rng.randint(0, 14)
+        want = schoolbook_series(rf.num.coeffs, rf.den.coeffs, order)
+        assert list(series_of(rf, order).coeffs) == want

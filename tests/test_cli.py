@@ -12,9 +12,10 @@ import time
 import pytest
 
 from asaiperiods import cli, periods
-from asaiperiods.lfactors import asai_L
+from asaiperiods.descriptors import load_rep_file, ratfunc_json
+from asaiperiods.lfactors import asai_L, rs_L
 from asaiperiods.scalars import GaussRat
-from asaiperiods.segments import pi_u
+from asaiperiods.segments import GenericRep, pi_u
 from asaiperiods.series import Poly
 
 STEINBERG = {
@@ -410,6 +411,49 @@ def test_hostile_order_and_at_s_exit_2_fast(descriptor, capsys, argv, flag, what
     fixed = ["--order", str(most)] if flag == "--order" else ["--order", "5", "--at-s", str(most)]
     code, out, err, _ = run_fast(["period", "--rep", path] + fixed, capsys)
     assert code == 0 and json.loads(out)["match"] is True
+
+
+def test_theorem1_suite_names_the_order_every_check_admits(capsys):
+    # at the lowest int-to-str limit the built-in corpus's sums stop near
+    # order 200; each of its checks has its own largest order, and the
+    # message names the least of them, so that order runs and one more
+    # does not
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        verify = ["verify", "--suite", "theorem1", "--order"]
+        code, out, err, elapsed = run_fast(verify + ["100000"], capsys)
+        assert (code, out) == (2, "") and elapsed < 1.0
+        assert err.startswith("input error: --order: ") and "Traceback" not in err
+        most = largest_named(err, "order")
+        code, out, err, _ = run_fast(verify + [str(most)], capsys)
+        assert (code, err) == (0, "") and len(out.splitlines()) == 7
+        code, out, err, _ = run_fast(verify + [str(most + 1)], capsys)
+        assert (code, out) == (2, "") and largest_named(err, "order") == most
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("field, values, other", [
+    ({"qF": 2, "ramified": False}, (["3/5", "4/5"], ["-7/3", "1/11"], ["5/1", "0/1"]),
+     (["1/2", "-1/3"], ["9/7", "0/1"])),
+    ({"qF": 3, "ramified": True, "extConductor": 1}, (["3/5", "4/5"], ["-2/9", "0/1"]),
+     (["1/2", "1/2"],)),
+])
+def test_lfactor_against_reports_both_variables(descriptor, capsys, field, values, other):
+    def rep(vals, name):
+        return descriptor({"field": field, "segments": [
+            {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": v}}
+            for v in vals]}, name)
+
+    path, other_path = rep(values, "rep.json"), rep(other, "other.json")
+    code, out, err, _ = run_fast(["lfactor", "--rep", path, "--against", other_path], capsys)
+    assert (code, err) == (0, "")
+    m1, m2 = (pi_u(GenericRep(fp, tuple(segs)))
+              for fp, segs in (load_rep_file(path), load_rep_file(other_path)))
+    got = json.loads(out)["rs"]
+    assert got["tE"] == ratfunc_json(rs_L(m1, m2))
+    assert got["t"] == ratfunc_json(rs_L(m1, m2, as_t=True))
 
 
 def test_hostile_satake_height_at_default_order(descriptor, capsys):

@@ -9,7 +9,7 @@ import pytest
 from asaiperiods.rational import rat
 from asaiperiods.scalars import GaussRat
 from asaiperiods.series import Poly
-from asaiperiods.ratfunc import RatFunc, eval_at, series_of
+from asaiperiods.ratfunc import RatFunc, eval_at
 from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import (
     GenericRep,

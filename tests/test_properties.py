@@ -1,7 +1,8 @@
 """Property tests on generated descriptors: they round-trip through
-parse_rep and rep_json, and the period, lfactor and segments commands
-end with exit code 0, 2 or 3 and never with an exception, also for
-Satake values of hundreds or thousands of digits, orders up to 10^9 and
+parse_rep and rep_json, the period, lfactor and segments commands end
+with exit code 0, 2 or 3, and verify (every suite) and lfactor --against
+with an exit code from 0 to 3, never with an exception, also for Satake
+values of hundreds or thousands of digits, orders up to 10^9 and
 evaluation points up to s = 10^9."""
 
 import contextlib
@@ -52,22 +53,25 @@ def gauss(draw):
 
 
 @st.composite
-def descriptors(draw):
+def descriptors(draw, unramified=False):
+    """Descriptors of every kind; with unramified=True, of unramified
+    representations (k = 1 and unramified characters only, no linked
+    pair added)."""
     ramified = draw(st.booleans())
     field = {"qF": draw(st.sampled_from((2, 3, 4, 5, 9, 2 ** 61 - 1))), "ramified": ramified}
     if ramified and draw(st.booleans()):
         field["extConductor"] = draw(st.integers(1, 3))
     segments = []
     for i in range(draw(st.integers(1, 4))):
-        k = draw(st.sampled_from((1, 1, 1, 2, 3, 10 ** 9)))
+        k = 1 if unramified else draw(st.sampled_from((1, 1, 1, 2, 3, 10 ** 9)))
         at = draw(gauss())
-        if draw(st.booleans()):
+        if unramified or draw(st.booleans()):
             rho = {"unitLabel": "triv", "unitConductor": 0, "atUnif": at}
         else:
             rho = {"unitLabel": "chi%d" % i, "unitConductor": draw(st.integers(1, 2)),
                    "atUnif": at, "sigmaUnitLabel": "chi%d" % i, "sigmaAtUnif": draw(gauss())}
         segments.append({"k": k, "rho": rho})
-    if draw(st.integers(0, 3)) == 0:
+    if not unramified and draw(st.integers(0, 3)) == 0:
         # a linked pair: the second value is the first over q_E
         q_E = field["qF"] ** (1 if ramified else 2)
         for value in ("1/1", "1/%d" % q_E):
@@ -131,3 +135,30 @@ def test_cli_exits_0_2_or_3(desc, order, at_s):
             if code == 0:
                 for line in out.splitlines():
                     json.loads(line)
+
+
+ANY_REP = st.one_of(descriptors(), descriptors(unramified=True))
+
+
+@SETTINGS
+@given(ANY_REP, ANY_REP, st.booleans(),
+       st.sampled_from((1, 4, 12, 12, 30, 3000, 10 ** 9)),
+       st.sampled_from(("theorem1", "cpi", "multiplicativity", "identities", "all")))
+def test_verify_and_lfactor_against_exit_0_to_3(desc, other, same_field, order, suite):
+    if same_field:
+        other = dict(other, field=desc["field"])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, payload in (("rep.json", desc), ("other.json", other)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        verify = ["verify", "--suite", suite, "--rep", paths[0], "--order", str(order)]
+        for argv in (verify, ["lfactor", "--rep", paths[0], "--against", paths[1]]):
+            code, out, err = run(argv)
+            assert code in (0, 1, 2, 3), (argv, err)
+            assert "Traceback" not in err
+            # a verification failure (1) still prints its report
+            assert bool(out) == (code in (0, 1))
+            for line in out.splitlines():
+                json.loads(line)
