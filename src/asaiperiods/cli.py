@@ -63,7 +63,6 @@ from .segments import (
     asai_holomorphic_witness,
     conductor,
     is_conjugate_selfdual,
-    is_generic,
     is_unramified_rep,
     pi_u,
     standard_order,
@@ -292,14 +291,16 @@ def cmd_period(cfg: RunConfig) -> int:
 
 def cmd_segments(cfg: RunConfig) -> int:
     fp, segments = load_rep_file(cfg.rep_path)
-    if not is_generic(segments, fp.q_E):
+    try:
+        rep = GenericRep(fp, tuple(segments))
+    except NotGenericError:
         _emit({"generic": False}, cfg, lambda o: ["generic: no"])
         return EXIT_OK
-    rep = GenericRep(fp, tuple(segments))
     csd = is_conjugate_selfdual(rep)
+    ordered = standard_order(segments, fp.q_E)
     obj = {
         "generic": True,
-        "standardOrder": [segment_json(s) for s in standard_order(segments, fp.q_E)],
+        "standardOrder": [segment_json(s) for s in ordered],
         "piU": [value_str(v) for v in pi_u(rep).satake],
         "conductor": conductor(rep),
         "conjugateSelfDual": csd,
@@ -309,8 +310,7 @@ def cmd_segments(cfg: RunConfig) -> int:
     def tables(o):
         yield "generic: yes"
         yield "standard order: " + " x ".join(
-            "[%s; k=%d]" % (value_str(s.rho.at_unif), s.k)
-            for s in standard_order(segments, fp.q_E)
+            "[%s; k=%d]" % (value_str(s.rho.at_unif), s.k) for s in ordered
         )
         yield "pi_u: [%s]" % ", ".join(o["piU"])
         yield "conductor: %d" % o["conductor"]

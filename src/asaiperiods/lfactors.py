@@ -5,10 +5,13 @@ Rankin-Selberg factor is native in t_E = q_E^(-s), which equals t^2
 for unramified pairs and t for ramified ones (t_E = t^f in general);
 it converts on request. All factories return canonical reduced
 RatFunc values and also expose their factor lists (coefficient c and
-power k per factor 1 - c*t^k) for display purposes. The factor
-products run on scaled Gaussian integers inside RatFunc.from_factors
-and Poly products (one int-pair product, one division per coefficient);
-the factor lists and the returned RatFunc keep GaussRat coefficients.
+power k per factor 1 - c*t^k). The factor products run on scaled
+Gaussian integers inside RatFunc.from_factors and Poly products (one
+int-pair product, one division per coefficient); the factor lists and
+the returned RatFunc keep GaussRat coefficients. The multiplicativity
+and Kable checks build each side from its joined factor lists with one
+from_factors call: one integer product per side, with no RatFunc or
+Poly product in between.
 """
 
 from __future__ import annotations
@@ -72,19 +75,18 @@ def tate_L(value_at_unif: GaussRat, power: int) -> RatFunc:
 def asai_L_multiplicative(mod: UnramifiedModule) -> RatFunc:
     """Asai factor assembled from the standard-module product formula:
     rank-one Asai factors (Tate factors of the restrictions to F*) times
-    the Rankin-Selberg factors of the distinct pairs."""
+    the Rankin-Selberg factors of the distinct pairs, as one product of
+    their factor lists."""
     fp = mod.fp
-    out = RatFunc.one()
-    for x in mod.satake:
-        restriction = x**fp.e  # value of the character restricted to F*
-        out = out * tate_L(restriction, 1)
+    # x^e is the value of the character restricted to F*
+    factors: FactorList = [(x**fp.e, 1) for x in mod.satake]
     r = mod.r
     for i in range(r):
         for j in range(i + 1, r):
             pair_i = UnramifiedModule(fp, (mod.satake[i],))
             pair_j = UnramifiedModule(fp, (mod.satake[j],))  # sigma-fixed
-            out = out * rs_L(pair_i, pair_j, as_t=True)
-    return out
+            factors += rs_factor_list(pair_i, pair_j, as_t=True)
+    return RatFunc.from_factors(factors)
 
 
 def closed_form_for(rep: GenericRep) -> RatFunc:
@@ -119,5 +121,5 @@ def kable_factorization_check(mod: UnramifiedModule) -> bool:
     if mod.fp.ramified:
         raise ValueError("the quadratic twist character is ramified here: out of scope")
     lhs = rs_L(mod, mod, as_t=True)  # unramified modules are sigma-fixed
-    rhs = asai_L(mod) * asai_L(mod.twist_by_sign())
+    rhs = RatFunc.from_factors(asai_factor_list(mod) + asai_factor_list(mod.twist_by_sign()))
     return lhs == rhs

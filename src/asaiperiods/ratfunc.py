@@ -50,8 +50,8 @@ class RatFunc:
             if g.degree > 0:
                 num = num // g
                 den = den // g
-        c = den.coeff(0).inverse()
-        if c != GAUSS_ONE:
+        if den.coeff(0) != GAUSS_ONE:
+            c = den.coeff(0).inverse()
             num = num * c
             den = den * c
         self.num = num

@@ -10,6 +10,12 @@ units, and user-supplied Galois-twist data validated to be involutive.
 Unramified characters are completely determined by their value at the
 uniformizer and are fixed by the Galois involution, so their twist
 data is forced at construction.
+
+Precedence, which decides genericity and the standard order, compares
+the two values at the uniformizer without dividing them: their ratio
+is real when the cross product of the components vanishes, and is then
+an integer quotient of one component pair, accepted only as a positive
+power of q_E in the linked range.
 """
 
 from __future__ import annotations
@@ -140,18 +146,33 @@ class Segment:
 
 def precedes(d1: Segment, d2: Segment, q_E: int) -> bool:
     """Segment precedence: rho2 is a positive twist of rho1 in the range
-    that makes the two chains linked with d1 starting lower."""
+    that makes the two chains linked with d1 starting lower.
+
+    That is at_unif_1 = q_E^j * at_unif_2 for some j in
+    [max(1, k2 - k1 + 1), k2], decided without division: the ratio of
+    the two values is real exactly when a.re * b.im == a.im * b.re, and
+    then it is the quotient of one nonzero component pair, taken as
+    integers from their numerators and denominators.
+    """
     if d1.rho.unit_label != d2.rho.unit_label:
         return False
-    ratio = d2.rho.at_unif / d1.rho.at_unif
-    if ratio.im or ratio.re.numerator != 1:
+    a, b = d1.rho.at_unif, d2.rho.at_unif
+    # a.re * b.im == a.im * b.re with the four denominators cleared
+    if (a.re.numerator * b.im.numerator * a.im.denominator * b.re.denominator
+            != a.im.numerator * b.re.numerator * a.re.denominator * b.im.denominator):
         return False
-    # ratio = q_E^(-j) for the j found by division, in log time for any k
-    den, j = ratio.re.denominator, 0
-    while den % q_E == 0:
-        den //= q_E
+    # a real ratio a / b is x / y for a nonzero component x of a
+    x, y = (a.re, b.re) if a.re else (a.im, b.im)
+    ratio, rem = divmod(x.numerator * y.denominator, x.denominator * y.numerator)
+    if rem:
+        return False
+    # ratio = q_E^j for the j found by division, in log time for any k; a
+    # negative ratio divides down to -1 or below, never to 1
+    j = 0
+    while ratio % q_E == 0:
+        ratio //= q_E
         j += 1
-    return den == 1 and max(1, d2.k - d1.k + 1) <= j <= d2.k
+    return ratio == 1 and max(1, d2.k - d1.k + 1) <= j <= d2.k
 
 
 def is_generic(segments: Sequence[Segment], q_E: int) -> bool:
@@ -209,7 +230,9 @@ class UnramifiedModule:
         for v in vals:
             if v.is_zero():
                 raise ValueError("Satake values must be nonzero")
-        object.__setattr__(self, "satake", tuple(sorted(vals, key=_alpha_sort_key)))
+        if len(vals) > 1:  # the product formula builds many rank-one modules
+            vals = tuple(sorted(vals, key=_alpha_sort_key))
+        object.__setattr__(self, "satake", vals)
 
     @property
     def r(self) -> int:

@@ -1,4 +1,4 @@
-"""CLI stdout pinned byte for byte on three descriptors in tests/golden.
+"""CLI stdout pinned byte for byte on five descriptors in tests/golden.
 
 Each run names a descriptor DESC.json and the arguments to run it
 through cli.main with, and stdout must equal NAME.out exactly. The three
@@ -7,7 +7,11 @@ on F* (rank 3), the essential-vector route over a ramified pair (r = 2 <
 n = 4), and the Littlewood and Cauchy identity checks of a ramified-pair
 module, whose Rankin-Selberg Whittaker values carry sqrt(q) parts. The
 first two also run through the theorem-1 verify suite, once as JSON
-lines and once as a table.
+lines and once as a table. Two more descriptors run through `segments`
+in both output modes: a linked one (two pure-imaginary values a factor
+q_E apart), which prints generic: false and exits 0, and a
+conjugate-self-dual one mixing complex, Steinberg and sigma-paired
+ramified segments, which prints the holomorphy witness.
 """
 
 from pathlib import Path
@@ -28,6 +32,10 @@ RUNS = {
                                       "--output", "table"]),
     "essential_route_theorem1": ("essential_route",
                                  ["verify", "--suite", "theorem1", "--order", "10"]),
+    "linked_imaginary_segments": ("linked_imaginary", ["segments"]),
+    "linked_imaginary_segments_table": ("linked_imaginary", ["segments", "--output", "table"]),
+    "csd_mixed_segments": ("csd_mixed", ["segments"]),
+    "csd_mixed_segments_table": ("csd_mixed", ["segments", "--output", "table"]),
 }
 
 

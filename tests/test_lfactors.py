@@ -165,6 +165,41 @@ def test_multiplicative_agrees_randomized():
         assert asai_L(mod) == asai_L_multiplicative(mod)
 
 
+def asai_multiplicative_running_product(mod):
+    """The product formula as a running RatFunc product, the reference."""
+    fp = mod.fp
+    out = RatFunc.one()
+    for x in mod.satake:
+        out = out * tate_L(x**fp.e, 1)
+    for i in range(mod.r):
+        for j in range(i + 1, mod.r):
+            out = out * rs_L(umod(fp, mod.satake[i]), umod(fp, mod.satake[j]), as_t=True)
+    return out
+
+
+def test_multiplicative_one_product_matches_running_product():
+    rng = random.Random(1212)
+    for ramified in (False, True):
+        for r in range(8):
+            fp = corpus.rand_field(rng, ramified)
+            mod = corpus.rand_module(rng, fp, r)
+            assert asai_L_multiplicative(mod) == asai_multiplicative_running_product(mod), (fp, r)
+
+
+def test_kable_one_product_matches_product_of_asai_factors():
+    rng = random.Random(1313)
+    for r in range(8):
+        mod = corpus.rand_module(rng, corpus.rand_field(rng, False), r)
+        twist = mod.twist_by_sign()
+        old_rhs = asai_L(mod) * asai_L(twist)
+        new_rhs = RatFunc.from_factors(asai_factor_list(mod) + asai_factor_list(twist))
+        assert new_rhs == old_rhs
+        assert old_rhs == rs_L(mod, mod, as_t=True)
+        assert kable_factorization_check(mod)
+    with pytest.raises(ValueError, match="out of scope"):
+        kable_factorization_check(corpus.rand_module(rng, corpus.rand_field(rng, True), 3))
+
+
 # -- lstar_at_1 ----------------------------------------------------------
 
 

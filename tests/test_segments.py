@@ -32,6 +32,10 @@ UFP = FieldPair(2, False)
 RFP = FieldPair(3, True, 1)  # q_E = 3
 
 
+def g(p, q=1, ip=0, iq=1):
+    return GaussRat(rat(p, q), rat(ip, iq))
+
+
 def uchar(p, q=1, ip=0, iq=1):
     return MultChar.unramified(GaussRat(rat(p, q), rat(ip, iq)))
 
@@ -100,6 +104,61 @@ def test_precedes_matches_the_twist_chain_and_takes_any_length():
     far = 10 ** 12  # no walk over the chain: this returns at once
     assert precedes(useg(1, k=far), useg(1, UFP.q_E ** 5, k=far), UFP.q_E)
     assert not precedes(useg(1, k=far), useg(3, k=far), UFP.q_E)
+
+
+def precedes_by_division(d1, d2, q_E):
+    """The definition by division, the reference: rho2 / rho1 = q_E^(-j)
+    with j in [max(1, k2 - k1 + 1), k2]."""
+    if d1.rho.unit_label != d2.rho.unit_label:
+        return False
+    ratio = d2.rho.at_unif / d1.rho.at_unif
+    if ratio.im or ratio.re.numerator != 1:
+        return False
+    den, j = ratio.re.denominator, 0
+    while den % q_E == 0:
+        den //= q_E
+        j += 1
+    return den == 1 and max(1, d2.k - d1.k + 1) <= j <= d2.k
+
+
+def test_precedes_without_division_matches_the_division_definition():
+    # rho1 = ratio * rho2 over real, pure-imaginary (re == 0) and
+    # complex rho2, for ratios that are linked powers and near misses
+    for fp in (UFP, RFP):
+        q_E = fp.q_E
+        q = GaussRat(rat(q_E))
+        bases = (g(5, 3), g(0, 1, 1, 3), g(0, 1, -7, 2), g(2, 7, -3, 5), g(1, 1, 1, 1))
+        ratios = {
+            "q_E": q, "q_E^2": q * q, "q_E^3": q ** 3, "j = 0": g(1),
+            "-q_E": -q, "q_E i": q * g(0, 1, 1, 1), "2 q_E": q * g(2),
+            "1/q_E": GaussRat(rat(1, q_E)), "q_E/2": q * GaussRat(rat(1, 2)),
+        }
+        for b in bases:
+            for name, ratio in ratios.items():
+                for k1 in range(1, 4):
+                    for k2 in range(1, 4):
+                        d1, d2 = Segment(MultChar.unramified(ratio * b), k1), Segment(MultChar.unramified(b), k2)
+                        want = precedes_by_division(d1, d2, q_E)
+                        assert precedes(d1, d2, q_E) == want, (fp, b, name, k1, k2)
+                        assert precedes(d2, d1, q_E) == precedes_by_division(d2, d1, q_E)
+                        if name != "q_E" and k1 == k2 == 1:
+                            assert not want, name
+            assert precedes(Segment(MultChar.unramified(q * b), 1), Segment(MultChar.unramified(b), 1), q_E)
+            # 1/q_E is a power of q_E in the wrong direction: d2 precedes d1
+            lo = Segment(MultChar.unramified(b * GaussRat(rat(1, q_E))), 1)
+            assert not precedes(lo, Segment(MultChar.unramified(b), 1), q_E)
+            assert precedes(Segment(MultChar.unramified(b), 1), lo, q_E)
+
+
+def test_precedes_needs_equal_imaginary_ratio():
+    # real parts q_E apart, imaginary parts not: the ratio is not real
+    q_E = UFP.q_E
+    assert not precedes(useg(q_E, ip=5), useg(1, ip=1), q_E)
+    assert not precedes(useg(q_E, ip=-q_E), useg(1, ip=1), q_E)
+    assert precedes(useg(q_E, ip=q_E), useg(1, ip=1), q_E)
+    # pure-imaginary on both sides, the branch where a.re == b.re == 0
+    assert precedes(useg(0, ip=4, iq=3), useg(0, ip=1, iq=3), q_E)
+    assert not precedes(useg(0, ip=-4, iq=3), useg(0, ip=1, iq=3), q_E)
 
 
 def test_precedes_needs_same_unit_label():
