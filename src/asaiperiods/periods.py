@@ -25,6 +25,7 @@ the size of its coefficients (coefficient_bits against printable_bits).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import log10
 from typing import Sequence
@@ -46,10 +47,13 @@ from .series import Series, clear_denominators
 from .whittaker import expand_row, h_table, jt_row
 
 
-# Cap on lattice_work(k, order). The largest sums that the tests and the
-# benchmark workloads run are rank 4 at order 40 (118,176) and rank 4 at
-# order 30 (43,584); a rank-5 sum at order 40 (554,816) is 18x below the
-# cap. Past it, a sum runs for minutes to hours.
+# Cap on lattice_work(k, order). The benchmark workloads run rank 4 at
+# order 40 (118,176); a rank-5 sum at order 40 (554,816) is 18x below the
+# cap. At the cap, on 2 vCPUs with Python 3.11 and Satake values over a
+# common denominator of 210, a mirabolic sum took 4.2 s at rank 3 (order
+# 352, e = 2), 1.4 s at e = 1, and 0.1-0.35 s at ranks 4-6 (orders 132,
+# 77, 55). At ranks 1 and 2 the size cap binds first: rank 2 at order
+# 1098 took 14 s.
 MAX_LATTICE_WORK = 10_000_000
 
 
@@ -83,8 +87,10 @@ def lattice_work(k: int, order: int) -> int:
     """Bound on the Schur-sum kernel's work from k and order alone: the
     number of partitions with at most k parts and size at most order,
     times 2^m with m = min(k, order), the number of column sets that a
-    length-m walk can hold minors on. Exact up to MAX_LATTICE_WORK;
-    once the count passes it, the value returned is merely above it."""
+    length-m walk can hold minors on. The summed kernel without beta
+    expands once per (total, top part) rather than once per tail, so
+    this bounds it too, loosely. Exact up to MAX_LATTICE_WORK; once the
+    count passes it, the value returned is merely above it."""
     m = min(k, order)
     if m <= 1:
         # () alone, or () and (1), ..., (order): no loop as long as order
@@ -193,13 +199,21 @@ def _schur_sum(
     homogeneous table per variable set, and coefficient d is the integer
     sum divided once, by D^(e*d) * D_b^d.
 
-    The determinants share their minors. For each length n <= k, a
-    depth-first walk picks the parts from the last row up, a weakly
-    increasing suffix whose total stays within order, and expands along
-    each new row (whittaker.expand_row): the minors of a tail are built
-    once and serve every head above it, and the top row forms only the
-    full determinant. The beta minors ride on the same walk. Only the
-    minors on the current path are held.
+    The determinants are built from the last row up, for each length
+    n <= k, by Laplace expansion along each new row
+    (whittaker.expand_row). Without beta only their sum is wanted, and
+    the expansion is linear in the minors below, so the minors of every
+    tail with the same total and top part are summed and expanded once
+    (_summed_determinants): one summed minor set per (total, top part),
+    and only one level of them is held. With beta each term is a
+    product of two determinants, which is not linear in either minor
+    set, so a depth-first walk picks the parts of each partition, a
+    weakly increasing suffix whose total stays within order, and the
+    minors of a tail, on both variable sets, are built once and serve
+    every head above it; only the minors on the current path are held.
+    Summing the products of the two minor sets on every pair of column
+    sets instead measured 2.2-4.2x slower than that walk at k = 3..6,
+    order 20.
 
     Raises LatticeCostError, before any work, when lattice_work(k,
     order) exceeds MAX_LATTICE_WORK, or when the coefficients through
@@ -220,13 +234,16 @@ def _schur_sum(
         )
     den, a = clear_denominators(alpha)
     h = h_table(a, e * order + k)
-    if beta is None:
-        den_b, hb = 1, None
-    else:
-        den_b, b = clear_denominators(beta)
-        hb = h_table(b, order + k)
     sr = [1] + [0] * order
     si = [0] * (order + 1)
+    if beta is None:
+        for n in range(1, min(k, order) + 1):
+            for total, (tr, ti) in _summed_determinants(h, n, e, order):
+                sr[total] += tr
+                si[total] += ti
+        return _divided(sr, si, den ** e)
+    den_b, b = clear_denominators(beta)
+    hb = h_table(b, order + k)
 
     def walk(n: int, i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
         # row i takes part p >= low, and rows 0..i-1 each take at least p
@@ -234,28 +251,94 @@ def _schur_sum(
             ma = expand_row(jt_row(h, e * p - i, n), below_a)
             if not ma:
                 continue
-            mb = None
-            if hb is not None:
-                mb = expand_row(jt_row(hb, p - i, n), below_b)
-                if not mb:
-                    continue
+            mb = expand_row(jt_row(hb, p - i, n), below_b)
+            if not mb:
+                continue
             if i:
                 walk(n, i - 1, p, total + p, ma, mb)
                 continue
             # row 0 leaves one minor: the determinant, on all n columns
             (tr, ti), = ma.values()
-            if mb is not None:
-                (br, bi), = mb.values()
-                tr, ti = tr * br - ti * bi, tr * bi + ti * br
-            sr[total + p] += tr
-            si[total + p] += ti
+            (br, bi), = mb.values()
+            sr[total + p] += tr * br - ti * bi
+            si[total + p] += tr * bi + ti * br
 
     for n in range(1, min(k, order) + 1):
         walk(n, n - 1, 1, 0, {0: (1, 0)}, {0: (1, 0)})
+    return _divided(sr, si, den ** e * den_b)
+
+
+def _summed_determinants(h: list, n: int, e: int, order: int):
+    """Yields pairs (d, x) whose x, summed for each d, give the sum over
+    partitions lam of d with exactly n parts of det[h(e*lam_i - i + j)]:
+    the undivided int-pair sums of s_(e*lam) that _schur_sum adds up,
+    for one length n.
+
+    The rows are built from the last up. Row i with part q sits above
+    every tail (rows i+1..n-1) whose top part is at most q, and a
+    Laplace expansion along it is linear in the minors below, so it is
+    expanded once (whittaker.expand_row) against the sum of those
+    tails' minors. A level maps each total t of its rows to the rising
+    list of their top parts p and, for each p, the summed minors (a map
+    from column set to int pair) of every tail with total t and top
+    part at most p. Rows 0..i-1 each take at least q, so t + (i + 1)*q
+    stays within order. Rows 1 and 0 are built one total t of rows
+    1..n-1 at a time and not stored: the determinants with row 0 of
+    part q are one expansion along it of the summed minors of rows
+    1..n-1 with total t and part at most q, which grow with q by one
+    expansion of row 1 each.
+    """
+    if n == 1:
+        for q in range(1, order + 1):
+            yield q, h[e * q]
+        return
+    level = {0: ([0], [{0: (1, 0)}])}
+    for i in range(n - 1, 1, -1):
+        nxt: dict = {}
+        # t falls, so each total t + q of nxt gets its parts q in rising order
+        for total in sorted(level, reverse=True):
+            parts, sums = level.pop(total)
+            for q in range(max(parts[0], 1), (order - total) // (i + 1) + 1):
+                below = sums[bisect_right(parts, q) - 1]
+                minors = expand_row(jt_row(h, e * q - i, n), below)
+                if minors:
+                    got_parts, got_sums = nxt.setdefault(total + q, ([], []))
+                    if got_sums:
+                        minors = _added(minors, got_sums[-1])
+                    got_parts.append(q)
+                    got_sums.append(minors)
+        level = nxt
+    for total in range(n - 1, order):
+        # running: summed minors of rows 1..n-1 with total `total` and row-1 part <= q
+        running: dict = {}
+        for q in range(1, order - total + 1):
+            got = level.get(total - q)
+            if got is not None and got[0][0] <= q:
+                parts, sums = got
+                below = sums[bisect_right(parts, q) - 1]
+                running = _added(expand_row(jt_row(h, e * q - 1, n), below), running)
+            if running:
+                # row 0 leaves one minor: the summed determinants, on all n columns
+                for det in expand_row(jt_row(h, e * q, n), running).values():
+                    yield total + q, det
+
+
+def _added(minors: dict, onto: dict) -> dict:
+    """Adds onto into minors, column set by column set, and returns
+    minors: a map fresh from expand_row, which no one else holds."""
+    for mask, (mr, mi) in onto.items():
+        got = minors.get(mask)
+        minors[mask] = (mr, mi) if got is None else (got[0] + mr, got[1] + mi)
+    return minors
+
+
+def _divided(sr: list, si: list, scale: int) -> Series:
+    """Series with coefficient d equal to (sr[d] + i*si[d]) / scale^d."""
     coeffs = []
-    for d in range(order + 1):
-        den_d = den ** (e * d) * den_b ** d
-        coeffs.append(GaussRat(rat(sr[d], den_d), rat(si[d], den_d)))
+    den_d = 1
+    for tr, ti in zip(sr, si):
+        coeffs.append(GaussRat(rat(tr, den_d), rat(ti, den_d)))
+        den_d *= scale
     return Series(coeffs)
 
 

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .localfields import FieldPair
 from .rational import RAT_ONE
 from .scalars import GaussRat
+from .series import clear_denominators
 
 UNRAMIFIED_LABEL = "triv"
 _INV_PREFIX = "inv:"
@@ -208,11 +210,6 @@ def standard_order(segments: Sequence[Segment], q_E: int) -> list[Segment]:
     return out
 
 
-def _alpha_sort_key(value: GaussRat):
-    # |alpha|^2 ascending; exact rational comparisons
-    return value.abs2()
-
-
 @dataclass(frozen=True)
 class UnramifiedModule:
     """Unramified standard module given by its Satake values.
@@ -231,7 +228,10 @@ class UnramifiedModule:
             if v.is_zero():
                 raise ValueError("Satake values must be nonzero")
         if len(vals) > 1:  # the product formula builds many rank-one modules
-            vals = tuple(sorted(vals, key=_alpha_sort_key))
+            # |alpha|^2 over one common denominator: integer norms, same order
+            _, beta = clear_denominators(vals)
+            norms = [br * br + bi * bi for br, bi in beta]
+            vals = tuple(vals[i] for i in sorted(range(len(vals)), key=norms.__getitem__))
         object.__setattr__(self, "satake", vals)
 
     @property
@@ -268,6 +268,12 @@ class GenericRep:
     def n(self) -> int:
         return sum(s.k for s in self.segments)
 
+    @cached_property
+    def twisted_duals(self) -> tuple[Segment, ...]:
+        """The twisted dual sigma(contragredient) of each segment, in
+        order, built once per representation."""
+        return tuple(s.contragredient().sigma() for s in self.segments)
+
 
 def is_unramified_rep(rep: GenericRep) -> bool:
     return all(s.is_unramified_piece for s in rep.segments)
@@ -288,7 +294,7 @@ def _segment_key(s: Segment):
 def is_conjugate_selfdual(rep: GenericRep) -> bool:
     """True when the segment multiset is closed under the twisted dual."""
     own = Counter(_segment_key(s) for s in rep.segments)
-    dual = Counter(_segment_key(s.contragredient().sigma()) for s in rep.segments)
+    dual = Counter(_segment_key(s) for s in rep.twisted_duals)
     return own == dual
 
 
@@ -318,9 +324,8 @@ def asai_holomorphic_witness(rep: GenericRep) -> bool:
     if not is_conjugate_selfdual(rep):
         raise ValueError("witness requires conjugate-self-dual input")
     q_E = rep.fp.q_E
-    duals = [s.contragredient().sigma() for s in rep.segments]
     for a in rep.segments:
-        for b in duals:
+        for b in rep.twisted_duals:
             if precedes(a, b, q_E):
                 return False
     return True

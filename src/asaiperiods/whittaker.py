@@ -16,9 +16,12 @@ division-free determinant stay in integers, and s_lam(alpha) comes out
 of one division by D^|lam|. Every determinant is built bottom-up, one
 row at a time, by expand_row(): the minors of the rows below on every
 column set, extended by a Laplace expansion along the new top row.
-schur() folds the rows of its one partition; the lattice sums
-(periods._schur_sum) walk all partitions from the last row up, so
-partitions with the same tail share its minors. The bialternant
+schur() folds the rows of its one partition. The lattice sums
+(periods._schur_sum) build all partitions from the last row up: since
+the expansion is linear in the minors below, a sum of Schur values
+expands each row once against the summed minors of every tail it can
+sit on, and a sum of products of two Schur values walks the partitions
+so that those with the same tail share its minors. The bialternant
 quotient, on GaussRat values, is provided as a second, independent
 algorithm for cross-validation.
 """

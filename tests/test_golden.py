@@ -1,4 +1,4 @@
-"""CLI stdout pinned byte for byte on five descriptors in tests/golden.
+"""CLI stdout pinned byte for byte on six descriptors in tests/golden.
 
 Each run names a descriptor DESC.json and the arguments to run it
 through cli.main with, and stdout must equal NAME.out exactly. The three
@@ -7,11 +7,14 @@ on F* (rank 3), the essential-vector route over a ramified pair (r = 2 <
 n = 4), and the Littlewood and Cauchy identity checks of a ramified-pair
 module, whose Rankin-Selberg Whittaker values carry sqrt(q) parts. The
 first two also run through the theorem-1 verify suite, once as JSON
-lines and once as a table. Two more descriptors run through `segments`
-in both output modes: a linked one (two pure-imaginary values a factor
-q_E apart), which prints generic: false and exits 0, and a
-conjugate-self-dual one mixing complex, Steinberg and sigma-paired
-ramified segments, which prints the holomorphy witness.
+lines and once as a table. A rank-5 descriptor over a ramified pair,
+with complex Satake values, runs `period --order 40`, where many
+partition tails of the lattice sum share a total and a top part. Two
+more descriptors run through `segments` in both output modes: a linked
+one (two pure-imaginary values a factor q_E apart), which prints
+generic: false and exits 0, and a conjugate-self-dual one mixing
+complex, Steinberg and sigma-paired ramified segments, which prints the
+holomorphy witness.
 """
 
 from pathlib import Path
@@ -24,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 RUNS = {
     "omega_trivial_rank3": ("omega_trivial_rank3", ["period", "--order", "14"]),
+    "rank5_complex": ("rank5_complex", ["period", "--order", "40"]),
     "essential_route": ("essential_route", ["period", "--order", "10"]),
     "ramified_pair_module": ("ramified_pair_module",
                              ["verify", "--suite", "identities", "--order", "12"]),

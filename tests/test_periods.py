@@ -174,6 +174,57 @@ def test_integer_kernel_rs_different_denominators():
         assert got == bialternant_sum(alpha, k, 1, 6, beta), (alpha, beta)
 
 
+# -- the summed kernel against one determinant per partition --------------
+
+# a repeated value and an inverse pair in each, which the bialternant
+# quotient cannot take: 2 twice and 2, 1/2 (rank 5); 1/3 twice and 3,
+# 1/3 beside i/2, -2i (rank 6)
+COINCIDENT = (
+    (g(2), g(2), g(1, 2), g(-3, 5, 1, 4), g(0, 1, 7, 3)),
+    (g(3), g(1, 3), g(1, 3), g(0, 1, 1, 2), g(0, 1, -2), g(-1, 1, 2, 5)),
+)
+
+
+def partitions_within(d, k, top):
+    """Weakly decreasing tuples of at most k positive parts, each at most
+    top, summing to d."""
+    if d == 0:
+        yield ()
+        return
+    if k == 0:
+        return
+    for first in range(min(d, top), 0, -1):
+        for rest in partitions_within(d - first, k - 1, first):
+            yield (first,) + rest
+
+
+def per_partition_sum(alpha, k, e, order):
+    """Coefficient d: sum over lam |- d with <= k parts of s_(e*lam)(alpha),
+    one Jacobi-Trudi determinant (whittaker.schur) per partition."""
+    coeffs = []
+    for d in range(order + 1):
+        acc = GaussRat(0)
+        for lam in partitions_within(d, k, d):
+            acc = acc + schur(tuple(e * x for x in lam) + (0,) * (len(alpha) - len(lam)), alpha)
+        coeffs.append(acc)
+    return Series(coeffs)
+
+
+def test_summed_kernel_matches_one_determinant_per_partition():
+    for alpha, orders in ((COINCIDENT[0], (12, 14)), (COINCIDENT[1], (10, 14))):
+        m = len(alpha)
+        for order in orders:
+            # many tails share a key (total of rows 1.., part of row 1),
+            # so the kernel sums their minors before it expands row 0
+            lams = [lam for d in range(order + 1) for lam in partitions_within(d, m, d)]
+            keys = {(sum(lam[1:]), lam[1]) for lam in lams if len(lam) > 1}
+            assert len(lams) > 3 * len(keys)
+            for e in (1, 2):
+                for k in (m, m - 1):
+                    got = periods._schur_sum(alpha, k, e, order)
+                    assert got == per_partition_sum(alpha, k, e, order), (m, order, e, k)
+
+
 def test_schur_integer_path_matches_bialternant_oracle():
     rng = random.Random(1717)
     for alpha in HOSTILE:
@@ -325,6 +376,22 @@ def test_mirabolic_sqrt_component_vanishes():
         brute = brute_mirabolic(rep, 8)
         assert all(c.b.is_zero() for c in brute)
         assert [c.a for c in brute] == list(mirabolic_series(rep, 8).coeffs)
+
+
+def test_mirabolic_at_the_largest_admitted_order_rank5():
+    # the largest order the caps admit, on the spherical route (n = r = 5,
+    # sums over 4 parts) and the essential route (r = 5 < n = 6, 5
+    # parts), where the work cap binds: one order more is refused
+    vals = (g(2), g(1, 3), g(-1, 2, 1, 2), g(3, 2), g(0, 1, 2, 3))
+    unram = tuple(Segment(MultChar.unramified(v), 1) for v in vals)
+    ramified = Segment(corpus.ramified_char(random.Random(1210), 1), 1)
+    for rep in (GenericRep(UFP, unram), GenericRep(UFP, unram + (ramified,))):
+        order = periods.mirabolic_largest_order(rep)
+        k = min(pi_u(rep).r, rep.n - 1)
+        assert periods.lattice_work(k, order + 1) > periods.MAX_LATTICE_WORK
+        assert mirabolic_series(rep, order) == series_of(closed_form_for(rep), order)
+        with pytest.raises(periods.LatticeCostError, match="largest order for this sum is %d" % order):
+            mirabolic_series(rep, order + 1)
 
 
 # -- rs_series -----------------------------------------------------------

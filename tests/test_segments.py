@@ -13,6 +13,7 @@ from asaiperiods.segments import (
     MultChar,
     NotGenericError,
     Segment,
+    UnramifiedModule,
     asai_holomorphic_witness,
     conductor,
     contragredient,
@@ -264,6 +265,26 @@ def test_csd_spec_instances():
     assert is_conjugate_selfdual(GenericRep(UFP, (useg(1, 1, k=2),)))
 
 
+def test_twisted_duals_built_once_per_representation(monkeypatch):
+    # cli segments asks both questions of one representation
+    calls = []
+    contragredient_of = Segment.contragredient
+
+    def counted(seg):
+        calls.append(seg)
+        return contragredient_of(seg)
+
+    monkeypatch.setattr(Segment, "contragredient", counted)
+    rng = random.Random(1212)
+    for ramified in (False, True):
+        rep = corpus.csd_rep(rng, corpus.rand_field(rng, ramified))
+        calls.clear()
+        assert is_conjugate_selfdual(rep)
+        assert asai_holomorphic_witness(rep)
+        assert calls == list(rep.segments)
+        assert rep.twisted_duals == tuple(contragredient_of(s).sigma() for s in rep.segments)
+
+
 def test_csd_corpus_generators_produce_csd():
     rng = random.Random(505)
     for ramified in (False, True):
@@ -307,6 +328,19 @@ def test_unramified_module_ordering_invariant():
     mod = corpus.rand_module(random.Random(1), UFP, 5)
     for i in range(mod.r - 1):
         assert mod.satake[i].abs2() <= mod.satake[i + 1].abs2()
+
+
+def test_unramified_module_order_is_the_stable_rational_norm_order():
+    # the integer norms over one common denominator order the values as
+    # the rational |alpha|^2 does, and equal norms (3 and -3, 3i; 1/2
+    # and i/2, (3 + 4i)/10) keep their construction order
+    rng = random.Random(1211)
+    ties = [g(3), g(-1, 2, 1, 2), g(0, 1, 3), g(1, 2), g(-3), g(0, 1, 1, 2), g(3, 10, 2, 5)]
+    for vals in [ties] + [[corpus.rand_gauss(rng) for _ in range(rng.randint(2, 7))]
+                          for _ in range(40)]:
+        rng.shuffle(vals)
+        want = tuple(sorted(vals, key=lambda v: v.abs2()))
+        assert UnramifiedModule(UFP, tuple(vals)).satake == want
 
 
 # -- conductor ----------------------------------------------------------
