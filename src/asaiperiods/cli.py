@@ -267,7 +267,7 @@ def cmd_period(cfg: RunConfig) -> int:
     }
     if cfg.at_s is not None:
         try:
-            obj["valueAtS"] = value_str(lattice_value_at(rep, cfg.at_s))
+            obj["valueAtS"] = value_str(lattice_value_at(rep, cfg.at_s, report.closed_form))
         except ZeroDivisionError:
             obj["valueAtS"] = "pole"
 

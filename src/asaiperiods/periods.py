@@ -475,10 +475,13 @@ def essential_rs_check(rep: GenericRep, t_module: UnramifiedModule, order: int) 
     return rs_series(mod, t_module, order) == series_of(rs_L(mod, t_module), order)
 
 
-def lattice_value_at(rep: GenericRep, s: int) -> GaussRat:
+def lattice_value_at(rep: GenericRep, s: int, cf: RatFunc | None = None) -> GaussRat:
     """Exact closed-form value of the mirabolic period at integer s >= 1,
-    t = q_F^(-s). Raises ZeroDivisionError on a pole."""
+    t = q_F^(-s). Raises ZeroDivisionError on a pole. Pass cf when the
+    caller has already built closed_form_for(rep)."""
     if s < 1:
         raise ValueError("s must be a positive integer")
+    if cf is None:
+        cf = closed_form_for(rep)
     t0 = GaussRat(rat(1, rep.fp.q_F)) ** s
-    return eval_at(closed_form_for(rep), t0)
+    return eval_at(cf, t0)

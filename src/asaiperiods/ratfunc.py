@@ -6,11 +6,15 @@ is always kept in canonical reduced form: numerator and denominator
 coprime, denominator constant term equal to 1. With that normalization
 componentwise equality is true equality of rational functions.
 
-Factor products and expansions run on scaled Gaussian integers, held
-as (re, im) int pairs: from_factors builds prod(1 - c*t^k) in u = t/D,
-where coefficient m is a Gaussian integer over D^m, and series_of runs
-an integer recurrence whose coefficient k is over D^(k+1). Each output
-coefficient becomes a GaussRat once, by one division; the public
+Factor products, reductions, expansions and values run on scaled
+Gaussian integers, held as (re, im) int pairs: from_factors builds
+prod(1 - c*t^k) in u = t/D, where coefficient m is a Gaussian integer
+over D^m; the constructor reduces through poly_gcd, the subresultant
+remainder sequence over Z[i], which for coprime parts (almost every
+closed form) ends at a constant remainder; series_of runs an
+integer recurrence whose coefficient k is over D^(k+1); eval_at is two
+integer Horner sums (Poly.__call__) and one Gaussian division. Each
+output coefficient becomes a GaussRat once, by one division; the public
 coefficients stay GaussRat.
 
 reconstruct recovers the unique rational function within given degree

@@ -7,11 +7,14 @@ stored coefficient); binary operations truncate at the minimum of the
 operand orders. Equality of Series is strict: same order and same
 coefficients.
 
-Polynomial products run on scaled Gaussian integers: each operand is
-cleared to one common denominator and (re, im) int pairs
-(clear_denominators), the pairs are convolved, and each coefficient of
-the product is divided once. The public coefficients stay GaussRat;
-the scaled form is internal, as in the lattice-sum kernel.
+Polynomial products, values and gcds run on scaled Gaussian integers:
+each operand is cleared to one common denominator and (re, im) int
+pairs (clear_denominators). A product convolves the pairs and divides
+each coefficient once; a value is one integer Horner sum, divided once;
+poly_gcd is the subresultant remainder sequence over Z[i], whose every
+division is exact, and only the gcd it ends with becomes GaussRat. The
+public coefficients stay GaussRat; the scaled form is internal, as in
+the lattice-sum kernel.
 """
 
 from __future__ import annotations
@@ -144,16 +147,20 @@ class Poly:
         q, _ = divmod(self, other)
         return q
 
-    def __mod__(self, other):
-        _, r = divmod(self, other)
-        return r
-
     def __call__(self, x) -> GaussRat:
-        x = _coerce(x)
-        acc = GAUSS_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at x: with x = X/d and the coefficients c_k/D, the
+        integer Horner sum of c_k X^k d^(n-k), divided once by D d^n."""
+        if not self.coeffs:
+            return GAUSS_ZERO
+        den, cs = clear_denominators(self.coeffs)
+        d, ((xr, xi),) = clear_denominators((_coerce(x),))
+        re, im = cs[-1]
+        w = 1
+        for cr, ci in reversed(cs[:-1]):
+            w *= d
+            re, im = re * xr - im * xi + cr * w, re * xi + im * xr + ci * w
+        den *= w
+        return GaussRat(rat(re, den), rat(im, den))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -194,13 +201,88 @@ class Poly:
         return out
 
 
+def _gauss_mul(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gauss_pow(a: tuple, n: int) -> tuple:
+    out = (1, 0)
+    for _ in range(n):
+        out = _gauss_mul(out, a)
+    return out
+
+
+def _gauss_div_exact(a: tuple, b: tuple) -> tuple:
+    """a/b in Z[i]; raises ArithmeticError unless b divides a."""
+    br, bi = b
+    if bi:
+        n = br * br + bi * bi
+        qr, rr = divmod(a[0] * br + a[1] * bi, n)
+        qi, ri = divmod(a[1] * br - a[0] * bi, n)
+    else:
+        qr, rr = divmod(a[0], br)
+        qi, ri = divmod(a[1], br)
+    if rr or ri:
+        raise ArithmeticError("inexact Gaussian division in the subresultant sequence")
+    return qr, qi
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """lc(b)^(deg a - deg b + 1) * a mod b, on (re, im) int pairs in
+    ascending degree, trailing zeros stripped."""
+    lead = b[-1]
+    low = b[:-1]
+    r = list(a)
+    for off in range(len(a) - len(b), -1, -1):
+        c = r.pop()
+        r = [_gauss_mul(lead, x) for x in r]
+        for j, y in enumerate(low, off):
+            cy = _gauss_mul(c, y)
+            r[j] = (r[j][0] - cy[0], r[j][1] - cy[1])
+    while r and r[-1] == (0, 0):
+        r.pop()
+    return r
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm over Q(i)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a * a.coeffs[-1].inverse()
+    """Monic gcd over Q(i), by the subresultant remainder sequence on
+    Gaussian integers (Collins 1967, Brown-Traub 1971).
+
+    Each argument is cleared of denominators once. A step takes the
+    pseudo-remainder lc(B)^(delta+1) A mod B, delta = deg A - deg B, and
+    divides it exactly by g h^delta, then sets g = lc(B) and h =
+    g^delta / h^(delta-1). Every division is exact in Z[i] and checked.
+    The sequence stops at the first zero remainder (the gcd is the last
+    nonzero one, made monic) or constant one (the gcd is 1). gcd(0, 0)
+    is the zero polynomial.
+    """
+    if a.degree < b.degree:
+        a, b = b, a
+    if b.is_zero():
+        if a.is_zero():
+            return a
+        _, last = clear_denominators(a.coeffs)
+    elif b.degree == 0:
+        return Poly.one()
+    else:
+        _, prev = clear_denominators(a.coeffs)
+        _, last = clear_denominators(b.coeffs)
+        g = h = (1, 0)
+        while True:
+            delta = len(prev) - len(last)
+            rem = _pseudo_remainder(prev, last)
+            if not rem:
+                break
+            if len(rem) == 1:
+                return Poly.one()
+            div = _gauss_mul(g, _gauss_pow(h, delta))
+            prev, last = last, [_gauss_div_exact(c, div) for c in rem]
+            g = prev[-1]
+            if delta:
+                h = _gauss_div_exact(_gauss_pow(g, delta), _gauss_pow(h, delta - 1))
+    lr, li = last[-1]
+    n = lr * lr + li * li
+    return Poly([GaussRat(rat(x * lr + y * li, n), rat(y * lr - x * li, n)) for x, y in last])
 
 
 class Series:

@@ -9,7 +9,7 @@ import pytest
 from asaiperiods.rational import BACKEND, is_integral, parse_rat, rat, rat_str
 from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_of
 from asaiperiods.scalars import ALG_ONE, GAUSS_ONE, AlgNum, GaussRat, sqrt_of
-from asaiperiods.series import Poly, Series, poly_gcd
+from asaiperiods.series import Poly, Series, _gauss_div_exact, poly_gcd
 
 
 def g(p, q=1):
@@ -508,3 +508,111 @@ def test_series_of_matches_schoolbook():
         order = rng.randint(0, 14)
         want = schoolbook_series(rf.num.coeffs, rf.den.coeffs, order)
         assert list(series_of(rf, order).coeffs) == want
+
+
+# -- oracle: Euclid over Q(i), independent of the subresultant sequence --
+
+def euclid_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm over GaussRat."""
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    return a * a.coeffs[-1].inverse()
+
+
+def euclid_degrees(a, b):
+    """Degrees of the Euclidean remainder sequence, a and b included."""
+    out = [a.degree, b.degree]
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+        out.append(b.degree)
+    return out
+
+
+def gcd_poly(rng, degree):
+    """A random polynomial of exactly this degree."""
+    low = [rng.choice(BIG + [g(0), g(1), gi(rng.randint(-9, 9), rng.randint(1, 9),
+                                            rng.randint(-9, 9), rng.randint(1, 9))])
+           for _ in range(degree)]
+    return Poly(low + [rng.choice(BIG + [g(1), gi(0, 1, 2, 1)])])
+
+
+def test_poly_gcd_zero_and_constant_arguments():
+    p = Poly([g(3), gi(1, 2, -1, 5), g(6)])
+    assert poly_gcd(Poly.zero(), Poly.zero()).is_zero()
+    for a, b in ((Poly.zero(), p), (p, Poly.zero())):
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == p * g(1, 6)
+    for c in (g(5), BIG[1], g(-1, 3)):
+        assert poly_gcd(p, Poly([c])) == poly_gcd(Poly([c]), p) == Poly.one()
+        assert poly_gcd(Poly.zero(), Poly([c])) == Poly.one()
+        assert poly_gcd(Poly([c]), Poly([c])) == Poly.one()
+
+
+def test_poly_gcd_large_denominators():
+    common = Poly([BIG[0], BIG[1], g(1)])
+    a = common * Poly([BIG[2], BIG[0]]) * Poly([g(1), BIG[3]])
+    b = common * Poly([BIG[1], g(1), BIG[4]])
+    assert poly_gcd(a, b) == euclid_gcd(a, b) == common
+    assert poly_gcd(a, Poly([BIG[2], BIG[0]])) == \
+        Poly([BIG[2], BIG[0]]) * BIG[0].inverse()
+
+
+def test_poly_gcd_shared_by_no_single_factor():
+    # 1 - 4t^2 = (1 - 2t)(1 + 2t) and 1 - 8t^3 = (1 - 2t)(1 + 2t + 4t^2)
+    a = Poly([1, 0, -4])
+    b = Poly([1, 0, 0, -8])
+    assert poly_gcd(a, b) == poly_gcd(b, a) == Poly([g(-1, 2), g(1)])
+
+
+def test_poly_gcd_remainder_degrees_skip():
+    # A = Q*B + R with deg R two to four below deg B, all times a
+    # planted common factor: the second step of the sequence skips degrees
+    rng = random.Random(4441)
+    skipped = 0
+    for _ in range(40):
+        common = gcd_poly(rng, rng.randint(0, 2))
+        b = gcd_poly(rng, rng.randint(4, 6))
+        r = gcd_poly(rng, b.degree - rng.randint(2, 4))
+        a = gcd_poly(rng, rng.randint(1, 2)) * b + r
+        a, b = a * common, b * common
+        degs = euclid_degrees(a, b)
+        skipped += any(x - y >= 2 for x, y in zip(degs[1:], degs[2:]) if y >= 0)
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+        assert poly_gcd(b, a) == euclid_gcd(a, b)
+    assert skipped >= 30
+
+
+def test_poly_gcd_matches_euclid_on_planted_factors():
+    rng = random.Random(5003)
+    for _ in range(150):
+        common = gcd_poly(rng, rng.randint(0, 3))
+        a = gcd_poly(rng, rng.randint(0, 5)) * common
+        b = gcd_poly(rng, rng.randint(0, 5)) * common
+        want = euclid_gcd(a, b)
+        assert want.degree >= common.degree
+        assert poly_gcd(a, b) == want
+        assert poly_gcd(b, a) == want
+
+
+def test_gaussian_division_refuses_a_remainder():
+    assert _gauss_div_exact((10, 5), (2, 1)) == (5, 0)
+    assert _gauss_div_exact((-12, 8), (4, 0)) == (-3, 2)
+    for a, b in (((11, 5), (2, 1)), ((10, 6), (4, 0)), ((1, 0), (1, 1))):
+        with pytest.raises(ArithmeticError):
+            _gauss_div_exact(a, b)
+
+
+def test_poly_eval_matches_gaussrat_horner():
+    rng = random.Random(6011)
+    points = BIG + [g(0), g(1), g(-7), g(1, 4), gi(0, 1, 1, 1), gi(2, 3, -5, 7)]
+    for _ in range(80):
+        p = gcd_poly(rng, rng.randint(0, 6))
+        x = rng.choice(points)
+        want = g(0)
+        for c in reversed(p.coeffs):
+            want = want * x + c
+        assert p(x) == want
+    assert Poly.zero()(g(3)) == g(0)
+    assert Poly([gi(1, 3, 2, 7)])(BIG[0]) == gi(1, 3, 2, 7)
+    assert Poly([1, 1])(5) == g(6)

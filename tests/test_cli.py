@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from asaiperiods import cli, periods
+from asaiperiods import cli, lfactors, periods
 from asaiperiods.descriptors import load_rep_file, ratfunc_json
 from asaiperiods.lfactors import asai_L, rs_L
 from asaiperiods.scalars import GaussRat
@@ -498,3 +498,22 @@ def test_json_integer_past_the_str_limit_is_an_input_error(tmp_path, capsys):
     code, out, err, _ = run_fast(["period", "--rep", str(path)], capsys)
     assert (code, out) == (2, "")
     assert "invalid JSON" in err and "Traceback" not in err
+
+
+def test_period_at_s_builds_the_closed_form_once(descriptor, monkeypatch, capsys):
+    built = []
+    real = lfactors.closed_form_for
+
+    def counting(rep):
+        built.append(rep)
+        return real(rep)
+
+    for module in (cli, periods, lfactors):
+        monkeypatch.setattr(module, "closed_form_for", counting)
+    path = descriptor(STEINBERG)
+    for output in ("json", "table"):
+        built.clear()
+        assert cli.main(["period", "--rep", path, "--at-s", "2", "--output", output]) == 0
+        out = capsys.readouterr().out
+        assert "4/3" in out
+        assert len(built) == 1
