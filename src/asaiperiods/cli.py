@@ -4,7 +4,9 @@ Subcommands: lfactor (closed-form L-factors of a representation
 descriptor), period (mirabolic period report), verify (named check
 suites over a descriptor or the built-in seeded corpora), segments
 (segment-combinatorics report). Output is deterministic JSON by
-default; --output table renders the same data as text.
+default; --output table renders the same data as text. The verify
+suites that run on the seeded built-in corpora import corpus (and
+random) themselves, so no other invocation pays for them.
 
 Exit codes: 0 success (a pole in a value is a result, not a failure),
 1 verification failure, 2 input error, 3 non-generic input.
@@ -14,11 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from dataclasses import dataclass
 
-from . import corpus
 from .descriptors import (
     DescriptorError,
     field_json,
@@ -74,15 +73,20 @@ EXIT_INPUT = 2
 EXIT_NOT_GENERIC = 3
 
 
-@dataclass
 class RunConfig:
-    command: str
-    rep_path: str | None
-    secondary_rep_path: str | None
-    order: int
-    at_s: int | None
-    output: str
-    suite: str
+    """One invocation's subcommand and options."""
+
+    __slots__ = ("command", "rep_path", "secondary_rep_path", "order", "at_s", "output", "suite")
+
+    def __init__(self, command: str, rep_path: str | None, secondary_rep_path: str | None,
+                 order: int, at_s: int | None, output: str, suite: str):
+        self.command = command
+        self.rep_path = rep_path
+        self.secondary_rep_path = secondary_rep_path
+        self.order = order
+        self.at_s = at_s
+        self.output = output
+        self.suite = suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,6 +345,10 @@ def _check_theorem1(name: str, rep: GenericRep, order: int) -> dict:
 def _theorem1_reps(cfg: RunConfig) -> list:
     if cfg.rep_path:
         return [("user-rep", _load_generic_rep(cfg.rep_path))]
+    import random
+
+    from . import corpus
+
     reps = [
         ("steinberg-gl2-unram-pair", corpus.steinberg_gl2(FieldPair(2, False))),
         ("steinberg-gl2-ram-pair", corpus.steinberg_gl2(FieldPair(3, True, 1))),
@@ -381,6 +389,10 @@ def _suite_cpi(cfg: RunConfig):
             return
         yield {"suite": "cpi", "check": "user-rep", "pass": ok}
         return
+    import random
+
+    from . import corpus
+
     rng = random.Random(7021)
     for i in range(6):
         rep = corpus.csd_rep(rng, corpus.rand_field(rng, ramified=False))
@@ -396,6 +408,10 @@ def _suite_multiplicativity(cfg: RunConfig):
         ok = asai_L(mod) == asai_L_multiplicative(mod)
         yield {"suite": "multiplicativity", "check": "user-rep", "pass": ok}
         return
+    import random
+
+    from . import corpus
+
     rng = random.Random(40104)
     for i in range(100):
         fp = corpus.rand_field(rng, ramified=bool(i % 2))
@@ -414,10 +430,14 @@ def _series_check(name: str, got, expected) -> dict:
 
 def _suite_identities(cfg: RunConfig):
     order = min(cfg.order, 20)
-    rng = random.Random(90125)
     if cfg.rep_path:
         mods = [pi_u(_load_generic_rep(cfg.rep_path))]
     else:
+        import random
+
+        from . import corpus
+
+        rng = random.Random(90125)
         mods = [
             corpus.rand_module(rng, FieldPair(3, False), 3),
             corpus.rand_module(rng, FieldPair(2, True, 1), 3),

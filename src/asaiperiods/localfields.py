@@ -10,12 +10,14 @@ Also houses the conductor calculus for additive characters: the
 conductor of the trace-composed character, the shift that renormalizes
 a character trivial on F to conductor zero, and the kind of trace-zero
 element available.
+
+FieldPair and AddCharData are immutable __slots__ values on the Frozen
+base (frozen.py), equal and hashed by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .frozen import Frozen
 from .rational import rat
 from .scalars import AlgNum, GaussRat
 
@@ -77,25 +79,28 @@ def is_prime_power(n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class FieldPair:
-    """Quadratic extension E/F, ramified or unramified (e*f = 2)."""
+class FieldPair(Frozen):
+    """Quadratic extension E/F, ramified or unramified (e*f = 2).
 
-    q_F: int
-    ramified: bool
-    ext_conductor: int | None = None
+    A ramified pair given no ext_conductor gets 1; an unramified pair
+    has none.
+    """
 
-    def __post_init__(self):
-        if not (isinstance(self.q_F, int) and is_prime_power(self.q_F)):
+    __slots__ = _fields = ("q_F", "ramified", "ext_conductor")
+
+    def __init__(self, q_F: int, ramified: bool, ext_conductor: int | None = None):
+        if not (isinstance(q_F, int) and is_prime_power(q_F)):
             raise ValueError("q_F must be a prime power >= 2")
-        if self.ramified:
-            ec = 1 if self.ext_conductor is None else self.ext_conductor
-            if not (isinstance(ec, int) and ec >= 1):
+        if ramified:
+            if ext_conductor is None:
+                ext_conductor = 1
+            if not (isinstance(ext_conductor, int) and ext_conductor >= 1):
                 raise ValueError("ext_conductor must be a positive integer")
-            object.__setattr__(self, "ext_conductor", ec)
-        else:
-            if self.ext_conductor is not None:
-                raise ValueError("ext_conductor applies to ramified extensions only")
+        elif ext_conductor is not None:
+            raise ValueError("ext_conductor applies to ramified extensions only")
+        object.__setattr__(self, "q_F", q_F)
+        object.__setattr__(self, "ramified", ramified)
+        object.__setattr__(self, "ext_conductor", ext_conductor)
 
     @property
     def e(self) -> int:
@@ -130,8 +135,7 @@ class FieldPair:
         return AlgNum(0, GaussRat(rat(self.q_F) ** ((h - 1) // 2)), self.q_F)
 
 
-@dataclass(frozen=True)
-class AddCharData:
+class AddCharData(Frozen):
     """Additive character data: conductor exponent and F-triviality flag.
 
     A character trivial on F over a ramified pair must have even
@@ -140,8 +144,11 @@ class AddCharData:
     field pair.
     """
 
-    conductor: int
-    trivial_on_F: bool = False
+    __slots__ = _fields = ("conductor", "trivial_on_F")
+
+    def __init__(self, conductor: int, trivial_on_F: bool = False):
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "trivial_on_F", trivial_on_F)
 
 
 def trace_conductor(fp: FieldPair, n_psi_prime: int) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import log10
 from typing import Sequence
 
@@ -395,16 +394,23 @@ def rs_series(m1: UnramifiedModule, m2: UnramifiedModule, order: int) -> Series:
     return _schur_sum(m1.satake, m2.r, 1, order, m2.satake)
 
 
-@dataclass
 class PeriodReport:
-    """Outcome of one period computation against its closed form."""
+    """Outcome of one period computation against its closed form.
 
-    series: Series
-    expected: Series  # the closed form expanded to the same order
-    reconstructed: RatFunc | None
-    closed_form: RatFunc
-    match: bool
-    value_at_1: GaussRat | None  # None encodes a pole at the edge point
+    expected is the closed form expanded to the series' order; a
+    value_at_1 of None encodes a pole at the edge point.
+    """
+
+    __slots__ = ("series", "expected", "reconstructed", "closed_form", "match", "value_at_1")
+
+    def __init__(self, series: Series, expected: Series, reconstructed: RatFunc | None,
+                 closed_form: RatFunc, match: bool, value_at_1: GaussRat | None):
+        self.series = series
+        self.expected = expected
+        self.reconstructed = reconstructed
+        self.closed_form = closed_form
+        self.match = match
+        self.value_at_1 = value_at_1
 
 
 def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:

@@ -16,15 +16,19 @@ the two values at the uniformizer without dividing them: their ratio
 is real when the cross product of the components vanishes, and is then
 an integer quotient of one component pair, accepted only as a positive
 power of q_E in the linked range.
+
+MultChar, Segment, UnramifiedModule and GenericRep are immutable
+__slots__ values on the Frozen base (frozen.py): equal and hashed by
+their fields, a character by its key() alone, and checked once in
+__init__.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
+from .frozen import Frozen
 from .localfields import FieldPair
 from .rational import RAT_ONE
 from .scalars import GaussRat
@@ -47,8 +51,7 @@ def inverse_label(label: str) -> str:
     return _INV_PREFIX + label
 
 
-@dataclass(frozen=True, eq=False)
-class MultChar:
+class MultChar(Frozen):
     """Multiplicative character of E* with Galois-twist data.
 
     unit_label identifies the restriction to units; "triv" is reserved
@@ -56,27 +59,32 @@ class MultChar:
     a uniformizer of E. The sigma_* fields describe the Galois twist;
     applying them twice must return the original character, which holds
     by construction since the twist simply swaps the two data slots.
+    Equality and hash go by key(), not by every field.
     """
 
-    unit_label: str
-    unit_conductor: int
-    at_unif: GaussRat
-    sigma_unit_label: str
-    sigma_at_unif: GaussRat
+    __slots__ = _fields = (
+        "unit_label", "unit_conductor", "at_unif", "sigma_unit_label", "sigma_at_unif"
+    )
 
-    def __post_init__(self):
-        if self.at_unif.is_zero() or self.sigma_at_unif.is_zero():
+    def __init__(self, unit_label: str, unit_conductor: int, at_unif: GaussRat,
+                 sigma_unit_label: str, sigma_at_unif: GaussRat):
+        if at_unif.is_zero() or sigma_at_unif.is_zero():
             raise ValueError("character values at the uniformizer must be nonzero")
-        if self.unit_conductor < 0:
+        if unit_conductor < 0:
             raise ValueError("unit conductor must be >= 0")
-        unram = self.unit_conductor == 0
-        if unram != (self.unit_label == UNRAMIFIED_LABEL):
+        unram = unit_conductor == 0
+        if unram != (unit_label == UNRAMIFIED_LABEL):
             raise ValueError(
                 'unit_conductor 0 and unit_label "%s" must occur together' % UNRAMIFIED_LABEL
             )
         if unram:
-            if self.sigma_unit_label != UNRAMIFIED_LABEL or self.sigma_at_unif != self.at_unif:
+            if sigma_unit_label != UNRAMIFIED_LABEL or sigma_at_unif != at_unif:
                 raise ValueError("unramified characters are fixed by the Galois twist")
+        object.__setattr__(self, "unit_label", unit_label)
+        object.__setattr__(self, "unit_conductor", unit_conductor)
+        object.__setattr__(self, "at_unif", at_unif)
+        object.__setattr__(self, "sigma_unit_label", sigma_unit_label)
+        object.__setattr__(self, "sigma_at_unif", sigma_at_unif)
 
     @classmethod
     def unramified(cls, at_unif: GaussRat) -> "MultChar":
@@ -117,16 +125,16 @@ class MultChar:
         return hash(self.key())
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Frozen):
     """The chain of k successive unramified twists topped by rho."""
 
-    rho: MultChar
-    k: int
+    __slots__ = _fields = ("rho", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, rho: MultChar, k: int):
+        if k < 1:
             raise ValueError("segment length k must be >= 1")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "k", k)
 
     @property
     def is_unramified_piece(self) -> bool:
@@ -210,8 +218,7 @@ def standard_order(segments: Sequence[Segment], q_E: int) -> list[Segment]:
     return out
 
 
-@dataclass(frozen=True)
-class UnramifiedModule:
+class UnramifiedModule(Frozen):
     """Unramified standard module given by its Satake values.
 
     Values are stored sorted by |alpha|^2 ascending (ties keep the
@@ -219,11 +226,10 @@ class UnramifiedModule:
     r = 0 (the empty module) is legal.
     """
 
-    fp: FieldPair
-    satake: tuple[GaussRat, ...]
+    __slots__ = _fields = ("fp", "satake")
 
-    def __post_init__(self):
-        vals = tuple(self.satake)
+    def __init__(self, fp: FieldPair, satake: Sequence[GaussRat]):
+        vals = tuple(satake)
         for v in vals:
             if v.is_zero():
                 raise ValueError("Satake values must be nonzero")
@@ -232,6 +238,7 @@ class UnramifiedModule:
             _, beta = clear_denominators(vals)
             norms = [br * br + bi * bi for br, bi in beta]
             vals = tuple(vals[i] for i in sorted(range(len(vals)), key=norms.__getitem__))
+        object.__setattr__(self, "fp", fp)
         object.__setattr__(self, "satake", vals)
 
     @property
@@ -249,30 +256,35 @@ class UnramifiedModule:
         return out
 
 
-@dataclass(frozen=True)
-class GenericRep:
+class GenericRep(Frozen):
     """Product of pairwise unlinked segments over a fixed field pair."""
 
-    fp: FieldPair
-    segments: tuple[Segment, ...]
+    _fields = ("fp", "segments")
+    __slots__ = _fields + ("_twisted_duals",)
 
-    def __post_init__(self):
-        segs = tuple(self.segments)
+    def __init__(self, fp: FieldPair, segments: Sequence[Segment]):
+        segs = tuple(segments)
         if not segs:
             raise ValueError("a representation needs at least one segment")
-        object.__setattr__(self, "segments", segs)
-        if not is_generic(segs, self.fp.q_E):
+        if not is_generic(segs, fp.q_E):
             raise NotGenericError("segments are linked: the product is not generic")
+        object.__setattr__(self, "fp", fp)
+        object.__setattr__(self, "segments", segs)
 
     @property
     def n(self) -> int:
         return sum(s.k for s in self.segments)
 
-    @cached_property
+    @property
     def twisted_duals(self) -> tuple[Segment, ...]:
         """The twisted dual sigma(contragredient) of each segment, in
         order, built once per representation."""
-        return tuple(s.contragredient().sigma() for s in self.segments)
+        try:
+            return self._twisted_duals
+        except AttributeError:
+            duals = tuple(s.contragredient().sigma() for s in self.segments)
+            object.__setattr__(self, "_twisted_duals", duals)
+            return duals
 
 
 def is_unramified_rep(rep: GenericRep) -> bool:

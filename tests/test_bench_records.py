@@ -1,11 +1,12 @@
 """The committed BENCH_*.json records are whole: every measured record
-keeps both sides' runs for each workload and metric, and its medians are
-the medians of those runs. A record transcribed from CHANGES.md prose
-(its source does not start with "measured") has no runs to check."""
+keeps both sides' runs for each workload and metric, and its medians and
+quartiles (inclusive method) are those of the runs. A record transcribed
+from CHANGES.md prose (its source does not start with "measured") has no
+runs to check."""
 
 import json
 from pathlib import Path
-from statistics import median
+from statistics import quantiles
 
 import pytest
 
@@ -53,10 +54,11 @@ def test_measured_record_keeps_its_runs(path):
                 for side in SIDES:
                     runs = entry.get(side + "_runs")
                     assert isinstance(runs, list) and len(runs) == pairs, where + (side,)
-                    stored = entry[side]["median"]
-                    # stored values are rounded: half a unit in their last place
-                    slack = 0.5 * 10 ** -decimals(stored) + 1e-12
-                    assert abs(stored - median(runs)) <= slack, where + (side, stored, median(runs))
-                    assert entry[side]["q1"] <= stored <= entry[side]["q3"], where + (side,)
+                    q1, q2, q3 = quantiles(runs, n=4, method="inclusive")
+                    for stat, value in (("q1", q1), ("median", q2), ("q3", q3)):
+                        stored = entry[side][stat]
+                        # stored values are rounded: half a unit in their last place
+                        slack = 0.5 * 10 ** -decimals(stored) + 1e-12
+                        assert abs(stored - value) <= slack, where + (side, stat, stored, value)
                     checked += 1
     assert checked >= 3 * 4 * 2

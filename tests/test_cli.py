@@ -187,6 +187,20 @@ def test_same_character_with_two_sigma_data_exits_2(descriptor):
     assert json.loads(res.stdout)["generic"] is True
 
 
+@pytest.mark.parametrize("module", ["asaiperiods.cli", "asaiperiods"])
+def test_import_loads_no_dataclasses_inspect_or_corpus(module):
+    # only what the import adds counts: the interpreter's own start-up
+    # (site and its .pth hooks) may load anything
+    code = ("import sys; before = set(sys.modules); import %s; "
+            "print(' '.join(sorted(set(sys.modules) - before)))" % module)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ))
+    assert res.returncode == 0, res.stderr
+    added = set(res.stdout.split())
+    assert module in added
+    assert not added & {"dataclasses", "inspect", "asaiperiods.corpus"}
+
+
 def test_missing_file_exits_2():
     res = run_cli("lfactor", "--rep", "/nonexistent/rep.json")
     assert res.returncode == 2
