@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 
 from .descriptors import (
     DescriptorError,
@@ -53,7 +54,7 @@ from .periods import (
     value_bits,
 )
 from .ratfunc import series_of
-from .rational import is_integral, rat_str
+from .rational import ratio_str
 from .scalars import GaussRat
 from .segments import (
     GenericRep,
@@ -149,9 +150,7 @@ def _config(ns: argparse.Namespace) -> RunConfig:
 def _short(g: GaussRat) -> str:
     """Compact coefficient display for factored forms."""
     if g.is_real():
-        if is_integral(g.re):
-            return str(g.re.numerator)
-        return rat_str(g.re)
+        return str(g.nr) if g.den == 1 else ratio_str(g.nr, g.den)
     return "(" + str(g) + ")"
 
 
@@ -171,7 +170,13 @@ def _factored(factors, var: str = "t") -> str:
 
 
 def _bits(g: GaussRat) -> int:
-    return max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in (g.re, g.im))
+    """Bits of the longest numerator or denominator of g's parts in
+    lowest terms."""
+    bits = 0
+    for x in (g.nr, g.ni):
+        c = gcd(x, g.den)
+        bits = max(bits, (x // c).bit_length(), (g.den // c).bit_length())
+    return bits
 
 
 def _too_large(field: str, what: str, need: int, hint: str = "") -> DescriptorError:

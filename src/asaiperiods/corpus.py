@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 from .localfields import FieldPair
-from .rational import rat
 from .scalars import GaussRat
 from .segments import (
     GenericRep,
@@ -33,20 +32,21 @@ def rand_field(rng: random.Random, ramified: bool) -> FieldPair:
     return FieldPair(q, False)
 
 
-def rand_rat(rng: random.Random, lo: int = -9, hi: int = 9):
+def _rand_nonzero(rng: random.Random) -> int:
     num = 0
     while num == 0:
-        num = rng.randint(lo, hi)
-    return rat(num, rng.randint(1, 9))
+        num = rng.randint(-9, 9)
+    return num
 
 
 def rand_gauss(rng: random.Random, allow_complex: bool = True) -> GaussRat:
     if allow_complex and rng.random() < 0.5:
-        re = rat(rng.randint(-9, 9), rng.randint(1, 9))
-        value = GaussRat(re, rand_rat(rng))
-    else:
-        value = GaussRat(rand_rat(rng))
-    return value
+        p, q = rng.randint(-9, 9), rng.randint(1, 9)
+        ip = _rand_nonzero(rng)
+        iq = rng.randint(1, 9)
+        return GaussRat.scaled(p * iq, ip * q, q * iq)
+    p = _rand_nonzero(rng)
+    return GaussRat.scaled(p, 0, rng.randint(1, 9))
 
 
 def unit_circle_gauss(rng: random.Random) -> GaussRat:
@@ -54,7 +54,7 @@ def unit_circle_gauss(rng: random.Random) -> GaussRat:
     m = rng.randint(2, 6)
     n = rng.randint(1, m - 1)
     den = m * m + n * n
-    g = GaussRat(rat(m * m - n * n, den), rat(2 * m * n, den))
+    g = GaussRat.scaled(m * m - n * n, 2 * m * n, den)
     if rng.random() < 0.5:
         g = g.conj()
     if rng.random() < 0.5:
@@ -69,8 +69,8 @@ def rand_module(rng: random.Random, fp: FieldPair, r: int, unitary: bool = False
 
 def _module_generic(mod: UnramifiedModule) -> bool:
     """No linked pair among the rank-one pieces: no value ratio q_E^(+-1)."""
-    q = GaussRat(rat(mod.fp.q_E))
-    qinv = GaussRat(rat(1, mod.fp.q_E))
+    q = GaussRat(mod.fp.q_E)
+    qinv = GaussRat.scaled(1, 0, mod.fp.q_E)
     vals = mod.satake
     for i, x in enumerate(vals):
         for j, y in enumerate(vals):
@@ -219,7 +219,7 @@ def steinberg_gl2(fp: FieldPair) -> GenericRep:
 def unitary_gl2_example(q_F: int = 2) -> GenericRep:
     """The unramified GL(2) example with Satake values (3+4i)/5, (3-4i)/5."""
     fp = FieldPair(q_F, False)
-    a = GaussRat(rat(3, 5), rat(4, 5))
+    a = GaussRat.scaled(3, 4, 5)
     return GenericRep(
         fp,
         (Segment(unram_char(a), 1), Segment(unram_char(a.conj()), 1)),

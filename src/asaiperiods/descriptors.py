@@ -19,7 +19,7 @@ from typing import Any
 
 from .localfields import Q_F_LIMIT, FieldPair
 from .ratfunc import RatFunc
-from .rational import parse_rat, rat_str
+from .rational import parse_ratio, ratio_str
 from .scalars import GaussRat
 from .segments import GenericRep, MultChar, Segment
 from .series import Poly, Series
@@ -49,14 +49,15 @@ def parse_gauss(v: Any, path: str) -> GaussRat:
         if not isinstance(s, str):
             _fail("%s[%d]" % (path, k), "expected a rational string")
         try:
-            parts.append(parse_rat(s))
+            parts.append(parse_ratio(s))
         except ValueError as exc:
             _fail("%s[%d]" % (path, k), str(exc))
-    return GaussRat(parts[0], parts[1])
+    (p, q), (ip, iq) = parts
+    return GaussRat.scaled(p * iq, ip * q, q * iq)
 
 
 def gauss_json(g: GaussRat) -> list[str]:
-    return [rat_str(g.re), rat_str(g.im)]
+    return [ratio_str(g.nr, g.den), ratio_str(g.ni, g.den)]
 
 
 def parse_field(d: Any, path: str = "field") -> FieldPair:

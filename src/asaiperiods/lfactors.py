@@ -17,7 +17,6 @@ Poly product in between.
 from __future__ import annotations
 
 from .ratfunc import RatFunc, eval_at
-from .rational import rat
 from .scalars import GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
 from .series import Poly
@@ -109,7 +108,7 @@ def lstar_at_1(rep: GenericRep, cf: RatFunc | None = None) -> GaussRat:
     if cf is None:
         cf = closed_form_for(rep)
     try:
-        return eval_at(cf, GaussRat(rat(1, rep.fp.q_F)))
+        return eval_at(cf, GaussRat.scaled(1, 0, rep.fp.q_F))
     except ZeroDivisionError:
         raise ValueError("non-holomorphic at s=1") from None
 

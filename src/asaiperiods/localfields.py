@@ -18,7 +18,6 @@ base (frozen.py), equal and hashed by their fields.
 from __future__ import annotations
 
 from .frozen import Frozen
-from .rational import rat
 from .scalars import AlgNum, GaussRat
 
 
@@ -129,10 +128,10 @@ class FieldPair(Frozen):
         component.
         """
         if not self.ramified:
-            return AlgNum(GaussRat(rat(self.q_F) ** h))
+            return AlgNum(GaussRat(self.q_F) ** h)
         if h % 2 == 0:
-            return AlgNum(GaussRat(rat(self.q_F) ** (h // 2)))
-        return AlgNum(0, GaussRat(rat(self.q_F) ** ((h - 1) // 2)), self.q_F)
+            return AlgNum(GaussRat(self.q_F) ** (h // 2))
+        return AlgNum(0, GaussRat(self.q_F) ** ((h - 1) // 2), self.q_F)
 
 
 class AddCharData(Frozen):

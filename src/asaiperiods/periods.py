@@ -31,7 +31,6 @@ from typing import Sequence
 
 from .lfactors import closed_form_for, lstar_at_1, rs_L
 from .ratfunc import RatFunc, eval_at, reconstruct, series_of
-from .rational import rat
 from .scalars import GaussRat
 from .segments import (
     GenericRep,
@@ -336,7 +335,7 @@ def _divided(sr: list, si: list, scale: int) -> Series:
     coeffs = []
     den_d = 1
     for tr, ti in zip(sr, si):
-        coeffs.append(GaussRat(rat(tr, den_d), rat(ti, den_d)))
+        coeffs.append(GaussRat.scaled(tr, ti, den_d))
         den_d *= scale
     return Series(coeffs)
 
@@ -459,8 +458,8 @@ def verify_c_pi(rep: GenericRep) -> bool:
     if not is_conjugate_selfdual(rep):
         raise ValueError("not distinguished-compatible")
     dual = contragredient(rep)
-    own = sorted(((v.re, v.im) for v in pi_u(rep).satake))
-    other = sorted(((v.re, v.im) for v in pi_u(dual).satake))
+    own = sorted((v.nr, v.ni, v.den) for v in pi_u(rep).satake)
+    other = sorted((v.nr, v.ni, v.den) for v in pi_u(dual).satake)
     if own != other:
         return False
     if lstar_at_1(rep) != lstar_at_1(dual):
@@ -489,5 +488,5 @@ def lattice_value_at(rep: GenericRep, s: int, cf: RatFunc | None = None) -> Gaus
         raise ValueError("s must be a positive integer")
     if cf is None:
         cf = closed_form_for(rep)
-    t0 = GaussRat(rat(1, rep.fp.q_F)) ** s
+    t0 = GaussRat.scaled(1, 0, rep.fp.q_F ** s)
     return eval_at(cf, t0)

@@ -14,8 +14,8 @@ remainder sequence over Z[i], which for coprime parts (almost every
 closed form) ends at a constant remainder; series_of runs an
 integer recurrence whose coefficient k is over D^(k+1); eval_at is two
 integer Horner sums (Poly.__call__) and one Gaussian division. Each
-output coefficient becomes a GaussRat once, by one division; the public
-coefficients stay GaussRat.
+output coefficient becomes a GaussRat once, by one division
+(GaussRat.scaled); the public coefficients stay GaussRat.
 
 reconstruct recovers the unique rational function within given degree
 bounds from a long enough truncated expansion, by exact Gaussian
@@ -28,9 +28,8 @@ mismatch, to report which rational function the series actually is.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-from .rational import rat
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 from .series import Poly, Series, clear_denominators, poly_gcd, scaled_pair
 
@@ -92,7 +91,7 @@ class RatFunc:
         coeffs = []
         den_m = 1
         for x, y in zip(re, im):
-            coeffs.append(GaussRat(rat(x, den_m), rat(y, den_m)))
+            coeffs.append(GaussRat.scaled(x, y, den_m))
             den_m *= den
         return cls(Poly.one(), Poly(coeffs))
 
@@ -140,8 +139,7 @@ class RatFunc:
 
 def _covering_scale(scale: int, c: GaussRat, j: int) -> int:
     """A multiple of scale whose j-th power times c is a Gaussian integer."""
-    g = lcm(int(c.re.denominator), int(c.im.denominator))
-    return scale * (g // gcd(pow(scale, j, g), g))
+    return scale * (c.den // gcd(pow(scale, j, c.den), c.den))
 
 
 def series_of(rf: RatFunc, order: int) -> Series:
@@ -178,7 +176,7 @@ def series_of(rf: RatFunc, order: int) -> Series:
             i -= dr * pi + di * pr
         sr.append(r)
         si.append(i)
-        coeffs.append(GaussRat(rat(r, scale_k), rat(i, scale_k)))
+        coeffs.append(GaussRat.scaled(r, i, scale_k))
         scale_k *= scale
     return Series(coeffs)
 

@@ -1,66 +1,63 @@
-"""Rational number backend selection.
+"""Exact rationals at the edges of the library.
 
-Everything in this library is exact rational arithmetic. gmpy2's mpq
-(GMP-backed) is preferred because reconstruction and the closed forms
-multiply large numerators (the lattice sums run on plain ints and
-divide once per coefficient); fractions.Fraction is the pure-Python
-drop-in fallback. The backend is chosen once at import time and can be
-forced with the ASAIPERIODS_RATIONAL environment variable, one of
-"auto" (default), "gmpy2", "fraction".
+The arithmetic itself runs on plain ints: GaussRat (scalars.py) is one
+Gaussian integer over one positive denominator, and the kernels run on
+int pairs. What is left here is the canonical "p/q" text of the
+descriptor format, on int pairs, and fractions.Fraction for the callers
+that want rational objects (GaussRat.re and .im, the tests), imported on
+first use so that importing the package does not load fractions,
+decimal or numbers. Rat is fractions.Fraction, and BACKEND names it.
 """
 
 from __future__ import annotations
 
-import os
-from fractions import Fraction
+from math import gcd
 
-_choice = os.environ.get("ASAIPERIODS_RATIONAL", "auto").strip().lower()
-if _choice not in ("auto", "gmpy2", "fraction"):
-    raise ImportError(
-        "ASAIPERIODS_RATIONAL must be one of auto/gmpy2/fraction, got %r" % _choice
-    )
+BACKEND = "fraction"
 
-if _choice in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rat
 
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _choice == "gmpy2":
-            raise ImportError("ASAIPERIODS_RATIONAL=gmpy2 but gmpy2 is not importable")
-        Rat = Fraction
-        BACKEND = "fraction"
-else:
-    Rat = Fraction
-    BACKEND = "fraction"
+def __getattr__(name):
+    if name == "Rat":
+        from fractions import Fraction
 
-RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
-
-# accepted plain-number types for coercion into the scalar tower
-RAT_TYPES = tuple({int, Fraction, type(RAT_ZERO)})
+        return Fraction
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def rat(p, q=1):
-    """Exact rational p/q."""
-    return Rat(p, q)
+    """Exact rational p/q, a fractions.Fraction."""
+    from fractions import Fraction
+
+    return Fraction(p, q)
+
+
+def ratio_str(p: int, q: int) -> str:
+    """Canonical "p/q" form of p/q for q > 0: in lowest terms, the
+    denominator always present."""
+    g = gcd(p, q)
+    return "%d/%d" % (p // g, q // g)
 
 
 def rat_str(x) -> str:
-    """Canonical "p/q" form; the denominator is always present and positive."""
-    return "%d/%d" % (x.numerator, x.denominator)
+    """Canonical "p/q" form of a rational."""
+    return ratio_str(x.numerator, x.denominator)
 
 
-def parse_rat(s: str):
-    """Parse "p/q" (or a bare integer "p") into a rational."""
+def parse_ratio(s: str) -> tuple[int, int]:
+    """Parse "p/q" (or a bare integer "p") into the int pair (p, q)."""
     txt = s.strip()
     if "/" in txt:
         head, _, tail = txt.partition("/")
         den = int(tail)
         if den == 0:
             raise ValueError("zero denominator in %r" % s)
-        return Rat(int(head), den)
-    return Rat(int(txt))
+        return int(head), den
+    return int(txt), 1
+
+
+def parse_rat(s: str):
+    """Parse "p/q" (or a bare integer "p") into a rational."""
+    return rat(*parse_ratio(s))
 
 
 def is_integral(x) -> bool:

@@ -1,10 +1,17 @@
 """Scalar tower: Gaussian rationals and their formal sqrt(q) extension.
 
-GaussRat is Q(i) with exact rational components. It is the ring of the
-whole computation: Satake values, character values at the uniformizer,
-every series, polynomial and closed-form coefficient, and every value
-of a closed form, since the modulus weights of the lattice sums cancel
-each half power of q.
+GaussRat is Q(i), held as one Gaussian integer over one denominator:
+three ints nr, ni, den with value (nr + ni*i) / den, den > 0 and
+gcd(nr, ni, den) == 1, so each value has exactly one triple and
+equality compares the three ints. Sums and products are integer
+arithmetic followed by one math.gcd; code that clears denominators
+reads den directly, and GaussRat.scaled() builds a value from a scaled
+integer pair with one division. No rational object is built: .re and
+.im return exact fractions.Fraction parts, made on demand. It is the
+ring of the whole computation: Satake values, character values at the
+uniformizer, every series, polynomial and closed-form coefficient, and
+every value of a closed form, since the modulus weights of the lattice
+sums cancel each half power of q.
 
 AlgNum is a + b*sqrt(q) with GaussRat components and a fixed integer
 radicand q. Only the Whittaker torus values live there, through
@@ -20,19 +27,68 @@ hashing of plain Gaussian values never depend on the ambient q.
 
 from __future__ import annotations
 
-from .rational import RAT_TYPES, RAT_ZERO, Rat, rat_str
+import sys
+from math import gcd
 
-_RatT = type(RAT_ZERO)
+from .rational import rat, ratio_str
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of an int or an exact rational."""
+    if isinstance(x, int):
+        return int(x), 1
+    from numbers import Rational
+
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)
+    raise TypeError("GaussRat parts must be int or exact rationals, not %s" % type(x).__name__)
+
+
+def _rational_hash(p: int, q: int) -> int:
+    """hash(p/q) by Python's numeric hash rule, which int and
+    fractions.Fraction share, for p/q in lowest terms with q > 0."""
+    if q == 1:
+        return hash(p)
+    try:
+        h = hash(hash(abs(p)) * pow(q, -1, _HASH_MODULUS))
+    except ValueError:  # q is a multiple of the modulus
+        h = _HASH_INF
+    if p < 0:
+        h = -h
+    return -2 if h == -1 else h
 
 
 class GaussRat:
-    """Exact complex rational re + im*i."""
+    """Exact complex rational (nr + ni*i) / den."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("nr", "ni", "den")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is _RatT else Rat(re)
-        self.im = im if type(im) is _RatT else Rat(im)
+        """re + im*i for int or exact rational parts; TypeError otherwise."""
+        pr, qr = _ratio(re)
+        pi, qi = _ratio(im)
+        nr, ni, den = pr * qi, pi * qr, qr * qi
+        g = gcd(nr, ni, den)
+        self.nr = nr // g
+        self.ni = ni // g
+        self.den = den // g
+
+    @staticmethod
+    def scaled(re: int, im: int, den: int) -> "GaussRat":
+        """(re + im*i) / den for ints re, im and a nonzero int den."""
+        if den < 0:
+            re, im, den = -re, -im, -den
+        elif not den:
+            raise ZeroDivisionError("GaussRat with zero denominator")
+        g = gcd(re, im, den)
+        if g != 1:
+            re //= g
+            im //= g
+            den //= g
+        return _made(re, im, den)
 
     # -- helpers -------------------------------------------------------
 
@@ -40,64 +96,86 @@ class GaussRat:
     def _coerce(x):
         if isinstance(x, GaussRat):
             return x
-        if isinstance(x, RAT_TYPES):
-            return GaussRat(x)
-        return None
+        try:
+            p, q = _ratio(x)
+        except TypeError:
+            return None
+        return _scaled(p, 0, q)
+
+    @property
+    def re(self):
+        """Real part, an exact fractions.Fraction."""
+        return rat(self.nr, self.den)
+
+    @property
+    def im(self):
+        """Imaginary part, an exact fractions.Fraction."""
+        return rat(self.ni, self.den)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.nr and not self.ni
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.ni
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _made(self.nr, -self.ni, self.den)
 
     def abs2(self):
-        """Norm re^2 + im^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        """Norm re^2 + im^2, an exact fractions.Fraction."""
+        return rat(self.nr * self.nr + self.ni * self.ni, self.den * self.den)
 
     def inverse(self) -> "GaussRat":
-        n = self.abs2()
-        if not n:
-            raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat(self.re / n, -self.im / n)
+        nr, ni, den = self.nr, self.ni, self.den
+        if not ni:
+            if not nr:
+                raise ZeroDivisionError("division by zero GaussRat")
+            return _made(den, 0, nr) if nr > 0 else _made(-den, 0, -nr)
+        return _scaled(den * nr, -den * ni, nr * nr + ni * ni)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.nr / self.den, self.ni / self.den)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRat else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        ad, bd = self.den, o.den
+        if ad == bd:
+            if ad == 1:
+                return _made(self.nr + o.nr, self.ni + o.ni, 1)
+            return _scaled(self.nr + o.nr, self.ni + o.ni, ad)
+        return _scaled(self.nr * bd + o.nr * ad, self.ni * bd + o.ni * ad, ad * bd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRat else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
+        ad, bd = self.den, o.den
+        if ad == bd:
+            if ad == 1:
+                return _made(self.nr - o.nr, self.ni - o.ni, 1)
+            return _scaled(self.nr - o.nr, self.ni - o.ni, ad)
+        return _scaled(self.nr * bd - o.nr * ad, self.ni * bd - o.ni * ad, ad * bd)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRat(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRat else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return GaussRat(self.re * o.re)
-        return GaussRat(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        ar, ai, br, bi = self.nr, self.ni, o.nr, o.ni
+        if ai or bi:
+            return _scaled(ar * br - ai * bi, ar * bi + ai * br, self.den * o.den)
+        return _scaled(ar * br, 0, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -114,7 +192,7 @@ class GaussRat:
         return o * self.inverse()
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _made(-self.nr, -self.ni, self.den)
 
     def __pos__(self):
         return self
@@ -136,13 +214,16 @@ class GaussRat:
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRat else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.nr == o.nr and self.ni == o.ni and self.den == o.den
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        if self.ni:
+            return hash((self.nr, self.ni, self.den))
+        return _rational_hash(self.nr, self.den)
 
     def __bool__(self):
         return not self.is_zero()
@@ -151,14 +232,28 @@ class GaussRat:
         return "GaussRat(%s, %s)" % (self.re, self.im)
 
     def __str__(self):
-        if not self.im:
-            return rat_str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return "%s%s%si" % (rat_str(self.re), sign, rat_str(abs(self.im)))
+        re = ratio_str(self.nr, self.den)
+        if not self.ni:
+            return re
+        sign = "+" if self.ni > 0 else "-"
+        return "%s%s%si" % (re, sign, ratio_str(abs(self.ni), self.den))
 
 
-GAUSS_ZERO = GaussRat(0)
-GAUSS_ONE = GaussRat(1)
+_new = object.__new__
+_scaled = GaussRat.scaled
+
+
+def _made(nr: int, ni: int, den: int) -> GaussRat:
+    """The GaussRat of a triple already in normal form."""
+    out = _new(GaussRat)
+    out.nr = nr
+    out.ni = ni
+    out.den = den
+    return out
+
+
+GAUSS_ZERO = _made(0, 0, 1)
+GAUSS_ONE = _made(1, 0, 1)
 
 
 class AlgNum:
@@ -192,9 +287,8 @@ class AlgNum:
     def _coerce(x):
         if isinstance(x, AlgNum):
             return x
-        if isinstance(x, (GaussRat,) + RAT_TYPES):
-            return AlgNum(x)
-        return None
+        g = GaussRat._coerce(x)
+        return None if g is None else AlgNum(g)
 
     def _join_q(self, other: "AlgNum") -> int:
         if self.q and other.q and self.q != other.q:

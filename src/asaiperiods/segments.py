@@ -30,8 +30,7 @@ from typing import Sequence
 
 from .frozen import Frozen
 from .localfields import FieldPair
-from .rational import RAT_ONE
-from .scalars import GaussRat
+from .scalars import GAUSS_ONE, GaussRat
 from .series import clear_denominators
 
 UNRAMIFIED_LABEL = "triv"
@@ -160,20 +159,18 @@ def precedes(d1: Segment, d2: Segment, q_E: int) -> bool:
 
     That is at_unif_1 = q_E^j * at_unif_2 for some j in
     [max(1, k2 - k1 + 1), k2], decided without division: the ratio of
-    the two values is real exactly when a.re * b.im == a.im * b.re, and
-    then it is the quotient of one nonzero component pair, taken as
-    integers from their numerators and denominators.
+    the two values is real exactly when a.re * b.im == a.im * b.re, that
+    is a.nr * b.ni == a.ni * b.nr on the integer triples, and then it is
+    the quotient of one nonzero component pair, one integer division.
     """
     if d1.rho.unit_label != d2.rho.unit_label:
         return False
     a, b = d1.rho.at_unif, d2.rho.at_unif
-    # a.re * b.im == a.im * b.re with the four denominators cleared
-    if (a.re.numerator * b.im.numerator * a.im.denominator * b.re.denominator
-            != a.im.numerator * b.re.numerator * a.re.denominator * b.im.denominator):
+    if a.nr * b.ni != a.ni * b.nr:
         return False
     # a real ratio a / b is x / y for a nonzero component x of a
-    x, y = (a.re, b.re) if a.re else (a.im, b.im)
-    ratio, rem = divmod(x.numerator * y.denominator, x.denominator * y.numerator)
+    x, y = (a.nr, b.nr) if a.nr else (a.ni, b.ni)
+    ratio, rem = divmod(x * b.den, a.den * y)
     if rem:
         return False
     # ratio = q_E^j for the j found by division, in log time for any k; a
@@ -250,7 +247,7 @@ class UnramifiedModule(Frozen):
 
     def omega_at_unif(self) -> GaussRat:
         """Central character value at the F-uniformizer: prod alpha_i^e."""
-        out = GaussRat(RAT_ONE)
+        out = GAUSS_ONE
         for v in self.satake:
             out = out * v**self.fp.e
         return out

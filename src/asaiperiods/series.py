@@ -8,9 +8,10 @@ operand orders. Equality of Series is strict: same order and same
 coefficients.
 
 Polynomial products, values and gcds run on scaled Gaussian integers:
-each operand is cleared to one common denominator and (re, im) int
-pairs (clear_denominators). A product convolves the pairs and divides
-each coefficient once; a value is one integer Horner sum, divided once;
+each operand is cleared to one common denominator, the lcm of the
+coefficients' den, and (re, im) int pairs (clear_denominators). A
+product convolves the pairs and divides each coefficient once
+(GaussRat.scaled); a value is one integer Horner sum, divided once;
 poly_gcd is the subresultant remainder sequence over Z[i], whose every
 division is exact, and only the gcd it ends with becomes GaussRat. The
 public coefficients stay GaussRat; the scaled form is internal, as in
@@ -22,23 +23,19 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .rational import rat
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 
 
 def scaled_pair(c: GaussRat, s: int) -> tuple:
-    """c*s as an (re, im) int pair; s must be a multiple of the
-    denominators of both parts of c."""
-    return (int(c.re.numerator) * (s // int(c.re.denominator)),
-            int(c.im.numerator) * (s // int(c.im.denominator)))
+    """c*s as an (re, im) int pair; s must be a multiple of c.den."""
+    k = s // c.den
+    return c.nr * k, c.ni * k
 
 
 def clear_denominators(values: Sequence[GaussRat]) -> tuple[int, list]:
-    """(D, beta) with D the lcm of the denominators of every real and
-    imaginary part of values and beta = D*values as (re, im) int pairs."""
-    den = 1
-    for v in values:
-        den = lcm(den, int(v.re.denominator), int(v.im.denominator))
+    """(D, beta) with D the lcm of the den of values and beta = D*values
+    as (re, im) int pairs."""
+    den = lcm(*[v.den for v in values])
     return den, [scaled_pair(v, den) for v in values]
 
 
@@ -115,7 +112,7 @@ class Poly:
                     re[j] += ar * br - ai * bi
                     im[j] += ar * bi + ai * br
             den = den_a * den_b
-            return Poly([GaussRat(rat(x, den), rat(y, den)) for x, y in zip(re, im)])
+            return Poly([GaussRat.scaled(x, y, den) for x, y in zip(re, im)])
         c = GaussRat._coerce(other)
         if c is None:
             return NotImplemented
@@ -159,8 +156,7 @@ class Poly:
         for cr, ci in reversed(cs[:-1]):
             w *= d
             re, im = re * xr - im * xi + cr * w, re * xi + im * xr + ci * w
-        den *= w
-        return GaussRat(rat(re, den), rat(im, den))
+        return GaussRat.scaled(re, im, den * w)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -282,7 +278,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
                 h = _gauss_div_exact(_gauss_pow(g, delta), _gauss_pow(h, delta - 1))
     lr, li = last[-1]
     n = lr * lr + li * li
-    return Poly([GaussRat(rat(x * lr + y * li, n), rat(y * lr - x * li, n)) for x, y in last])
+    return Poly([GaussRat.scaled(x * lr + y * li, y * lr - x * li, n) for x, y in last])
 
 
 class Series:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .rational import rat
 from .scalars import ALG_ZERO, GAUSS_ONE, GAUSS_ZERO, AlgNum, GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
 from .series import clear_denominators
@@ -159,8 +158,7 @@ def schur(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
     for i in range(n - 1, -1, -1):
         minors = expand_row(jt_row(h, parts[i] - i, n), minors)
     re, im = minors.get((1 << n) - 1, (0, 0))
-    den = d ** sum(lam2)
-    det = GaussRat(rat(re, den), rat(im, den))
+    det = GaussRat.scaled(re, im, d ** sum(lam2))
     return det if pre == GAUSS_ONE else pre * det
 
 

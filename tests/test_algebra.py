@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from asaiperiods.rational import BACKEND, is_integral, parse_rat, rat, rat_str
+from asaiperiods.rational import is_integral, parse_rat, rat, rat_str
 from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_of
 from asaiperiods.scalars import ALG_ONE, GAUSS_ONE, AlgNum, GaussRat, sqrt_of
 from asaiperiods.series import Poly, Series, _gauss_div_exact, poly_gcd
@@ -42,11 +42,7 @@ def geometric(c, order):
     return [c**k for k in range(order + 1)]
 
 
-# -- rational backend ---------------------------------------------------
-
-
-def test_backend_is_selected():
-    assert BACKEND in ("gmpy2", "fraction")
+# -- rationals ----------------------------------------------------------
 
 
 def test_rat_str_and_parse_round_trip():

@@ -1,6 +1,6 @@
 """End-to-end CLI behavior through real subprocesses: exit codes, JSON
-shape, table mode, determinism, and rational-backend forcing. A test
-that patches the library calls cli.main in process instead."""
+shape, table mode, determinism and import footprint. A test that
+patches the library calls cli.main in process instead."""
 
 import json
 import os
@@ -42,13 +42,10 @@ LINKED = {
 }
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "asaiperiods", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=dict(os.environ),
     )
 
 
@@ -189,6 +186,7 @@ def test_same_character_with_two_sigma_data_exits_2(descriptor):
 
 @pytest.mark.parametrize("module", ["asaiperiods.cli", "asaiperiods"])
 def test_import_loads_no_dataclasses_inspect_or_corpus(module):
+    # nor fractions (with its decimal and numbers): GaussRat is plain ints
     # only what the import adds counts: the interpreter's own start-up
     # (site and its .pth hooks) may load anything
     code = ("import sys; before = set(sys.modules); import %s; "
@@ -198,7 +196,8 @@ def test_import_loads_no_dataclasses_inspect_or_corpus(module):
     assert res.returncode == 0, res.stderr
     added = set(res.stdout.split())
     assert module in added
-    assert not added & {"dataclasses", "inspect", "asaiperiods.corpus"}
+    assert not added & {"dataclasses", "inspect", "asaiperiods.corpus",
+                        "fractions", "decimal", "numbers"}
 
 
 def test_missing_file_exits_2():
@@ -355,28 +354,6 @@ def test_output_is_deterministic():
     b = run_cli("verify", "--suite", "identities")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
-
-
-def test_backends_agree_byte_for_byte(descriptor):
-    path = descriptor(UNITARY)
-    frac = run_cli("period", "--rep", path, "--order", "20",
-                   env_extra={"ASAIPERIODS_RATIONAL": "fraction"})
-    assert frac.returncode == 0
-    try:
-        import gmpy2  # noqa: F401
-    except ImportError:
-        pytest.skip("gmpy2 backend not installed")
-    fast = run_cli("period", "--rep", path, "--order", "20",
-                   env_extra={"ASAIPERIODS_RATIONAL": "gmpy2"})
-    assert fast.returncode == 0
-    assert frac.stdout == fast.stdout
-
-
-def test_invalid_backend_env_var_fails_loudly(descriptor):
-    res = run_cli("period", "--rep", descriptor(STEINBERG),
-                  env_extra={"ASAIPERIODS_RATIONAL": "decimal"})
-    assert res.returncode != 0
-    assert "ASAIPERIODS_RATIONAL" in res.stderr
 
 
 # -- hostile sizes: refused before the sum or the evaluation ---------------
