@@ -1,11 +1,12 @@
 """Exact local Asai / Rankin-Selberg L-factors and mirabolic periods.
 
-Everything is exact arithmetic: truncated power series and canonical
-rational functions in t = q_F^-s over the Gaussian rationals, and the
-Whittaker torus values over Q(i, sqrt(q_F)). The package computes closed-form local L-factors,
-spherical and essential Whittaker torus values, and the lattice sums
-whose expansions, matched against the closed forms, verify the period
-identities.
+Everything is exact arithmetic over the Gaussian rationals: truncated
+power series and canonical rational functions in t = q_F^-s, and the
+Whittaker torus values as monomials c * q_F^(m/2), pairs (c, m) of a
+Gaussian rational and an int. The package computes closed-form local
+L-factors, spherical and essential Whittaker torus values, and the
+lattice sums whose expansions, matched against the closed forms, verify
+the period identities.
 """
 
 from .localfields import AddCharData, FieldPair, conductor_zero_shift, trace_conductor
@@ -19,7 +20,7 @@ from .periods import (
     verify_theorem1,
 )
 from .ratfunc import RatFunc, reconstruct, series_of
-from .scalars import AlgNum, GaussRat
+from .scalars import GaussRat
 from .segments import (
     GenericRep,
     MultChar,
@@ -41,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AddCharData",
-    "AlgNum",
     "FieldPair",
     "GaussRat",
     "GenericRep",

@@ -4,7 +4,9 @@ The extension is carried purely by numerical invariants: residue
 cardinality q_F, whether E/F is ramified, and (when ramified) the
 conductor exponent of the extension. Everything downstream depends
 only on q_F, q_E, the ramification index e, the residue degree f, and
-valuations; no element arithmetic in E is modeled.
+valuations; no element arithmetic in E is modeled. A half power
+q_E^(h/2) is q_F^(f*h/2): the Whittaker values (whittaker.py) carry it
+as the integer exponent f*h of sqrt(q_F).
 
 Also houses the conductor calculus for additive characters: the
 conductor of the trace-composed character, the shift that renormalizes
@@ -18,7 +20,6 @@ base (frozen.py), equal and hashed by their fields.
 from __future__ import annotations
 
 from .frozen import Frozen
-from .scalars import AlgNum, GaussRat
 
 
 Q_F_LIMIT = 2**64  # primality below it is decided exactly
@@ -119,19 +120,6 @@ class FieldPair(Frozen):
     def v_E_of_unif_F(self) -> int:
         """Valuation in E of a uniformizer of F."""
         return self.e
-
-    def q_E_half(self, h: int) -> AlgNum:
-        """Exact q_E^(h/2) for integer h, as an AlgNum over sqrt(q_F).
-
-        Unramified pairs have q_E = q_F^2, so every half power is an
-        integer power of q_F; ramified pairs put odd h on the sqrt(q_F)
-        component.
-        """
-        if not self.ramified:
-            return AlgNum(GaussRat(self.q_F) ** h)
-        if h % 2 == 0:
-            return AlgNum(GaussRat(self.q_F) ** (h // 2))
-        return AlgNum(0, GaussRat(self.q_F) ** ((h - 1) // 2), self.q_F)
 
 
 class AddCharData(Frozen):

@@ -38,11 +38,6 @@ def ratio_str(p: int, q: int) -> str:
     return "%d/%d" % (p // g, q // g)
 
 
-def rat_str(x) -> str:
-    """Canonical "p/q" form of a rational."""
-    return ratio_str(x.numerator, x.denominator)
-
-
 def parse_ratio(s: str) -> tuple[int, int]:
     """Parse "p/q" (or a bare integer "p") into the int pair (p, q)."""
     txt = s.strip()
@@ -53,12 +48,3 @@ def parse_ratio(s: str) -> tuple[int, int]:
             raise ValueError("zero denominator in %r" % s)
         return int(head), den
     return int(txt), 1
-
-
-def parse_rat(s: str):
-    """Parse "p/q" (or a bare integer "p") into a rational."""
-    return rat(*parse_ratio(s))
-
-
-def is_integral(x) -> bool:
-    return x.denominator == 1

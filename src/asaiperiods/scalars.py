@@ -1,4 +1,4 @@
-"""Scalar tower: Gaussian rationals and their formal sqrt(q) extension.
+"""Scalar tower: the Gaussian rationals Q(i).
 
 GaussRat is Q(i), held as one Gaussian integer over one denominator:
 three ints nr, ni, den with value (nr + ni*i) / den, den > 0 and
@@ -9,20 +9,14 @@ reads den directly, and GaussRat.scaled() builds a value from a scaled
 integer pair with one division. No rational object is built: .re and
 .im return exact fractions.Fraction parts, made on demand. It is the
 ring of the whole computation: Satake values, character values at the
-uniformizer, every series, polynomial and closed-form coefficient, and
-every value of a closed form, since the modulus weights of the lattice
-sums cancel each half power of q.
+uniformizer, every series, polynomial and closed-form coefficient,
+every value of a closed form, and the coefficient c of each Whittaker
+torus value c * q_F^(m/2), whose half power m is a plain int
+(whittaker.py). No sum of two such values is ever formed, so no
+sqrt(q_F) field is needed.
 
-AlgNum is a + b*sqrt(q) with GaussRat components and a fixed integer
-radicand q. Only the Whittaker torus values live there, through
-FieldPair.q_E_half: over a ramified pair they carry odd powers of
-sqrt(q_F). Arithmetic is formal in the symbol sqrt(q): q is never
-required to be squarefree or a non-square. The one degenerate
-consequence is that for perfect square q a nonzero element can have
-zero norm, in which case division raises ZeroDivisionError.
-
-Elements with b = 0 normalize their radicand to 0, so equality and
-hashing of plain Gaussian values never depend on the ambient q.
+AlgNum, a + b*sqrt(q), is not part of the tower: it serves the
+micro-timings of the layerbench harness alone.
 """
 
 from __future__ import annotations
@@ -259,156 +253,23 @@ GAUSS_ONE = _made(1, 0, 1)
 class AlgNum:
     """a + b*sqrt(q) with GaussRat components, formal in sqrt(q).
 
-    The radicand q is a positive integer, fixed by the ambient field
-    pair; elements with b = 0 carry q = 0 so that plain Gaussian values
-    from different contexts mix freely. Binary operations accept one
-    nonzero radicand at most and adopt it.
+    No computation of the package uses it: the Whittaker values are
+    (c, m) monomials (whittaker.py). It is kept, as constructor, + and
+    * only, for the scalars.alg_add_us and alg_mul_us micro-timings of
+    the layerbench harness. Elements with b = 0 carry q = 0; a sum or
+    product adopts the one nonzero radicand of its operands.
     """
 
     __slots__ = ("a", "b", "q")
 
     def __init__(self, a=0, b=0, q=0):
-        ga = GaussRat._coerce(a)
-        gb = GaussRat._coerce(b)
-        if ga is None or gb is None:
-            raise TypeError("AlgNum components must be GaussRat or rational")
-        if gb.is_zero():
-            q = 0
-            gb = GAUSS_ZERO
-        elif not (isinstance(q, int) and q > 0):
-            raise ValueError("nonzero sqrt component needs a positive integer radicand")
-        self.a = ga
-        self.b = gb
-        self.q = q
+        self.a = GaussRat._coerce(a)
+        self.b = GaussRat._coerce(b)
+        self.q = q if self.b else 0
 
-    # -- helpers -------------------------------------------------------
+    def __add__(self, o):
+        return AlgNum(self.a + o.a, self.b + o.b, self.q or o.q)
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, AlgNum):
-            return x
-        g = GaussRat._coerce(x)
-        return None if g is None else AlgNum(g)
-
-    def _join_q(self, other: "AlgNum") -> int:
-        if self.q and other.q and self.q != other.q:
-            raise ValueError("mixed radicands %d and %d" % (self.q, other.q))
-        return self.q or other.q
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def gauss(self) -> GaussRat:
-        if not self.b.is_zero():
-            raise ValueError("value has a nonzero sqrt component")
-        return self.a
-
-    def norm(self) -> GaussRat:
-        """Field norm a^2 - b^2*q down to GaussRat."""
-        return self.a * self.a - self.b * self.b * self.q
-
-    def inverse(self) -> "AlgNum":
-        n = self.norm()
-        if n.is_zero():
-            raise ZeroDivisionError(
-                "zero norm in AlgNum division (zero value, or perfect-square radicand)"
-            )
-        ninv = n.inverse()
-        return AlgNum(self.a * ninv, -self.b * ninv, self.q)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgNum(self.a + o.a, self.b + o.b, self._join_q(o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgNum(self.a - o.a, self.b - o.b, self._join_q(o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        q = self._join_q(o)
-        return AlgNum(
-            self.a * o.a + self.b * o.b * q,
-            self.a * o.b + self.b * o.a,
-            q,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __neg__(self):
-        return AlgNum(-self.a, -self.b, self.q)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ALG_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    # -- comparisons ---------------------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b and self.q == o.q
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.q))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __repr__(self):
-        if self.b.is_zero():
-            return "AlgNum(%s)" % (self.a,)
-        return "AlgNum(%s, %s, q=%d)" % (self.a, self.b, self.q)
-
-    def __str__(self):
-        if self.b.is_zero():
-            return str(self.a)
-        return "(%s)+(%s)*sqrt(%d)" % (self.a, self.b, self.q)
-
-
-ALG_ZERO = AlgNum(0)
-ALG_ONE = AlgNum(1)
-
-
-def sqrt_of(q: int) -> AlgNum:
-    """The formal element sqrt(q)."""
-    return AlgNum(0, 1, q)
+    def __mul__(self, o):
+        q = self.q or o.q
+        return AlgNum(self.a * o.a + self.b * o.b * q, self.a * o.b + self.b * o.a, q)

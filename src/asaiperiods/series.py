@@ -1,11 +1,11 @@
 """Dense polynomials and truncated power series over GaussRat.
 
 Both types are immutable value objects in the single variable t, with
-coefficients in Q(i): a scalar with a sqrt(q) component raises
-TypeError. Series carry an explicit truncation order (the index of the last
-stored coefficient); binary operations truncate at the minimum of the
-operand orders. Equality of Series is strict: same order and same
-coefficients.
+coefficients in Q(i): anything else, such as a (c, m) Whittaker value
+c * q_F^(m/2) (whittaker.py), raises TypeError. Series carry an
+explicit truncation order (the index of the last stored coefficient);
+binary operations truncate at the minimum of the operand orders.
+Equality of Series is strict: same order and same coefficients.
 
 Polynomial products, values and gcds run on scaled Gaussian integers:
 each operand is cleared to one common denominator, the lcm of the

@@ -6,7 +6,11 @@ modulus character times a Schur polynomial in the Satake values
 essential-vector value reduces to a spherical value of the unramified
 support times an explicit half-power, with unit-coordinate indicator
 constraints on the remaining torus entries; the additive character is
-normalized to conductor zero throughout.
+normalized to conductor zero throughout. So every value is a monomial
+c * q_F^(m/2), held as the pair (c, m) of a GaussRat and an int: a half
+power q_E^(h/2) is m = f*h, a product of values multiplies the c and
+adds the m, and the zero value is (GAUSS_ZERO, 0). Over a ramified
+pair m can be odd.
 
 Schur polynomials are computed by the Jacobi-Trudi determinant over a
 table of complete homogeneous symmetric polynomials, in Gaussian
@@ -30,11 +34,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .scalars import ALG_ZERO, GAUSS_ONE, GAUSS_ZERO, AlgNum, GaussRat
+from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
 from .series import clear_denominators
 
 Cochar = tuple  # integer tuple (lam_1, ..., lam_m) for diag(unif^lam_i)
+Value = tuple  # (c, m) for c * q_F^(m/2), c a GaussRat and m an int
+
+ZERO_VALUE = (GAUSS_ZERO, 0)
 
 
 def is_dominant(lam: Sequence[int]) -> bool:
@@ -190,21 +197,22 @@ def modulus_exponent(lam: Sequence[int]) -> int:
     return sum(x * (m + 1 - 2 * i) for i, x in enumerate(lam, start=1))
 
 
-def spherical_value(mod: UnramifiedModule, lam: Sequence[int]) -> AlgNum:
+def spherical_value(mod: UnramifiedModule, lam: Sequence[int]) -> Value:
     """Spherical Whittaker torus value at diag(unif_E^lam).
 
     Zero off the dominant cone; on it, q_E^(-modulus_exponent/2) times
-    the Schur polynomial of the Satake values.
+    the Schur polynomial of the Satake values, that is the pair
+    (schur, -f * modulus_exponent).
     """
     if len(lam) != mod.r:
         raise ValueError("cocharacter length must equal the module rank")
     if not is_dominant(lam):
-        return ALG_ZERO
-    half = mod.fp.q_E_half(-modulus_exponent(lam))
-    return half * schur(lam, mod.satake)
+        return ZERO_VALUE
+    c = schur(lam, mod.satake)
+    return (c, -mod.fp.f * modulus_exponent(lam)) if c else ZERO_VALUE
 
 
-def essential_value(rep: GenericRep, lam: Sequence[int]) -> AlgNum:
+def essential_value(rep: GenericRep, lam: Sequence[int]) -> Value:
     """Essential-vector torus value W(diag(a, 1)) for a ramified rep.
 
     lam lists the E-valuations of a_1..a_(n-1). Entries past the
@@ -219,13 +227,10 @@ def essential_value(rep: GenericRep, lam: Sequence[int]) -> AlgNum:
         raise ValueError("cocharacter length must be n-1 = %d" % (n - 1))
     mod = pi_u(rep)
     r = mod.r
-    for i in range(r, n - 1):
-        if lam[i] != 0:
-            return ALG_ZERO
     head = tuple(lam[:r])
-    if r > 0 and head[r - 1] < 0:
-        return ALG_ZERO
-    sph = spherical_value(mod, head)
-    if sph.is_zero():
-        return ALG_ZERO
-    return sph * rep.fp.q_E_half(-sum(head) * (n - r))
+    if any(lam[r:]) or (r > 0 and head[-1] < 0):
+        return ZERO_VALUE
+    c, m = spherical_value(mod, head)
+    if not c:
+        return ZERO_VALUE
+    return c, m - rep.fp.f * sum(head) * (n - r)

@@ -2,18 +2,19 @@
 Schur-sum kernel of asaiperiods.periods.
 
 Each term is a product of Whittaker values from spherical_value or
-essential_value and a modulus weight from FieldPair.q_E_half, all
-AlgNum: over a ramified pair single factors carry odd powers of
-sqrt(q_F). The sums run over an integer box with no dominance
-constraint assumed, so every term outside the cone must vanish on its
-own through the Whittaker values. A kernel coefficient is confirmed
-when the brute coefficient has zero sqrt(q_F) component and its Q(i)
-part equals it.
+essential_value and a modulus weight, all monomials c * q_F^(m/2) held
+as (c, m) pairs: over a ramified pair single factors can have odd m.
+The sums run over an integer box with no dominance constraint assumed,
+so every term outside the cone must vanish on its own through the
+Whittaker values. Each coefficient keeps two accumulators: the Q(i)
+sum of the terms with even m, and the sum of the sqrt(q_F)
+coefficients of the terms with odd m. A kernel coefficient is confirmed
+when the odd sum is zero and the even sum equals it.
 """
 
 import itertools
 
-from asaiperiods.scalars import ALG_ONE, ALG_ZERO
+from asaiperiods.scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 from asaiperiods.segments import is_unramified_rep, pi_u
 from asaiperiods.whittaker import essential_value, modulus_exponent, spherical_value
 
@@ -28,67 +29,71 @@ def box(m, order):
 def flicker_terms(mod, order):
     """(degree, factors): the spherical value at e*lam and the weight
     q_F^h = q_E^(e*h/2), h the modulus exponent of lam."""
-    fp, e = mod.fp, mod.fp.e
+    e = mod.fp.e
     for lam in box(mod.r, order):
         w = spherical_value(mod, tuple(e * x for x in lam))
-        if not w.is_zero():
-            yield sum(lam), (w, fp.q_E_half(e * modulus_exponent(lam)))
+        if w[0]:
+            yield sum(lam), (w, (GAUSS_ONE, 2 * modulus_exponent(lam)))
 
 
 def mirabolic_terms(rep, order):
     """(degree, factors): the spherical value at (e*lam, 0) for an
     unramified rep, the essential value at e*lam otherwise, and the
     weight q_F^(modulus exponent of lam + |lam|)."""
-    fp, n, e = rep.fp, rep.n, rep.fp.e
+    n, e = rep.n, rep.fp.e
     mod, unramified = pi_u(rep), is_unramified_rep(rep)
     for lam in box(n - 1, order):
         lam_e = tuple(e * x for x in lam)
         w = spherical_value(mod, lam_e + (0,)) if unramified else essential_value(rep, lam_e)
-        if not w.is_zero():
+        if w[0]:
             d = sum(lam)
-            yield d, (w, fp.q_E_half(e * (modulus_exponent(lam) + d)))
+            yield d, (w, (GAUSS_ONE, 2 * (modulus_exponent(lam) + d)))
 
 
 def rs_terms(m1, m2, order, width):
     """(degree, factors) over the whole box [-width, width]^(n-1): the
     two spherical values and the weight q_E^(modulus exponent + |lam|/2)."""
+    f = m1.fp.f
     for lam in itertools.product(range(-width, width + 1), repeat=m1.r - 1):
         d = sum(lam)
         if d < 0 or d > order:
             continue
         w1 = spherical_value(m1, tuple(lam) + (0,))
         w2 = spherical_value(m2, tuple(lam))
-        if w1.is_zero() or w2.is_zero():
-            continue
-        yield d, (w1, w2, m1.fp.q_E_half(2 * modulus_exponent(tuple(lam)) + d))
+        if w1[0] and w2[0]:
+            yield d, (w1, w2, (GAUSS_ONE, f * (2 * modulus_exponent(tuple(lam)) + d)))
 
 
-def iwasawa_sum(terms, order):
-    """Coefficients 0..order of the sum of the terms, as AlgNum."""
-    coeffs = [ALG_ZERO] * (order + 1)
+def iwasawa_sum(terms, order, q_F):
+    """Coefficients 0..order of the sum of the terms, each an (even,
+    odd) pair: the Q(i) sum of the terms with even m, and the sqrt(q_F)
+    coefficient of the sum of those with odd m."""
+    q = GaussRat(q_F)
+    coeffs = [[GAUSS_ZERO, GAUSS_ZERO] for _ in range(order + 1)]
     for d, factors in terms:
-        term = ALG_ONE
-        for x in factors:
-            term = term * x
-        coeffs[d] = coeffs[d] + term
-    return coeffs
+        c, m = GAUSS_ONE, 0
+        for x, k in factors:
+            c, m = c * x, m + k
+        # c * q_F^(m/2) is c * q_F^(m//2), times sqrt(q_F) for odd m
+        coeffs[d][m % 2] += c * q ** (m // 2)
+    return [tuple(pair) for pair in coeffs]
 
 
 def brute_flicker(mod, order):
-    return iwasawa_sum(flicker_terms(mod, order), order)
+    return iwasawa_sum(flicker_terms(mod, order), order, mod.fp.q_F)
 
 
 def brute_mirabolic(rep, order):
-    return iwasawa_sum(mirabolic_terms(rep, order), order)
+    return iwasawa_sum(mirabolic_terms(rep, order), order, rep.fp.q_F)
 
 
 def brute_rs(m1, m2, order, width):
-    return iwasawa_sum(rs_terms(m1, m2, order, width), order)
+    return iwasawa_sum(rs_terms(m1, m2, order, width), order, m1.fp.q_F)
 
 
 def kernel_mismatches(kernel, brute):
-    """Indices where the brute coefficient has a nonzero sqrt(q_F)
-    component or a Q(i) part other than the kernel's coefficient."""
+    """Indices where the brute coefficient has a nonzero odd-m sum or
+    an even-m sum other than the kernel's coefficient."""
     assert kernel.order == len(brute) - 1
-    return [d for d, (k, c) in enumerate(zip(kernel.coeffs, brute))
-            if not c.b.is_zero() or c.a != k]
+    return [d for d, (k, (even, odd)) in enumerate(zip(kernel.coeffs, brute))
+            if odd or even != k]

@@ -1,14 +1,14 @@
-"""Exact arithmetic layer: Gaussian rationals, adjoined square roots,
-polynomials, truncated series, canonical rational functions."""
+"""Exact arithmetic layer: Gaussian rationals, polynomials, truncated
+series, canonical rational functions."""
 
 import math
 import random
 
 import pytest
 
-from asaiperiods.rational import is_integral, parse_rat, rat, rat_str
+from asaiperiods.rational import parse_ratio, rat, ratio_str
 from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_of
-from asaiperiods.scalars import ALG_ONE, GAUSS_ONE, AlgNum, GaussRat, sqrt_of
+from asaiperiods.scalars import GAUSS_ONE, GaussRat
 from asaiperiods.series import Poly, Series, _gauss_div_exact, poly_gcd
 
 
@@ -46,21 +46,17 @@ def geometric(c, order):
 
 
 def test_rat_str_and_parse_round_trip():
-    assert rat_str(rat(3, 6)) == "1/2"
-    assert rat_str(rat(-4)) == "-4/1"
-    assert parse_rat("7/3") == rat(7, 3)
-    assert parse_rat("-5") == rat(-5)
-    assert parse_rat(rat_str(rat(22, -7))) == rat(-22, 7)
+    # the "p/q" text of the descriptor format, on int pairs
+    assert ratio_str(3, 6) == "1/2"
+    assert ratio_str(-4, 1) == "-4/1"
+    assert parse_ratio("7/3") == (7, 3)
+    assert parse_ratio("-5") == (-5, 1)
+    assert parse_ratio(ratio_str(-22, 7)) == (-22, 7)
 
 
 def test_parse_rat_rejects_zero_denominator():
     with pytest.raises(ValueError):
-        parse_rat("1/0")
-
-
-def test_is_integral():
-    assert is_integral(rat(4, 2))
-    assert not is_integral(rat(1, 2))
+        parse_ratio("1/0")
 
 
 # -- GaussRat -----------------------------------------------------------
@@ -89,59 +85,12 @@ def test_gauss_division_by_zero():
         g(1) / g(0)
 
 
-# -- AlgNum -------------------------------------------------------------
-
-
-def test_sqrt_relation_squares_to_radicand():
-    for q in (2, 3, 5, 7, 49):
-        root = sqrt_of(q)
-        assert root * root == AlgNum(GaussRat(rat(q)))
-
-
-def test_algnum_inverse():
-    x = AlgNum(g(1), g(1), 2)  # 1 + sqrt(2)
-    assert x * x.inverse() == ALG_ONE
-    # norm a^2 - b^2 q = 1 - 2 = -1
-    assert x.norm() == g(-1)
-
-
-def test_algnum_mixed_radicands_rejected():
-    with pytest.raises(ValueError):
-        AlgNum(g(1), g(1), 2) + AlgNum(g(1), g(1), 3)
-
-
-def test_algnum_perfect_square_radicand_zero_norm():
-    # 3 - sqrt(9) is formally nonzero but has norm 0; division must fail loudly
-    x = AlgNum(g(3), g(-1), 9)
-    with pytest.raises(ZeroDivisionError):
-        x.inverse()
-
-
-def test_algnum_mul_by_plain_values():
-    # one general product formula serves b = 0 operands as well
-    root = sqrt_of(3)
-    assert AlgNum(g(2)) * root == AlgNum(g(0), g(2), 3)
-    assert root * g(2) == AlgNum(g(0), g(2), 3)
-    assert (AlgNum(g(2)) * AlgNum(g(5))).q == 0
-    assert AlgNum(g(1), g(1), 3) * AlgNum(g(1), g(-1), 3) == AlgNum(g(-2))
-
-
-def test_algnum_gauss_extraction():
-    assert AlgNum(g(5)).gauss() == g(5)
-    with pytest.raises(ValueError):
-        AlgNum(g(0), g(1), 3).gauss()
-
-
 # -- ring laws on randomized inputs ------------------------------------
 
 
 def rand_gauss(rng):
     return GaussRat(rat(rng.randint(-6, 6), rng.randint(1, 4)),
                     rat(rng.randint(-6, 6), rng.randint(1, 4)))
-
-
-def rand_alg(rng, q):
-    return AlgNum(rand_gauss(rng), rand_gauss(rng), q)
 
 
 def test_ring_laws_gauss():
@@ -153,17 +102,6 @@ def test_ring_laws_gauss():
         assert a * (b + c) == a * b + a * c
         assert a + GaussRat(rat(0)) == a
         assert a * GaussRat(rat(1)) == a
-
-
-def test_ring_laws_algnum():
-    rng = random.Random(202)
-    for _ in range(50):
-        a, b, c = (rand_alg(rng, 5) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        if not a.is_zero() and a.norm() != g(0):
-            assert a * a.inverse() == ALG_ONE
 
 
 # -- Poly ---------------------------------------------------------------
@@ -212,7 +150,8 @@ def test_poly_eval_horner():
 
 
 def test_series_and_poly_refuse_sqrt_components():
-    for bad in (sqrt_of(3), AlgNum(g(1), g(2), 5), AlgNum(g(1))):
+    # Whittaker values (c, m) are monomials in sqrt(q_F), not scalars
+    for bad in ((g(1), 1), (g(1), 0), 0.5):
         with pytest.raises(TypeError):
             Series([bad])
         with pytest.raises(TypeError):

@@ -68,17 +68,6 @@ def test_q_F_bounded_below_2_64():
         is_prime_power(2**64 + 13)
 
 
-def test_q_E_half():
-    u = FieldPair(2, False)
-    assert u.q_E_half(2).gauss().re == 4  # q_E^1 = 4
-    assert u.q_E_half(-2) == u.q_E_half(2).inverse()
-    r = FieldPair(2, True, 1)
-    x = r.q_E_half(1)  # sqrt(2), irrational part
-    assert x * x == r.q_E_half(2)
-    assert r.q_E_half(3) == r.q_E_half(1) * r.q_E_half(2)
-    assert r.q_E_half(-1) * r.q_E_half(1) == r.q_E_half(0)
-
-
 def test_trace_conductor_pinned_values():
     assert trace_conductor(FieldPair(3, False), 0) == 0
     assert trace_conductor(FieldPair(3, True, 1), 0) == 1

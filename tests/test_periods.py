@@ -4,10 +4,10 @@ the theorem-level verification reports.
 The Schur-sum kernel behind the lattice sums is cross-checked against
 the weighted Iwasawa sums themselves (iwasawa.brute_flicker,
 brute_mirabolic, brute_rs): Whittaker values from
-spherical_value/essential_value times the q_E_half modulus weights,
-summed over an integer box with no dominance constraints assumed, so
-every term outside the cone must vanish on its own through the
-Whittaker values, and every sqrt(q_F) part must cancel.
+spherical_value/essential_value times the modulus weights, all (c, m)
+monomials c * q_F^(m/2), summed over an integer box with no dominance
+constraints assumed, so every term outside the cone must vanish on its
+own through the Whittaker values, and the terms with odd m must cancel.
 """
 
 import itertools
@@ -42,7 +42,14 @@ from asaiperiods.periods import (
 )
 from asaiperiods.whittaker import schur, schur_bialternant
 from asaiperiods import corpus, periods
-from iwasawa import brute_flicker, brute_mirabolic, brute_rs, kernel_mismatches
+from iwasawa import (
+    brute_flicker,
+    brute_mirabolic,
+    brute_rs,
+    iwasawa_sum,
+    kernel_mismatches,
+    rs_terms,
+)
 
 UFP = FieldPair(2, False)
 RFP = FieldPair(2, True, 1)
@@ -300,15 +307,15 @@ def test_flicker_reconstruct_recovers_asai():
 
 
 def test_flicker_sqrt_component_vanishes():
-    # the Iwasawa sum over a ramified pair, built from AlgNum Whittaker
-    # values and q_E_half weights, has no sqrt(q_F) part left, and its
-    # Q(i) part is the kernel's series
+    # the Iwasawa sum over a ramified pair, built from (c, m) Whittaker
+    # values and weights, has no odd-m part left, and its even-m part is
+    # the kernel's series
     rng = random.Random(232)
     for _ in range(6):
         mod = corpus.rand_module(rng, RFP, rng.randint(1, 3))
         brute = brute_flicker(mod, 10)
-        assert all(c.b.is_zero() for c in brute)
-        assert [c.a for c in brute] == list(flicker_series(mod, 10).coeffs)
+        assert all(odd.is_zero() for _, odd in brute)
+        assert [even for even, _ in brute] == list(flicker_series(mod, 10).coeffs)
 
 
 # -- mirabolic_series ----------------------------------------------------
@@ -374,8 +381,8 @@ def test_mirabolic_sqrt_component_vanishes():
     for _ in range(5):
         rep = corpus.ramified_rep(rng, RFP)
         brute = brute_mirabolic(rep, 8)
-        assert all(c.b.is_zero() for c in brute)
-        assert [c.a for c in brute] == list(mirabolic_series(rep, 8).coeffs)
+        assert all(odd.is_zero() for _, odd in brute)
+        assert [even for even, _ in brute] == list(mirabolic_series(rep, 8).coeffs)
 
 
 def test_mirabolic_at_the_largest_admitted_order_rank5():
@@ -417,6 +424,33 @@ def test_rs_series_matches_brute_enumeration():
         m1b = umod(fp, g(2), g(1, 2), g(3))
         m2b = umod(fp, g(1, 5), g(7))
         assert kernel_mismatches(rs_series(m1b, m2b, 5), brute_rs(m1b, m2b, 5, width=6)) == []
+
+
+def test_kernel_mismatches_flag_a_wrong_half_power():
+    # on a ramified pair single Rankin-Selberg factors have odd m. One
+    # half power more on every weight swaps the parities: the odd-m sum
+    # becomes the kernel's series. Two half powers keep them and scale
+    # the even-m sum by q_F. Both must be flagged wherever the kernel's
+    # coefficient is nonzero.
+    m1, m2 = umod(RFP, g(2), g(1, 3)), umod(RFP, g(5))
+    kernel = rs_series(m1, m2, 4)
+    terms = list(rs_terms(m1, m2, 4, 5))
+    assert any(m % 2 for _, factors in terms for _, m in factors)
+    assert kernel_mismatches(kernel, iwasawa_sum(terms, 4, 2)) == []
+    nonzero = [d for d, c in enumerate(kernel.coeffs) if c]
+    assert nonzero
+
+    def shifted(k):
+        return iwasawa_sum(((d, fs[:-1] + ((fs[-1][0], fs[-1][1] + k),)) for d, fs in terms),
+                           4, 2)
+
+    one = shifted(1)
+    assert [odd for _, odd in one] == list(kernel.coeffs)
+    assert kernel_mismatches(kernel, one) == nonzero
+    two = shifted(2)
+    assert all(not odd for _, odd in two)
+    assert [even for even, _ in two] == [2 * c for c in kernel.coeffs]
+    assert kernel_mismatches(kernel, two) == nonzero
 
 
 def test_rs_series_randomized_vs_closed_form():

@@ -1,14 +1,19 @@
 """GaussRat against an independent reference: a pair of
 fractions.Fraction parts, with the complex field operations written out
 on the pairs. Every result must equal the reference value and be in
-normal form: den > 0 and gcd(nr, ni, den) == 1."""
+normal form: den > 0 and gcd(nr, ni, den) == 1. Also a guard that no
+module but scalars.py uses AlgNum, which the computation no longer
+needs."""
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import asaiperiods
 from asaiperiods.scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 
 ZERO = (Fraction(0), Fraction(0))
@@ -197,3 +202,19 @@ def test_text_forms():
     assert str(GaussRat(4)) == "4/1"
     assert repr(GaussRat(0, Fraction(2, 4))) == "GaussRat(0, 1/2)"
     assert GaussRat.scaled(3, 4, 5).to_complex() == complex(0.6, 0.8)
+
+
+def test_only_scalars_names_algnum():
+    # AlgNum is kept for the layerbench micro-timings alone; no module of
+    # the package may import it or name it
+    found = []
+    for path in sorted(Path(asaiperiods.__file__).parent.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            if names & {"AlgNum", "*"}:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from asaiperiods.rational import rat
-from asaiperiods.scalars import ALG_ONE, AlgNum, GaussRat
+from asaiperiods.scalars import GaussRat
 from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import GenericRep, MultChar, Segment, UnramifiedModule, pi_u
 from asaiperiods.whittaker import (
@@ -136,34 +136,40 @@ def test_modulus_exponent_central_shift_invariance():
 # -- spherical_value -----------------------------------------------------
 
 
+# values are (c, m) pairs for c * q_F^(m/2); a half power q_E^(h/2) is
+# m = f*h: h on a ramified pair, 2h on an unramified one
+
+
 def test_spherical_value_at_origin_is_one():
     mod = UnramifiedModule(UFP, (g(3), g(1, 3)))
-    assert spherical_value(mod, (0, 0)) == ALG_ONE
+    assert spherical_value(mod, (0, 0)) == (g(1), 0)
 
 
 def test_spherical_value_off_cone_is_zero():
     mod = UnramifiedModule(UFP, (g(3), g(1, 3)))
-    assert spherical_value(mod, (0, 1)).is_zero()
+    assert spherical_value(mod, (0, 1)) == (g(0), 0)
+    # a dominant lam with a vanishing Schur value is the same zero
+    mod = UnramifiedModule(UFP, (g(1), g(-1)))
+    assert spherical_value(mod, (1, 0)) == (g(0), 0)
 
 
 def test_spherical_value_gl1():
     mod = UnramifiedModule(UFP, (g(5),))
-    assert spherical_value(mod, (3,)) == AlgNum(g(125))
+    assert spherical_value(mod, (3,)) == (g(125), 0)
 
 
 def test_spherical_value_explicit_gl2():
     # r=2, lam=(1,0): q_E^(-1/2) * s_(1,0); unramified q_E = q_F^2 so
     # the half power is the integer power q_F^-1
     mod = UnramifiedModule(UFP, (g(3), g(1, 3)))
-    got = spherical_value(mod, (1, 0))
-    assert got == AlgNum(g(10, 3) * g(1, 2))
+    assert spherical_value(mod, (1, 0)) == (g(10, 3), -2)
 
 
 def test_spherical_value_ramified_half_power():
     # ramified: q_E = q_F = 2, modulus exponent 1 gives a genuine sqrt(2)
     mod = UnramifiedModule(RFP, (g(3), g(1, 3)))
-    got = spherical_value(mod, (1, 0))
-    assert got * got == AlgNum(g(100, 9) * g(1, 2))
+    assert spherical_value(mod, (1, 0)) == (g(10, 3), -1)
+    assert spherical_value(mod, (2, 0)) == (g(91, 9), -2)
 
 
 def test_spherical_central_twist():
@@ -174,12 +180,12 @@ def test_spherical_central_twist():
         base = spherical_value(mod, lam)
         for c in (1, 2, -1):
             shifted = tuple(x + c for x in lam)
-            assert spherical_value(mod, shifted) == base * AlgNum(prod**c)
+            assert spherical_value(mod, shifted) == (base[0] * prod**c, base[1])
 
 
 def test_spherical_value_empty_module():
     mod = UnramifiedModule(UFP, ())
-    assert spherical_value(mod, ()) == ALG_ONE
+    assert spherical_value(mod, ()) == (g(1), 0)
 
 
 # -- essential_value -----------------------------------------------------
@@ -191,20 +197,21 @@ def steinberg(fp):
 
 def test_essential_origin_is_one():
     rep = steinberg(UFP)
-    assert essential_value(rep, (0,)) == ALG_ONE
+    assert essential_value(rep, (0,)) == (g(1), 0)
 
 
 def test_essential_steinberg_positive_torus():
-    # r=1, n=2: value = 1 * q_E^(-2/2)... lam=(2): q_E^-(2*1/2) = q_E^-1 = 1/4
+    # r=1, n=2: value at lam=(h) is q_E^(-h/2) = q_F^(-h), unramified
     rep = steinberg(UFP)
-    assert essential_value(rep, (2,)) == AlgNum(g(1, 4))
+    assert essential_value(rep, (1,)) == (g(1), -2)  # 1/2
+    assert essential_value(rep, (2,)) == (g(1), -4)  # 1/4
 
 
 def test_essential_steinberg_ramified_pair():
-    rep = steinberg(RFP)  # q_E = 2
-    assert essential_value(rep, (2,)) == AlgNum(g(1, 2))
-    val = essential_value(rep, (1,))  # q_E^-1/2, irrational part
-    assert val * val == AlgNum(g(1, 2))
+    rep = steinberg(RFP)  # q_E = q_F = 2
+    assert essential_value(rep, (1,)) == (g(1), -1)  # 1/sqrt(2)
+    assert essential_value(rep, (2,)) == (g(1), -2)  # 1/2
+    assert essential_value(rep, (3,)) == (g(1), -3)
 
 
 def test_essential_vanishing_conditions():
@@ -215,11 +222,11 @@ def test_essential_vanishing_conditions():
     r = pi_u(rep).r
     assert r == 1
     # lam_2 must be 0 (r < 2 < n)
-    assert essential_value(rep, (1, 1)).is_zero()
+    assert essential_value(rep, (1, 1)) == (g(0), 0)
     # lam_r negative kills it too
-    assert essential_value(rep, (-1, 0)).is_zero()
+    assert essential_value(rep, (-1, 0)) == (g(0), 0)
     # valid point: lam=(2,0): sph((2,)) * q_E^(-2*(3-1)/2) = 25 * 4^-2
-    assert essential_value(rep, (2, 0)) == AlgNum(g(25) * g(1, 16))
+    assert essential_value(rep, (2, 0)) == (g(25), -8)
 
 
 def test_essential_rejects_unramified_rep():
