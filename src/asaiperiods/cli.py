@@ -4,9 +4,14 @@ Subcommands: lfactor (closed-form L-factors of a representation
 descriptor), period (mirabolic period report), verify (named check
 suites over a descriptor or the built-in seeded corpora), segments
 (segment-combinatorics report). Output is deterministic JSON by
-default; --output table renders the same data as text. The verify
-suites that run on the seeded built-in corpora import corpus (and
-random) themselves, so no other invocation pays for them.
+default; --output table renders the same data as text.
+
+Each command reads the parsed argparse namespace directly, once
+_check_options has checked --at-s and --order. verify loads and
+size-checks --rep once and hands that representation (or None) and
+--order to each suite, which returns its check rows. Without --rep the
+suites draw their subjects from the seeded built-in corpora, importing
+corpus (and random) only then, so no other invocation pays for them.
 
 Exit codes: 0 success (a pole in a value is a result, not a failure),
 1 verification failure, 2 input error, 3 non-generic input.
@@ -74,22 +79,6 @@ EXIT_INPUT = 2
 EXIT_NOT_GENERIC = 3
 
 
-class RunConfig:
-    """One invocation's subcommand and options."""
-
-    __slots__ = ("command", "rep_path", "secondary_rep_path", "order", "at_s", "output", "suite")
-
-    def __init__(self, command: str, rep_path: str | None, secondary_rep_path: str | None,
-                 order: int, at_s: int | None, output: str, suite: str):
-        self.command = command
-        self.rep_path = rep_path
-        self.secondary_rep_path = secondary_rep_path
-        self.order = order
-        self.at_s = at_s
-        self.output = output
-        self.suite = suite
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asaiperiods",
@@ -124,27 +113,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    at_s = None
+def _check_options(ns: argparse.Namespace) -> None:
+    """Refuse a bad --at-s (period only) or --order, in that order, and
+    leave --at-s as an int."""
     raw = getattr(ns, "at_s", None)
     if raw is not None:
         try:
-            at_s = int(raw)
+            ns.at_s = int(raw)
         except ValueError:
             raise DescriptorError("--at-s: expected a positive integer, got %r" % raw)
-        if at_s < 1:
+        if ns.at_s < 1:
             raise DescriptorError("--at-s: expected a positive integer, got %r" % raw)
     if ns.order < 1:
         raise DescriptorError("--order: must be >= 1")
-    return RunConfig(
-        command=ns.command,
-        rep_path=getattr(ns, "rep", None),
-        secondary_rep_path=getattr(ns, "against", None),
-        order=ns.order,
-        at_s=at_s,
-        output=ns.output,
-        suite=getattr(ns, "suite", "all"),
-    )
 
 
 def _short(g: GaussRat) -> str:
@@ -210,8 +191,8 @@ def _load_generic_rep(path: str, at_s: int | None = None) -> GenericRep:
     return rep
 
 
-def _emit(obj: dict, cfg: RunConfig, table_lines) -> None:
-    if cfg.output == "json":
+def _emit(obj: dict, ns: argparse.Namespace, table_lines) -> None:
+    if ns.output == "json":
         print(json.dumps(obj))
     else:
         for line in table_lines(obj):
@@ -221,17 +202,17 @@ def _emit(obj: dict, cfg: RunConfig, table_lines) -> None:
 # -- lfactor -----------------------------------------------------------
 
 
-def cmd_lfactor(cfg: RunConfig) -> int:
-    rep = _load_generic_rep(cfg.rep_path)
+def cmd_lfactor(ns: argparse.Namespace) -> int:
+    rep = _load_generic_rep(ns.rep)
     mod = pi_u(rep)
     report = {
         "field": field_json(rep.fp),
         "piU": [value_str(v) for v in mod.satake],
         "asai": ratfunc_json(asai_L(mod)),
     }
-    rs_info = None
-    if cfg.secondary_rep_path:
-        other = _load_generic_rep(cfg.secondary_rep_path)
+    m2 = None
+    if ns.against:
+        other = _load_generic_rep(ns.against)
         if other.fp != rep.fp:
             raise DescriptorError("--against: field pair differs from --rep")
         if not (is_unramified_rep(rep) and is_unramified_rep(other)):
@@ -242,7 +223,6 @@ def cmd_lfactor(cfg: RunConfig) -> int:
         need = mod.r * m2.r * (coefficient_bits(mod.satake) + coefficient_bits(m2.satake))
         if need > printable_bits():
             raise _too_large("--against", "the Rankin-Selberg factor", need)
-        rs_info = (mod, m2)
         rs = rs_L(mod, m2)
         report["rs"] = {
             "tE": ratfunc_json(rs),
@@ -252,21 +232,20 @@ def cmd_lfactor(cfg: RunConfig) -> int:
     def tables(obj):
         yield "Asai L-factor in t = q_F^-s:"
         yield "  " + _factored(asai_factor_list(mod))
-        if rs_info is not None:
-            m1, m2 = rs_info
+        if m2 is not None:
             yield "Rankin-Selberg L-factor in t_E = q_E^-s:"
-            yield "  " + _factored(rs_factor_list(m1, m2), var="tE")
+            yield "  " + _factored(rs_factor_list(mod, m2), var="tE")
 
-    _emit(report, cfg, tables)
+    _emit(report, ns, tables)
     return EXIT_OK
 
 
 # -- period ------------------------------------------------------------
 
 
-def cmd_period(cfg: RunConfig) -> int:
-    rep = _load_generic_rep(cfg.rep_path, cfg.at_s)
-    report = verify_theorem1(rep, cfg.order)
+def cmd_period(ns: argparse.Namespace) -> int:
+    rep = _load_generic_rep(ns.rep, ns.at_s)
+    report = verify_theorem1(rep, ns.order)
     obj = {
         "series": series_json(report.series),
         "reconstructed": None if report.reconstructed is None else ratfunc_json(report.reconstructed),
@@ -274,9 +253,9 @@ def cmd_period(cfg: RunConfig) -> int:
         "match": report.match,
         "valueAt1": value_str(report.value_at_1),
     }
-    if cfg.at_s is not None:
+    if ns.at_s is not None:
         try:
-            obj["valueAtS"] = value_str(lattice_value_at(rep, cfg.at_s, report.closed_form))
+            obj["valueAtS"] = value_str(lattice_value_at(rep, ns.at_s, report.closed_form))
         except ZeroDivisionError:
             obj["valueAtS"] = "pole"
 
@@ -289,21 +268,21 @@ def cmd_period(cfg: RunConfig) -> int:
         )
         yield "value at s=1: %s" % o["valueAt1"]
         if "valueAtS" in o:
-            yield "value at s=%d: %s" % (cfg.at_s, o["valueAtS"])
+            yield "value at s=%d: %s" % (ns.at_s, o["valueAtS"])
 
-    _emit(obj, cfg, tables)
+    _emit(obj, ns, tables)
     return EXIT_OK
 
 
 # -- segments ----------------------------------------------------------
 
 
-def cmd_segments(cfg: RunConfig) -> int:
-    fp, segments = load_rep_file(cfg.rep_path)
+def cmd_segments(ns: argparse.Namespace) -> int:
+    fp, segments = load_rep_file(ns.rep)
     try:
         rep = GenericRep(fp, tuple(segments))
     except NotGenericError:
-        _emit({"generic": False}, cfg, lambda o: ["generic: no"])
+        _emit({"generic": False}, ns, lambda o: ["generic: no"])
         return EXIT_OK
     csd = is_conjugate_selfdual(rep)
     ordered = standard_order(segments, fp.q_E)
@@ -327,154 +306,121 @@ def cmd_segments(cfg: RunConfig) -> int:
         if o["asaiHolomorphicWitness"] is not None:
             yield "holomorphy witness: %s" % ("yes" if o["asaiHolomorphicWitness"] else "NO")
 
-    _emit(obj, cfg, tables)
+    _emit(obj, ns, tables)
     return EXIT_OK
 
 
 # -- verify ------------------------------------------------------------
 
 
-def _check_theorem1(name: str, rep: GenericRep, order: int) -> dict:
-    report = verify_theorem1(rep, order)
-    out = {
-        "suite": "theorem1",
-        "check": name,
-        "pass": report.match,
-        "valueAt1": value_str(report.value_at_1),
-    }
-    if not report.match:
-        out["firstFailIndex"] = report.series.first_mismatch(report.expected)
-    return out
-
-
-def _theorem1_reps(cfg: RunConfig) -> list:
-    if cfg.rep_path:
-        return [("user-rep", _load_generic_rep(cfg.rep_path))]
+def _builtin(seed: int):
+    """The corpus module and a generator seeded with seed."""
     import random
 
     from . import corpus
 
-    reps = [
-        ("steinberg-gl2-unram-pair", corpus.steinberg_gl2(FieldPair(2, False))),
-        ("steinberg-gl2-ram-pair", corpus.steinberg_gl2(FieldPair(3, True, 1))),
-        ("unitary-gl2", corpus.unitary_gl2_example()),
-    ]
-    rng = random.Random(61409)
-    for i in range(3):
-        fp = corpus.rand_field(rng, ramified=bool(i % 2))
-        reps.append(("ramified-mix-%d" % i, corpus.ramified_rep(rng, fp)))
-    fp = FieldPair(5, False)
-    reps.append(("no-unramified-support",
-                 GenericRep(fp, (corpus.selfdual_ramified_segment(rng, 1, 2),))))
-    return reps
+    return corpus, random.Random(seed)
 
 
-def _suite_theorem1(cfg: RunConfig):
-    reps = _theorem1_reps(cfg)
-    try:
-        for name, rep in reps:
-            yield _check_theorem1(name, rep, cfg.order)
-    except OrderTooSmall:
-        # name the order that certifies every check, not just this one
-        need = max(certifying_order(closed_form_for(rep)) for _, rep in reps)
-        raise OrderTooSmall(cfg.order, need) from None
-    except LatticeCostError as exc:
-        # and the order that every check's sum admits
-        least = min(mirabolic_largest_order(rep) for _, rep in reps)
-        raise LatticeCostError(exc.reason, least, "suite") from None
-
-
-def _suite_cpi(cfg: RunConfig):
-    if cfg.rep_path:
-        rep = _load_generic_rep(cfg.rep_path)
-        try:
-            ok = verify_c_pi(rep)
-        except ValueError as exc:
-            yield {"suite": "cpi", "check": "user-rep", "pass": False, "error": str(exc)}
-            return
-        yield {"suite": "cpi", "check": "user-rep", "pass": ok}
-        return
-    import random
-
-    from . import corpus
-
-    rng = random.Random(7021)
-    for i in range(6):
-        rep = corpus.csd_rep(rng, corpus.rand_field(rng, ramified=False))
-        yield {"suite": "cpi", "check": "unram-pair-%d" % i, "pass": verify_c_pi(rep)}
-    for i in range(6):
-        rep = corpus.csd_rep(rng, corpus.rand_field(rng, ramified=True))
-        yield {"suite": "cpi", "check": "ram-pair-%d" % i, "pass": verify_c_pi(rep)}
-
-
-def _suite_multiplicativity(cfg: RunConfig):
-    if cfg.rep_path:
-        mod = pi_u(_load_generic_rep(cfg.rep_path))
-        ok = asai_L(mod) == asai_L_multiplicative(mod)
-        yield {"suite": "multiplicativity", "check": "user-rep", "pass": ok}
-        return
-    import random
-
-    from . import corpus
-
-    rng = random.Random(40104)
-    for i in range(100):
-        fp = corpus.rand_field(rng, ramified=bool(i % 2))
-        mod = corpus.rand_module(rng, fp, rng.randint(0, 5))
-        ok = asai_L(mod) == asai_L_multiplicative(mod)
-        yield {"suite": "multiplicativity", "check": "module-%03d" % i, "pass": ok}
+def _check(suite: str, name: str, ok: bool, **extra) -> dict:
+    return {"suite": suite, "check": name, "pass": ok, **extra}
 
 
 def _series_check(name: str, got, expected) -> dict:
-    ok = got == expected
-    out = {"suite": "identities", "check": name, "pass": ok}
-    if not ok:
-        out["firstFailIndex"] = got.first_mismatch(expected)
-    return out
+    if got == expected:
+        return _check("identities", name, True)
+    return _check("identities", name, False, firstFailIndex=got.first_mismatch(expected))
 
 
-def _suite_identities(cfg: RunConfig):
-    order = min(cfg.order, 20)
-    if cfg.rep_path:
-        mods = [pi_u(_load_generic_rep(cfg.rep_path))]
+def _suite_theorem1(rep: GenericRep | None, order: int) -> list:
+    if rep is not None:
+        subjects = [("user-rep", rep)]
     else:
-        import random
+        corpus, rng = _builtin(61409)
+        subjects = [
+            ("steinberg-gl2-unram-pair", corpus.steinberg_gl2(FieldPair(2, False))),
+            ("steinberg-gl2-ram-pair", corpus.steinberg_gl2(FieldPair(3, True, 1))),
+            ("unitary-gl2", corpus.unitary_gl2_example()),
+        ]
+        for i in range(3):
+            fp = corpus.rand_field(rng, ramified=bool(i % 2))
+            subjects.append(("ramified-mix-%d" % i, corpus.ramified_rep(rng, fp)))
+        subjects.append(("no-unramified-support", GenericRep(
+            FieldPair(5, False), (corpus.selfdual_ramified_segment(rng, 1, 2),))))
+    checks = []
+    try:
+        for name, subject in subjects:
+            report = verify_theorem1(subject, order)
+            fail = {} if report.match else {
+                "firstFailIndex": report.series.first_mismatch(report.expected)}
+            checks.append(_check("theorem1", name, report.match,
+                                 valueAt1=value_str(report.value_at_1), **fail))
+    except OrderTooSmall:
+        # name the order that certifies every check, not just this one
+        need = max(certifying_order(closed_form_for(subject)) for _, subject in subjects)
+        raise OrderTooSmall(order, need) from None
+    except LatticeCostError as exc:
+        # and the order that every check's sum admits
+        least = min(mirabolic_largest_order(subject) for _, subject in subjects)
+        raise LatticeCostError(exc.reason, least, "suite") from None
+    return checks
 
-        from . import corpus
 
-        rng = random.Random(90125)
+def _suite_cpi(rep: GenericRep | None, order: int) -> list:
+    if rep is not None:
+        subjects = [("user-rep", rep)]
+    else:
+        corpus, rng = _builtin(7021)
+        subjects = [("%s-pair-%d" % (kind, i),
+                     corpus.csd_rep(rng, corpus.rand_field(rng, ramified=kind == "ram")))
+                    for kind in ("unram", "ram") for i in range(6)]
+    checks = []
+    for name, subject in subjects:
+        try:
+            checks.append(_check("cpi", name, verify_c_pi(subject)))
+        except ValueError as exc:
+            checks.append(_check("cpi", name, False, error=str(exc)))
+    return checks
+
+
+def _suite_multiplicativity(rep: GenericRep | None, order: int) -> list:
+    if rep is not None:
+        subjects = [("user-rep", pi_u(rep))]
+    else:
+        corpus, rng = _builtin(40104)
+        subjects = [("module-%03d" % i, corpus.rand_module(
+            rng, corpus.rand_field(rng, ramified=bool(i % 2)), rng.randint(0, 5)))
+                    for i in range(100)]
+    return [_check("multiplicativity", name, asai_L(mod) == asai_L_multiplicative(mod))
+            for name, mod in subjects]
+
+
+def _suite_identities(rep: GenericRep | None, order: int) -> list:
+    order = min(order, 20)
+    if rep is not None:
+        mods, kable_mods = [pi_u(rep)], []
+    else:
+        corpus, rng = _builtin(90125)
         mods = [
             corpus.rand_module(rng, FieldPair(3, False), 3),
             corpus.rand_module(rng, FieldPair(2, True, 1), 3),
         ]
+        kable_mods = [corpus.rand_module(rng, corpus.rand_field(rng, False), rng.randint(1, 4))
+                      for _ in range(10)]
+    checks = []
     for mod in mods:
-        kind = "ram" if mod.fp.ramified else "unram"
-        yield _series_check(
-            "littlewood-%s-r%d" % (kind, mod.r),
-            flicker_series(mod, order),
-            series_of(asai_L(mod), order),
-        )
+        tag = "%s-r%d" % ("ram" if mod.fp.ramified else "unram", mod.r)
+        checks.append(_series_check("littlewood-" + tag, flicker_series(mod, order),
+                                    series_of(asai_L(mod), order)))
         if mod.r >= 1:
             sub = UnramifiedModule(mod.fp, mod.satake[: mod.r - 1])
-            yield _series_check(
-                "cauchy-%s-r%d" % (kind, mod.r),
-                rs_series(mod, sub, order),
-                series_of(rs_L(mod, sub), order),
-            )
+            checks.append(_series_check("cauchy-" + tag, rs_series(mod, sub, order),
+                                        series_of(rs_L(mod, sub), order)))
         if not mod.fp.ramified:
-            yield {
-                "suite": "identities",
-                "check": "kable-%s-r%d" % (kind, mod.r),
-                "pass": kable_factorization_check(mod),
-            }
-    if not cfg.rep_path:
-        for i in range(10):
-            mod = corpus.rand_module(rng, corpus.rand_field(rng, False), rng.randint(1, 4))
-            yield {
-                "suite": "identities",
-                "check": "kable-random-%d" % i,
-                "pass": kable_factorization_check(mod),
-            }
+            checks.append(_check("identities", "kable-" + tag, kable_factorization_check(mod)))
+    checks += [_check("identities", "kable-random-%d" % i, kable_factorization_check(mod))
+               for i, mod in enumerate(kable_mods)]
+    return checks
 
 
 _SUITES = {
@@ -485,23 +431,19 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
+def cmd_verify(ns: argparse.Namespace) -> int:
+    rep = _load_generic_rep(ns.rep) if ns.rep else None
+    names = list(_SUITES) if ns.suite == "all" else [ns.suite]
     # every check runs before any is printed, so an input error found
     # by a later suite leaves no partial report on stdout
-    checks = [check for name in names for check in _SUITES[name](cfg)]
+    checks = [check for name in names for check in _SUITES[name](rep, ns.order)]
     for check in checks:
-        if cfg.output == "json":
+        if ns.output == "json":
             print(json.dumps(check))
         else:
+            extra = "".join(" %s=%s" % (key, check[key])
+                            for key in ("valueAt1", "firstFailIndex", "error") if key in check)
             status = "PASS" if check["pass"] else "FAIL"
-            extra = ""
-            if "valueAt1" in check:
-                extra = " valueAt1=%s" % check["valueAt1"]
-            if "firstFailIndex" in check:
-                extra += " firstFailIndex=%s" % check["firstFailIndex"]
-            if "error" in check:
-                extra += " error=%s" % check["error"]
             print("[%s] %s: %s%s" % (check["suite"], check["check"], status, extra))
     return EXIT_OK if all(check["pass"] for check in checks) else EXIT_VERIFY_FAIL
 
@@ -518,8 +460,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _config(ns)
-        return _COMMANDS[cfg.command](cfg)
+        _check_options(ns)
+        return _COMMANDS[ns.command](ns)
     except DescriptorError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

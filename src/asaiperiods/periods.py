@@ -41,7 +41,7 @@ from .segments import (
     is_unramified_rep,
     pi_u,
 )
-from .series import Series, clear_denominators
+from .series import Series, clear_denominators, graded
 from .whittaker import expand_row, h_table, jt_row
 
 
@@ -239,7 +239,7 @@ def _schur_sum(
             for total, (tr, ti) in _summed_determinants(h, n, e, order):
                 sr[total] += tr
                 si[total] += ti
-        return _divided(sr, si, den ** e)
+        return Series(graded(sr, si, den ** e))
     den_b, b = clear_denominators(beta)
     hb = h_table(b, order + k)
 
@@ -263,7 +263,7 @@ def _schur_sum(
 
     for n in range(1, min(k, order) + 1):
         walk(n, n - 1, 1, 0, {0: (1, 0)}, {0: (1, 0)})
-    return _divided(sr, si, den ** e * den_b)
+    return Series(graded(sr, si, den ** e * den_b))
 
 
 def _summed_determinants(h: list, n: int, e: int, order: int):
@@ -328,16 +328,6 @@ def _added(minors: dict, onto: dict) -> dict:
         got = minors.get(mask)
         minors[mask] = (mr, mi) if got is None else (got[0] + mr, got[1] + mi)
     return minors
-
-
-def _divided(sr: list, si: list, scale: int) -> Series:
-    """Series with coefficient d equal to (sr[d] + i*si[d]) / scale^d."""
-    coeffs = []
-    den_d = 1
-    for tr, ti in zip(sr, si):
-        coeffs.append(GaussRat.scaled(tr, ti, den_d))
-        den_d *= scale
-    return Series(coeffs)
 
 
 def flicker_series(mod: UnramifiedModule, order: int) -> Series:

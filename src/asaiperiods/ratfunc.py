@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import gcd
 
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
-from .series import Poly, Series, clear_denominators, poly_gcd, scaled_pair
+from .series import Poly, Series, clear_denominators, graded, poly_gcd, scaled_pair
 
 
 class RatFunc:
@@ -88,12 +88,7 @@ class RatFunc:
                 if pr or pi:
                     re[m] -= br * pr - bi * pi
                     im[m] -= br * pi + bi * pr
-        coeffs = []
-        den_m = 1
-        for x, y in zip(re, im):
-            coeffs.append(GaussRat.scaled(x, y, den_m))
-            den_m *= den
-        return cls(Poly.one(), Poly(coeffs))
+        return cls(Poly.one(), Poly(graded(re, im, den)))
 
     @property
     def num_degree(self) -> int:

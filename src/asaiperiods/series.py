@@ -39,6 +39,16 @@ def clear_denominators(values: Sequence[GaussRat]) -> tuple[int, list]:
     return den, [scaled_pair(v, den) for v in values]
 
 
+def graded(re: Sequence[int], im: Sequence[int], scale: int) -> list:
+    """The GaussRat coefficients (re[d] + im[d]*i) / scale^d."""
+    coeffs = []
+    den = 1
+    for x, y in zip(re, im):
+        coeffs.append(GaussRat.scaled(x, y, den))
+        den *= scale
+    return coeffs
+
+
 def _coerce(x) -> GaussRat:
     c = GaussRat._coerce(x)
     if c is None:

@@ -110,6 +110,25 @@ def test_period_at_s_rejects_non_positive(descriptor):
     assert "positive integer" in res.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    # --at-s is checked before --order
+    (["period", "--order", "0", "--at-s", "x"],
+     "--at-s: expected a positive integer, got 'x'"),
+    (["period", "--at-s", "0"], "--at-s: expected a positive integer, got '0'"),
+    (["period", "--at-s", "-3"], "--at-s: expected a positive integer, got '-3'"),
+    (["period", "--at-s", "1.5"], "--at-s: expected a positive integer, got '1.5'"),
+    (["period", "--order", "0"], "--order: must be >= 1"),
+    (["lfactor", "--order", "0"], "--order: must be >= 1"),
+    (["segments", "--order", "0"], "--order: must be >= 1"),
+    (["verify", "--order", "0"], "--order: must be >= 1"),
+])
+def test_option_errors_exit_2_with_one_line(descriptor, capsys, argv, message):
+    argv = argv[:1] + ["--rep", descriptor(STEINBERG)] + argv[1:]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "input error: %s\n" % message)
+
+
 def test_period_on_linked_input_exits_3(descriptor):
     res = run_cli("period", "--rep", descriptor(LINKED))
     assert res.returncode == 3
@@ -315,13 +334,39 @@ def test_verify_failure_reports_first_fail_index(descriptor, monkeypatch, capsys
     # with the closed form swapped for asai * (1 - t^2), which ignores the
     # central character, the lattice sum diverges at t^2: the suite must
     # fail and name that index
-    def trivial_center_form(rep):
-        return asai_L(pi_u(rep)) * Poly.one_minus(GaussRat(1), rep.n)
     monkeypatch.setattr(periods, "closed_form_for", trivial_center_form)
     assert cli.main(argv) == 1
     line = json.loads(capsys.readouterr().out.splitlines()[0])
     assert line["pass"] is False
     assert line["firstFailIndex"] == 2
+
+
+def trivial_center_form(rep):
+    return asai_L(pi_u(rep)) * Poly.one_minus(GaussRat(1), rep.n)
+
+
+def test_verify_failure_table_row(descriptor, monkeypatch, capsys):
+    # the failing row of the test above, as a table: the swapped form has
+    # a pole at s=1, and the row names the first failing index after it
+    monkeypatch.setattr(periods, "closed_form_for", trivial_center_form)
+    argv = ["verify", "--suite", "theorem1", "--rep", descriptor(SKEW), "--order", "20",
+            "--output", "table"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == "[theorem1] user-rep: FAIL valueAt1=pole firstFailIndex=2\n"
+
+
+def test_verify_reads_its_descriptor_once(descriptor, monkeypatch, capsys):
+    # every suite checks --rep, and verify hands each the one it loaded
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return load_rep_file(path)
+
+    monkeypatch.setattr(cli, "load_rep_file", counted)
+    path = descriptor(UNITARY)
+    assert cli.main(["verify", "--suite", "all", "--rep", path, "--order", "12"]) == 0
+    assert reads == [path]
 
 
 def test_period_nontrivial_central_character(descriptor):
