@@ -20,6 +20,7 @@ from .segments import (
     Segment,
     UnramifiedModule,
     inverse_label,
+    is_generic,
 )
 
 FIELD_PRIMES = (2, 3, 5, 7)
@@ -69,16 +70,7 @@ def rand_module(rng: random.Random, fp: FieldPair, r: int, unitary: bool = False
 
 def _module_generic(mod: UnramifiedModule) -> bool:
     """No linked pair among the rank-one pieces: no value ratio q_E^(+-1)."""
-    q = GaussRat(mod.fp.q_E)
-    qinv = GaussRat.scaled(1, 0, mod.fp.q_E)
-    vals = mod.satake
-    for i, x in enumerate(vals):
-        for j, y in enumerate(vals):
-            if i != j:
-                ratio = x / y
-                if ratio == q or ratio == qinv:
-                    return False
-    return True
+    return is_generic([Segment(unram_char(v), 1) for v in mod.satake], mod.fp.q_E)
 
 
 def csd_module(rng: random.Random, fp: FieldPair, pairs: int, self_ones: int = 0) -> UnramifiedModule:

@@ -47,11 +47,11 @@ from .whittaker import expand_row, h_table, jt_row
 
 # Cap on lattice_work(k, order). The benchmark workloads run rank 4 at
 # order 40 (118,176); a rank-5 sum at order 40 (554,816) is 18x below the
-# cap. At the cap, on 2 vCPUs with Python 3.11 and Satake values over a
-# common denominator of 210, a mirabolic sum took 4.2 s at rank 3 (order
-# 352, e = 2), 1.4 s at e = 1, and 0.1-0.35 s at ranks 4-6 (orders 132,
-# 77, 55). At ranks 1 and 2 the size cap binds first: rank 2 at order
-# 1098 took 14 s.
+# cap. At the cap, on 2 vCPUs with Python 3.11 and the first k + 1 of the
+# Satake values 1/2, -1/3, 2/5, 3/7, -5/6, 4/15, 1/35 (denominator 210),
+# a mirabolic sum took 1.1 s at rank 3 (order 352, e = 2), 0.5 s at
+# e = 1, and 0.06-0.11 s at ranks 4-6 (orders 132, 77, 55). At ranks 1
+# and 2 the size cap binds first: rank 2 at order 1428 took 5.6-7.1 s.
 MAX_LATTICE_WORK = 10_000_000
 
 
@@ -197,8 +197,13 @@ def _schur_sum(
     homogeneous table per variable set, and coefficient d is the integer
     sum divided once, by D^(e*d) * D_b^d.
 
-    The determinants are built from the last row up, for each length
-    n <= k, by Laplace expansion along each new row
+    A partition of d <= order has at most n = min(k, order) parts, and
+    padded with zero parts to exactly n it keeps its determinant: row i
+    of part 0 is (h_(j-i)), zero left of the diagonal and 1 on it
+    (Macdonald, Symmetric Functions, I.3). So one pass over the
+    partitions with exactly n nonnegative parts covers every length, the
+    empty one giving the constant term. The determinants are built from
+    the last row up by Laplace expansion along each new row
     (whittaker.expand_row). Without beta only their sum is wanted, and
     the expansion is linear in the minors below, so the minors of every
     tail with the same total and top part are summed and expanded once
@@ -230,20 +235,22 @@ def _schur_sum(
             too_long("the series through order %d" % order, order * per_order),
             largest_order(k, per_order),
         )
+    n = min(k, order)
+    if n == 0:
+        return Series([1] + [0] * order)
     den, a = clear_denominators(alpha)
     h = h_table(a, e * order + k)
-    sr = [1] + [0] * order
+    sr = [0] * (order + 1)
     si = [0] * (order + 1)
     if beta is None:
-        for n in range(1, min(k, order) + 1):
-            for total, (tr, ti) in _summed_determinants(h, n, e, order):
-                sr[total] += tr
-                si[total] += ti
+        for total, (tr, ti) in _summed_determinants(h, n, e, order):
+            sr[total] += tr
+            si[total] += ti
         return Series(graded(sr, si, den ** e))
     den_b, b = clear_denominators(beta)
     hb = h_table(b, order + k)
 
-    def walk(n: int, i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
+    def walk(i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
         # row i takes part p >= low, and rows 0..i-1 each take at least p
         for p in range(low, (order - total) // (i + 1) + 1):
             ma = expand_row(jt_row(h, e * p - i, n), below_a)
@@ -253,7 +260,7 @@ def _schur_sum(
             if not mb:
                 continue
             if i:
-                walk(n, i - 1, p, total + p, ma, mb)
+                walk(i - 1, p, total + p, ma, mb)
                 continue
             # row 0 leaves one minor: the determinant, on all n columns
             (tr, ti), = ma.values()
@@ -261,16 +268,15 @@ def _schur_sum(
             sr[total + p] += tr * br - ti * bi
             si[total + p] += tr * bi + ti * br
 
-    for n in range(1, min(k, order) + 1):
-        walk(n, n - 1, 1, 0, {0: (1, 0)}, {0: (1, 0)})
+    walk(n - 1, 0, 0, {0: (1, 0)}, {0: (1, 0)})
     return Series(graded(sr, si, den ** e * den_b))
 
 
 def _summed_determinants(h: list, n: int, e: int, order: int):
     """Yields pairs (d, x) whose x, summed for each d, give the sum over
-    partitions lam of d with exactly n parts of det[h(e*lam_i - i + j)]:
-    the undivided int-pair sums of s_(e*lam) that _schur_sum adds up,
-    for one length n.
+    partitions lam of d with exactly n nonnegative parts (zero parts
+    allowed, n >= 1) of det[h(e*lam_i - i + j)]: the undivided int-pair
+    sums of s_(e*lam) that _schur_sum adds up.
 
     The rows are built from the last up. Row i with part q sits above
     every tail (rows i+1..n-1) whose top part is at most q, and a
@@ -279,15 +285,16 @@ def _summed_determinants(h: list, n: int, e: int, order: int):
     tails' minors. A level maps each total t of its rows to the rising
     list of their top parts p and, for each p, the summed minors (a map
     from column set to int pair) of every tail with total t and top
-    part at most p. Rows 0..i-1 each take at least q, so t + (i + 1)*q
-    stays within order. Rows 1 and 0 are built one total t of rows
-    1..n-1 at a time and not stored: the determinants with row 0 of
-    part q are one expansion along it of the summed minors of rows
-    1..n-1 with total t and part at most q, which grow with q by one
-    expansion of row 1 each.
+    part at most p; the empty tail has total 0 and top part 0. Rows
+    0..i-1 each take at least q, so t + (i + 1)*q stays within order.
+    Rows 1 and 0 are built one total t of rows 1..n-1 at a time and not
+    stored: the determinants with row 0 of part q are one expansion
+    along it of the summed minors of rows 1..n-1 with total t and part
+    at most q, which grow with q by one expansion of row 1 each. With
+    n = 1 the determinant is the entry h(e*q) itself.
     """
     if n == 1:
-        for q in range(1, order + 1):
+        for q in range(order + 1):
             yield q, h[e * q]
         return
     level = {0: ([0], [{0: (1, 0)}])}
@@ -296,7 +303,7 @@ def _summed_determinants(h: list, n: int, e: int, order: int):
         # t falls, so each total t + q of nxt gets its parts q in rising order
         for total in sorted(level, reverse=True):
             parts, sums = level.pop(total)
-            for q in range(max(parts[0], 1), (order - total) // (i + 1) + 1):
+            for q in range(parts[0], (order - total) // (i + 1) + 1):
                 below = sums[bisect_right(parts, q) - 1]
                 minors = expand_row(jt_row(h, e * q - i, n), below)
                 if minors:
@@ -306,10 +313,10 @@ def _summed_determinants(h: list, n: int, e: int, order: int):
                     got_parts.append(q)
                     got_sums.append(minors)
         level = nxt
-    for total in range(n - 1, order):
+    for total in range(order):
         # running: summed minors of rows 1..n-1 with total `total` and row-1 part <= q
         running: dict = {}
-        for q in range(1, order - total + 1):
+        for q in range(order - total + 1):
             got = level.get(total - q)
             if got is not None and got[0][0] <= q:
                 parts, sums = got

@@ -10,8 +10,8 @@ Equality of Series is strict: same order and same coefficients.
 Polynomial products, values and gcds run on scaled Gaussian integers:
 each operand is cleared to one common denominator, the lcm of the
 coefficients' den, and (re, im) int pairs (clear_denominators). A
-product convolves the pairs and divides each coefficient once
-(GaussRat.scaled); a value is one integer Horner sum, divided once;
+product, of Poly or of Series (stopping at the shorter order), convolves
+the pairs and divides each coefficient once (GaussRat.scaled); a value is one integer Horner sum, divided once;
 poly_gcd is the subresultant remainder sequence over Z[i], whose every
 division is exact, and only the gcd it ends with becomes GaussRat. The
 public coefficients stay GaussRat; the scaled form is internal, as in
@@ -47,6 +47,24 @@ def graded(re: Sequence[int], im: Sequence[int], scale: int) -> list:
         coeffs.append(GaussRat.scaled(x, y, den))
         den *= scale
     return coeffs
+
+
+def _product(xs: Sequence[GaussRat], ys: Sequence[GaussRat], size: int) -> list:
+    """Coefficients 0..size-1 of the product of the coefficient lists xs
+    and ys: one integer convolution of their scaled pairs, each
+    coefficient divided once by the two common denominators."""
+    den_a, a = clear_denominators(xs)
+    den_b, b = clear_denominators(ys)
+    re = [0] * size
+    im = [0] * size
+    for i, (ar, ai) in enumerate(a):
+        if not (ar or ai):
+            continue
+        for j, (br, bi) in zip(range(i, size), b):
+            re[j] += ar * br - ai * bi
+            im[j] += ar * bi + ai * br
+    den = den_a * den_b
+    return [GaussRat.scaled(x, y, den) for x, y in zip(re, im)]
 
 
 def _coerce(x) -> GaussRat:
@@ -111,18 +129,7 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():
                 return Poly.zero()
-            den_a, a = clear_denominators(self.coeffs)
-            den_b, b = clear_denominators(other.coeffs)
-            re = [0] * (len(a) + len(b) - 1)
-            im = [0] * len(re)
-            for i, (ar, ai) in enumerate(a):
-                if not (ar or ai):
-                    continue
-                for j, (br, bi) in enumerate(b, i):
-                    re[j] += ar * br - ai * bi
-                    im[j] += ar * bi + ai * br
-            den = den_a * den_b
-            return Poly([GaussRat.scaled(x, y, den) for x, y in zip(re, im)])
+            return Poly(_product(self.coeffs, other.coeffs, len(self.coeffs) + len(other.coeffs) - 1))
         c = GaussRat._coerce(other)
         if c is None:
             return NotImplemented
@@ -323,17 +330,8 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, Series):
-            n = min(self.order, other.order)
-            out = [GAUSS_ZERO] * (n + 1)
-            for i in range(n + 1):
-                ci = self.coeffs[i]
-                if ci.is_zero():
-                    continue
-                for j in range(n + 1 - i):
-                    cj = other.coeffs[j]
-                    if not cj.is_zero():
-                        out[i + j] = out[i + j] + ci * cj
-            return Series(out)
+            size = min(len(self.coeffs), len(other.coeffs))
+            return Series(_product(self.coeffs[:size], other.coeffs[:size], size))
         c = GaussRat._coerce(other)
         if c is None:
             return NotImplemented

@@ -390,6 +390,17 @@ def test_poly_mul_matches_schoolbook():
         assert list((Poly(a) * Poly(b)).coeffs) == schoolbook_mul(Poly(a).coeffs, Poly(b).coeffs)
 
 
+def test_series_mul_matches_convolution_to_the_shorter_order():
+    # series of unequal orders, with zero and large coefficients: the
+    # integer product that Series shares with Poly, truncated
+    rng = random.Random(2203)
+    for _ in range(60):
+        a = random_poly(rng, rng.randint(0, 6))
+        b = random_poly(rng, rng.randint(0, 6))
+        got = Series(a) * Series(b)
+        assert list(got.coeffs) == convolve(a, b, min(len(a), len(b)) - 1)
+
+
 def test_poly_mul_zero_and_constant_operands():
     p = Poly(BIG)
     for c in BIG + [g(1), g(-1)]:

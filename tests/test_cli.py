@@ -16,7 +16,7 @@ from asaiperiods.descriptors import load_rep_file, ratfunc_json
 from asaiperiods.lfactors import asai_L, rs_L
 from asaiperiods.scalars import GaussRat
 from asaiperiods.segments import GenericRep, pi_u
-from asaiperiods.series import Poly
+from asaiperiods.series import Poly, Series
 
 STEINBERG = {
     "field": {"qF": 2, "ramified": False},
@@ -553,3 +553,53 @@ def test_period_at_s_builds_the_closed_form_once(descriptor, monkeypatch, capsys
         out = capsys.readouterr().out
         assert "4/3" in out
         assert len(built) == 1
+
+
+# -- output branches that only a failure or a pole reaches ----------------
+
+
+def test_period_at_s_on_a_pole_prints_pole(descriptor, capsys):
+    # Satake values 4 and 1/3 over q_F = 2: the Asai factor has 1 - 4t^2,
+    # which vanishes at t = 2^-2 = q_F^-s for s = 2
+    path = descriptor(with_satake(["4/1", "0/1"], 0, with_satake(["1/3", "0/1"], 1)))
+    argv = ["period", "--rep", path, "--at-s", "2"]
+    code, out, err, _ = run_fast(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["valueAtS"] == "pole"
+    code, out, err, _ = run_fast(argv + ["--output", "table"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "value at s=2: pole"
+
+
+def bumped(series, index):
+    """series with GaussRat(1) added to its coefficient index."""
+    coeffs = list(series.coeffs)
+    coeffs[index] = coeffs[index] + GaussRat(1)
+    return Series(coeffs)
+
+
+def test_failing_identities_row_carries_first_fail_index(descriptor, monkeypatch, capsys):
+    real = cli.flicker_series
+    monkeypatch.setattr(cli, "flicker_series", lambda mod, order: bumped(real(mod, order), 5))
+    argv = ["verify", "--suite", "identities", "--rep", descriptor(GL2_SMALL), "--order", "12"]
+    code, out, err, _ = run_fast(argv, capsys)
+    assert (code, err) == (1, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows[0] == {"suite": "identities", "check": "littlewood-unram-r2", "pass": False,
+                       "firstFailIndex": 5}
+    assert all(row["pass"] and "firstFailIndex" not in row for row in rows[1:])
+    code, out, _, _ = run_fast(argv + ["--output", "table"], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "[identities] littlewood-unram-r2: FAIL firstFailIndex=5"
+
+
+def test_theorem1_mismatch_that_no_function_fits_prints_null(descriptor, monkeypatch, capsys):
+    # a series off the closed form in its last coefficient only: the
+    # degree bounds leave no rational function that fits every coefficient
+    real = periods.mirabolic_series
+    monkeypatch.setattr(periods, "mirabolic_series", lambda rep, order: bumped(real(rep, order), order))
+    code, out, err, _ = run_fast(["period", "--rep", descriptor(GL2_SMALL), "--order", "12"], capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["match"] is False
+    assert obj["reconstructed"] is None

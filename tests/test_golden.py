@@ -22,13 +22,27 @@ default order 40), so a change to those corpora cannot pass unnoticed.
 The conjugate-self-dual descriptor also runs `verify --suite all` in
 both output modes, and the rank-3 one runs the cpi suite as a table,
 where it fails (exit 1) with the error of verify_c_pi in its row.
+
+The stdout rows of the built-in suites name their subjects but do not
+show most of them, so a digest of the arguments each suite hands its
+check functions pins which subjects it draws, and in what order. And
+the benchmark's operations (310 of them, one round of each workload of
+layerbench at seed 1) are pinned by workloads.jsonl: each line holds an
+operation's arguments and descriptors, its exit code and the sha256 of
+its stdout in both output modes, so the traffic the benchmark times
+must keep its output while the kernels under it change. That test runs
+the stored operations; it does not import the harness.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from asaiperiods import cli
+from asaiperiods import cli, corpus
+from asaiperiods.descriptors import field_json, rep_json, value_str
+from asaiperiods.segments import GenericRep, UnramifiedModule
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,3 +77,70 @@ def test_stdout_matches_golden(name, capsys):
         argv = argv[:1] + ["--rep", str(GOLDEN / (desc + ".json"))] + argv[1:]
     assert cli.main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / (name + ".out")).read_text(encoding="utf-8")
+
+
+# sha256 of the JSON list of calls that each built-in suite makes of the
+# check functions in CHECKED: the function's name and its arguments
+DRAW_DIGESTS = {
+    "theorem1": "0a0f7d6229d935192e3b3d86588af7e11cb8e65533169382020976ce487b7945",
+    "cpi": "b7a3e2deb7bd98cb4eee978e03997703e954a78bf1a7ba11815b561eea9f0323",
+    "multiplicativity": "1a4e3ca29afb98a6e2634903c094c6d83c833289c3424f7372800965619c1936",
+    "identities": "356bdb8db3712faf1fcfee9420943c1da2ea0ad43dcf80a6ad0ffb1a4942d372",
+}
+
+CHECKED = ("verify_theorem1", "verify_c_pi", "asai_L_multiplicative", "flicker_series",
+           "rs_series", "kable_factorization_check")
+
+
+def subject_json(x):
+    if isinstance(x, GenericRep):
+        return rep_json(x)
+    if isinstance(x, UnramifiedModule):
+        return {"field": field_json(x.fp), "satake": [value_str(v) for v in x.satake]}
+    return x
+
+
+@pytest.mark.parametrize("suite", sorted(DRAW_DIGESTS))
+def test_builtin_suite_checks_its_pinned_subjects(suite, monkeypatch, capsys):
+    calls = []
+
+    def recording(name, real):
+        def call(*args):
+            calls.append([name] + [subject_json(a) for a in args])
+            return real(*args)
+        return call
+
+    for name in CHECKED:
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    # ramified characters are labelled from a counter that lives as long
+    # as the process, so every run starts it afresh
+    monkeypatch.setattr(corpus, "_fresh_counter", 0)
+    assert cli.main(["verify", "--suite", suite]) == 0
+    capsys.readouterr()
+    assert calls
+    assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == DRAW_DIGESTS[suite]
+
+
+def workload_ops():
+    lines = (GOLDEN / "workloads.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines]
+
+
+@pytest.mark.parametrize("workload", ["check-corpus", "lfactor-closed-form", "period-high-rank"])
+def test_workload_stdout_matches_golden(workload, tmp_path, capsys):
+    ops = [op for op in workload_ops() if op["workload"] == workload]
+    assert ops
+    changed = []
+    for op in ops:
+        paths = {}
+        for key, desc in op["descs"].items():
+            path = tmp_path / (key + ".json")
+            path.write_text(json.dumps(desc), encoding="utf-8")
+            paths["{%s}" % key] = str(path)
+        argv = [paths.get(arg, arg) for arg in op["argv"]]
+        for mode in ("json", "table"):
+            code = cli.main(argv + ["--output", mode])
+            out, err = capsys.readouterr()
+            if (code, hashlib.sha256(out.encode()).hexdigest(), err) != (op["rc"], op[mode], ""):
+                changed.append("%s --output %s" % (op["id"], mode))
+    assert changed == []
