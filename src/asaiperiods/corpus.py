@@ -10,6 +10,7 @@ twisted dual by construction and resampled until generic.
 from __future__ import annotations
 
 import random
+import weakref
 
 from .localfields import FieldPair
 from .scalars import GaussRat
@@ -106,13 +107,15 @@ def omega_trivial_module(rng: random.Random, fp: FieldPair, r: int) -> Unramifie
             return mod
 
 
-_fresh_counter = 0
+# ramified characters are numbered per generator, so a draw depends on
+# its seed alone and not on what the process drew before
+_labels_drawn = weakref.WeakKeyDictionary()
 
 
 def _fresh_label(rng: random.Random) -> str:
-    global _fresh_counter
-    _fresh_counter += 1
-    return "ram%d.%d" % (_fresh_counter, rng.randint(0, 999))
+    n = _labels_drawn.get(rng, 0) + 1
+    _labels_drawn[rng] = n
+    return "ram%d.%d" % (n, rng.randint(0, 999))
 
 
 def ramified_char(rng: random.Random, unit_conductor: int, selfdual: bool = False) -> MultChar:

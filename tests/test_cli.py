@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,8 @@ UNITARY = {
         {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": ["3/5", "-4/5"]}},
     ],
 }
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LINKED = {
     "field": {"qF": 2, "ramified": False},
@@ -603,3 +606,73 @@ def test_theorem1_mismatch_that_no_function_fits_prints_null(descriptor, monkeyp
     obj = json.loads(out)
     assert obj["match"] is False
     assert obj["reconstructed"] is None
+
+
+# -- one parser per process ------------------------------------------------
+
+
+def test_main_builds_the_parser_once(descriptor, monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    path = descriptor(STEINBERG)
+    for argv in (["segments", "--rep", path], ["period", "--rep", path, "--order", "0"],
+                 ["lfactor", "--rep", path], ["verify", "--suite", "bogus"],
+                 ["period", "--rep", path, "--at-s", "2"]):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser():
+    code = ("import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1); init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from asaiperiods import cli\n"
+            "print(len(built), cli._parser.cache_info().currsize)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "0 0\n"
+
+
+def test_mixed_calls_in_one_process_print_what_fresh_processes_print(descriptor, monkeypatch,
+                                                                    capsys):
+    # passing, failing, usage-error and input-error calls in one process,
+    # each against the same call in a fresh interpreter; the plain period
+    # right after --at-s must not print a value at s
+    monkeypatch.setenv("COLUMNS", "80")
+    path, linked = descriptor(STEINBERG), descriptor(LINKED, "linked.json")
+    sequence = [
+        ["period", "--rep", path, "--at-s", "2"],
+        ["period", "--rep", path],
+        ["verify", "--order", "x"],
+        ["period", "--rep", path, "--order", "12"],
+        ["period", "--rep", linked],
+        ["verify", "--suite", "cpi", "--rep", str(GOLDEN / "omega_trivial_rank3.json")],
+        ["lfactor", "--rep", "/nonexistent/rep.json"],
+        ["period", "--rep", path, "--at-s", "0"],
+        ["segments", "--rep", path, "--output", "table"],
+        ["period", "--rep", path, "--order", "12"],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code,) + tuple(capsys.readouterr()))
+    fresh = [run_cli(*argv) for argv in sequence]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 3, 1, 2, 2, 0, 0]
+    assert "valueAtS" in in_process[0][1] and "valueAtS" not in in_process[1][1]

@@ -25,9 +25,13 @@ where it fails (exit 1) with the error of verify_c_pi in its row.
 
 The stdout rows of the built-in suites name their subjects but do not
 show most of them, so a digest of the arguments each suite hands its
-check functions pins which subjects it draws, and in what order. And
-the benchmark's operations (310 of them, one round of each workload of
-layerbench at seed 1) are pinned by workloads.jsonl: each line holds an
+check functions pins which subjects it draws, and in what order; a
+second draw in the same process must hand over the same subjects. The
+parser's help texts and usage errors (parser_text.json, captured from
+fresh processes at COLUMNS=80) are replayed twice in one process, so
+the parser that main() reuses keeps every option, choice, default and
+message. And the benchmark's operations (310 of them, one round of
+each workload of layerbench at seed 1) are pinned by workloads.jsonl: each line holds an
 operation's arguments and descriptors, its exit code and the sha256 of
 its stdout in both output modes, so the traffic the benchmark times
 must keep its output while the kernels under it change. That test runs
@@ -40,7 +44,7 @@ from pathlib import Path
 
 import pytest
 
-from asaiperiods import cli, corpus
+from asaiperiods import cli
 from asaiperiods.descriptors import field_json, rep_json, value_str
 from asaiperiods.segments import GenericRep, UnramifiedModule
 
@@ -100,8 +104,9 @@ def subject_json(x):
     return x
 
 
-@pytest.mark.parametrize("suite", sorted(DRAW_DIGESTS))
-def test_builtin_suite_checks_its_pinned_subjects(suite, monkeypatch, capsys):
+def record_checks(monkeypatch) -> list:
+    """Patch the check functions of cli to log each call, as JSON, to the
+    returned list."""
     calls = []
 
     def recording(name, real):
@@ -112,13 +117,44 @@ def test_builtin_suite_checks_its_pinned_subjects(suite, monkeypatch, capsys):
 
     for name in CHECKED:
         monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
-    # ramified characters are labelled from a counter that lives as long
-    # as the process, so every run starts it afresh
-    monkeypatch.setattr(corpus, "_fresh_counter", 0)
+    return calls
+
+
+@pytest.mark.parametrize("suite", sorted(DRAW_DIGESTS))
+def test_builtin_suite_checks_its_pinned_subjects(suite, monkeypatch, capsys):
+    calls = record_checks(monkeypatch)
     assert cli.main(["verify", "--suite", suite]) == 0
     capsys.readouterr()
     assert calls
     assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == DRAW_DIGESTS[suite]
+
+
+def test_a_second_verify_in_the_process_draws_the_same_subjects(monkeypatch, capsys):
+    # the ramified subjects of cpi carry labels; a later draw in the same
+    # process must label them as the first one did
+    calls = record_checks(monkeypatch)
+    draws = []
+    for _ in range(2):
+        assert cli.main(["verify", "--suite", "cpi"]) == 0
+        draws.append(json.dumps(calls))
+        calls.clear()
+    capsys.readouterr()
+    assert draws[0] == draws[1]
+    assert hashlib.sha256(draws[1].encode()).hexdigest() == DRAW_DIGESTS["cpi"]
+
+
+def test_parser_text_matches_golden_under_reuse(monkeypatch, capsys):
+    # every help text and usage error, run twice in one process (forward,
+    # then in reverse), is what a fresh process printed
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = json.loads((GOLDEN / "parser_text.json").read_text(encoding="utf-8"))
+    assert len(cases) >= 10
+    for case in cases + cases[::-1]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == (case["code"], case["stdout"], case["stderr"]), \
+            case["argv"]
 
 
 def workload_ops():
