@@ -42,16 +42,16 @@ from .segments import (
     pi_u,
 )
 from .series import Series, clear_denominators, graded
-from .whittaker import expand_row, h_table, jt_row
+from .whittaker import GaussRows, expand_row, h_table
 
 
 # Cap on lattice_work(k, order). The benchmark workloads run rank 4 at
 # order 40 (118,176); a rank-5 sum at order 40 (554,816) is 18x below the
 # cap. At the cap, on 2 vCPUs with Python 3.11 and the first k + 1 of the
 # Satake values 1/2, -1/3, 2/5, 3/7, -5/6, 4/15, 1/35 (denominator 210),
-# a mirabolic sum took 1.1 s at rank 3 (order 352, e = 2), 0.5 s at
-# e = 1, and 0.06-0.11 s at ranks 4-6 (orders 132, 77, 55). At ranks 1
-# and 2 the size cap binds first: rank 2 at order 1428 took 5.6-7.1 s.
+# a mirabolic sum took 0.55-0.7 s at rank 3 (order 352, e = 2), 0.4 s
+# at e = 1, and 0.02-0.08 s at ranks 4-6 (orders 132, 77, 55). At ranks 1
+# and 2 the size cap binds first: rank 2 at order 1428 took 5.3-6.2 s.
 MAX_LATTICE_WORK = 10_000_000
 
 
@@ -114,7 +114,7 @@ def printable_bits() -> int:
     that limit off or raised past its default of 4300 digits, the
     default still applies, because it also bounds the integers the
     arithmetic runs on: at it, the largest GL(2) period admitted (order
-    1785 for Satake values 1/2 and 1/3) took 0.43 s on a 2-vCPU host
+    1785 for Satake values 1/2 and 1/3) took 0.16 s on a 2-vCPU host
     with Python 3.11."""
     digits = sys.get_int_max_str_digits()
     default = sys.int_info.default_max_str_digits
@@ -194,8 +194,9 @@ def _schur_sum(
     so no power of q survives in any term. The Satake denominators are
     cleared once per variable set (alpha = a/D, beta = b/D_b), each
     Schur value is an int-pair Jacobi-Trudi determinant on one complete
-    homogeneous table per variable set, and coefficient d is the integer
-    sum divided once, by D^(e*d) * D_b^d.
+    homogeneous table per variable set, laid out once for expand_row
+    (whittaker.GaussRows), and coefficient d is the integer sum divided
+    once, by D^(e*d) * D_b^d.
 
     A partition of d <= order has at most n = min(k, order) parts, and
     padded with zero parts to exactly n it keeps its determinant: row i
@@ -239,24 +240,24 @@ def _schur_sum(
     if n == 0:
         return Series([1] + [0] * order)
     den, a = clear_denominators(alpha)
-    h = h_table(a, e * order + k)
+    rows = GaussRows(h_table(a, e * order + k))
     sr = [0] * (order + 1)
     si = [0] * (order + 1)
     if beta is None:
-        for total, (tr, ti) in _summed_determinants(h, n, e, order):
+        for total, (tr, ti) in _summed_determinants(rows, n, e, order):
             sr[total] += tr
             si[total] += ti
         return Series(graded(sr, si, den ** e))
     den_b, b = clear_denominators(beta)
-    hb = h_table(b, order + k)
+    rows_b = GaussRows(h_table(b, order + k))
 
     def walk(i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
         # row i takes part p >= low, and rows 0..i-1 each take at least p
         for p in range(low, (order - total) // (i + 1) + 1):
-            ma = expand_row(jt_row(h, e * p - i, n), below_a)
+            ma = expand_row(rows, e * p - i, n, below_a)
             if not ma:
                 continue
-            mb = expand_row(jt_row(hb, p - i, n), below_b)
+            mb = expand_row(rows_b, p - i, n, below_b)
             if not mb:
                 continue
             if i:
@@ -272,11 +273,12 @@ def _schur_sum(
     return Series(graded(sr, si, den ** e * den_b))
 
 
-def _summed_determinants(h: list, n: int, e: int, order: int):
+def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
     """Yields pairs (d, x) whose x, summed for each d, give the sum over
     partitions lam of d with exactly n nonnegative parts (zero parts
     allowed, n >= 1) of det[h(e*lam_i - i + j)]: the undivided int-pair
-    sums of s_(e*lam) that _schur_sum adds up.
+    sums of s_(e*lam) that _schur_sum adds up. rows is the table h laid
+    out by whittaker.GaussRows.
 
     The rows are built from the last up. Row i with part q sits above
     every tail (rows i+1..n-1) whose top part is at most q, and a
@@ -295,7 +297,7 @@ def _summed_determinants(h: list, n: int, e: int, order: int):
     """
     if n == 1:
         for q in range(order + 1):
-            yield q, h[e * q]
+            yield q, rows.entries[2 * e * q][:2]
         return
     level = {0: ([0], [{0: (1, 0)}])}
     for i in range(n - 1, 1, -1):
@@ -305,7 +307,7 @@ def _summed_determinants(h: list, n: int, e: int, order: int):
             parts, sums = level.pop(total)
             for q in range(parts[0], (order - total) // (i + 1) + 1):
                 below = sums[bisect_right(parts, q) - 1]
-                minors = expand_row(jt_row(h, e * q - i, n), below)
+                minors = expand_row(rows, e * q - i, n, below)
                 if minors:
                     got_parts, got_sums = nxt.setdefault(total + q, ([], []))
                     if got_sums:
@@ -321,10 +323,10 @@ def _summed_determinants(h: list, n: int, e: int, order: int):
             if got is not None and got[0][0] <= q:
                 parts, sums = got
                 below = sums[bisect_right(parts, q) - 1]
-                running = _added(expand_row(jt_row(h, e * q - 1, n), below), running)
+                running = _added(expand_row(rows, e * q - 1, n, below), running)
             if running:
                 # row 0 leaves one minor: the summed determinants, on all n columns
-                for det in expand_row(jt_row(h, e * q, n), running).values():
+                for det in expand_row(rows, e * q, n, running).values():
                     yield total + q, det
 
 

@@ -19,15 +19,20 @@ Satake values are cleared once (beta = D*alpha), the table and the
 division-free determinant stay in integers, and s_lam(alpha) comes out
 of one division by D^|lam|. Every determinant is built bottom-up, one
 row at a time, by expand_row(): the minors of the rows below on every
-column set, extended by a Laplace expansion along the new top row.
-schur() folds the rows of its one partition. The lattice sums
-(periods._schur_sum) build all partitions from the last row up: since
-the expansion is linear in the minors below, a sum of Schur values
-expands each row once against the summed minors of every tail it can
-sit on, and a sum of products of two Schur values walks the partitions
-so that those with the same tail share its minors. The bialternant
-quotient, on GaussRat values, is provided as a second, independent
-algorithm for cross-validation.
+column set, extended by a Laplace expansion along the new top row. Row
+i of a Jacobi-Trudi matrix is a stretch (h_start, ..., h_(start+n-1))
+of the table, so it is read off the table in place: GaussRows lays
+the table out once, each entry beside its negation and the two sums
+that Gauss's three-product multiplication needs, and for each column
+set of a minor the expansion walks only the columns that set leaves
+free, on a list made the first time the set is met. schur() folds the
+rows of its one partition. The lattice sums (periods._schur_sum) build
+all partitions from the last row up: since the expansion is linear in
+the minors below, a sum of Schur values expands each row once against
+the summed minors of every tail it can sit on, and a sum of products of
+two Schur values walks the partitions so that those with the same tail
+share its minors. The bialternant quotient, on GaussRat values, is
+provided as a second, independent algorithm for cross-validation.
 """
 
 from __future__ import annotations
@@ -95,35 +100,82 @@ def _det(mat) -> GaussRat:
     return rec(0, 0)
 
 
-def jt_row(h: Sequence[tuple], start: int, n: int) -> list:
-    """Row (h_start, h_(start+1), ..., h_(start+n-1)) of a Jacobi-Trudi
-    matrix, read off the int-pair table h; negative indices are zero."""
-    return [h[start + j] if start + j >= 0 else (0, 0) for j in range(n)]
+class GaussRows:
+    """The int-pair table h laid out for expand_row, once per table.
+
+    entries holds h_i = a + bi at place 2i as (a, b, a + b, b - a), and
+    -h_i at place 2i + 1, so that in the loop a signed product of an
+    entry with a minor c + di takes Gauss's three multiplications,
+    k = a(c + d), re = k - d(a + b), im = k + c(b - a), and no negation.
+    free maps (n, first) to a map from each column set (a bitmask) that
+    expand_row has met to its free columns first <= j < n, as pairs
+    (2j + sign parity, mask | 1 << j): filled one mask at a time, so a
+    sum at the work cap holds a few hundred masks, where a table of every
+    mask would hold (n + 1) * 2^n.
+    """
+
+    __slots__ = ("entries", "free")
+
+    def __init__(self, h: Sequence[tuple]):
+        self.entries = entries = []
+        for a, b in h:
+            entries.append((a, b, a + b, b - a))
+            entries.append((-a, -b, -a - b, a - b))
+        self.free: dict = {}
 
 
-def expand_row(row: Sequence[tuple], below: dict) -> dict:
+def _free_columns(mask: int, first: int, n: int) -> list:
+    return [(2 * j + ((mask & ((1 << j) - 1)).bit_count() & 1), mask | 1 << j)
+            for j in range(first, n) if not mask >> j & 1]
+
+
+def expand_row(rows: GaussRows, start: int, n: int, below: dict) -> dict:
     """Minors of a matrix one row taller, by Laplace expansion along
-    the new top row.
+    the new top row (h_start, ..., h_(start+n-1)), read off
+    rows = GaussRows(h); h at a negative index is zero.
 
     below maps each column set S (a bitmask) to the nonzero int-pair
-    minor on the rows under row and the columns S; the result maps each
-    S + {j} to sum over j of (-1)^(columns of S before j) * row[j] *
-    minor(S). Zero entries and zero minors are left out, so the top row
-    of an n x n matrix over the n minors of size n-1 costs n products
-    and leaves the determinant alone, under the full mask.
+    minor on the rows under the new one and the columns S. The result
+    maps each S + {j} to the sum, over the S and j it comes from, of
+    (-1)^(columns of S before j) * h_(start+j) * minor(S), with the zero
+    sums left out. So the top row of an n x n matrix, over the n minors
+    of size n-1, leaves the determinant alone, under the full mask.
+
+    For each S the loop takes only the columns j that S leaves free,
+    from the first with a nonnegative index on, each with the place in
+    rows.entries of h_(start+j) or of its negation: one step per product. A
+    complex entry times a complex minor takes three multiplications; a
+    real entry or a real minor takes two.
     """
-    entries = [(1 << j, er, ei) for j, (er, ei) in enumerate(row) if er or ei]
+    first = -start if start < 0 else 0
+    free = rows.free.get((n, first))
+    if free is None:
+        free = rows.free[n, first] = {}
+    entries = rows.entries
+    base = 2 * start
     out: dict = {}
-    for mask, (mr, mi) in below.items():
-        for bit, er, ei in entries:
-            if mask & bit:
-                continue
-            tr, ti = er * mr - ei * mi, er * mi + ei * mr
-            if (mask & (bit - 1)).bit_count() & 1:
-                tr, ti = -tr, -ti
-            key = mask | bit
-            got = out.get(key)
-            out[key] = (tr, ti) if got is None else (got[0] + tr, got[1] + ti)
+    get = out.get
+    for mask, (c, d) in below.items():
+        cols = free.get(mask)
+        if cols is None:
+            cols = free[mask] = _free_columns(mask, first, n)
+        if d:
+            s = c + d
+            for at, key in cols:
+                a, b, apb, bma = entries[base + at]
+                if b:
+                    k = a * s
+                    tr, ti = k - d * apb, k + c * bma
+                else:
+                    tr, ti = a * c, a * d
+                got = get(key)
+                out[key] = (tr, ti) if got is None else (got[0] + tr, got[1] + ti)
+        else:
+            for at, key in cols:
+                a, b, _, _ = entries[base + at]
+                tr, ti = a * c, b * c
+                got = get(key)
+                out[key] = (tr, ti) if got is None else (got[0] + tr, got[1] + ti)
     return {key: v for key, v in out.items() if v[0] or v[1]}
 
 
@@ -157,13 +209,13 @@ def schur(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
     if lam2[0] == 0:
         return pre
     d, beta = clear_denominators(alpha)
-    h = h_table(beta, lam2[0] - 1 + m)
+    rows = GaussRows(h_table(beta, lam2[0] - 1 + m))
     # trailing zero parts add unit diagonal rows, so they are dropped
     parts = [x for x in lam2 if x]
     n = len(parts)
     minors = {0: (1, 0)}
     for i in range(n - 1, -1, -1):
-        minors = expand_row(jt_row(h, parts[i] - i, n), minors)
+        minors = expand_row(rows, parts[i] - i, n, minors)
     re, im = minors.get((1 << n) - 1, (0, 0))
     det = GaussRat.scaled(re, im, d ** sum(lam2))
     return det if pre == GAUSS_ONE else pre * det

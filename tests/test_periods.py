@@ -41,7 +41,7 @@ from asaiperiods.periods import (
     verify_theorem1,
 )
 from asaiperiods.whittaker import schur, schur_bialternant
-from asaiperiods import corpus, periods
+from asaiperiods import corpus, periods, whittaker
 from iwasawa import (
     brute_flicker,
     brute_mirabolic,
@@ -260,6 +260,25 @@ def test_schur_sum_over_work_cap_raises_before_summing(monkeypatch):
         assert periods.lattice_work(k, order) > periods.MAX_LATTICE_WORK
         with pytest.raises(periods.LatticeCostError, match="rank %d" % k):
             periods._schur_sum(HOSTILE[4], k, 1, order)
+
+
+def test_free_column_cache_holds_only_the_masks_a_sum_reaches(monkeypatch):
+    # k = 13 at order 13 is admitted by the work cap; a table of every
+    # column set for every first column would hold 14 * 2^13 lists
+    k = order = 13
+    assert periods.lattice_work(k, order) <= periods.MAX_LATTICE_WORK
+    tables, reached = {}, set()
+
+    def spy(rows, start, n, below):
+        tables[id(rows)] = rows
+        reached.update((id(rows), n, max(0, -start), mask) for mask in below)
+        return whittaker.expand_row(rows, start, n, below)
+
+    monkeypatch.setattr(periods, "expand_row", spy)
+    alpha = [g(p, q) for p, q in ((1, 2), (-1, 3), (2, 5), (3, 7), (-5, 6), (4, 15), (1, 35))] * 2
+    assert periods._schur_sum(alpha, k, 1, order).coeffs[1] == sum(alpha, g(0))
+    cached = sum(len(masks) for rows in tables.values() for masks in rows.free.values())
+    assert 0 < cached <= len(reached) < 2 ** k
 
 
 # -- flicker_series ------------------------------------------------------
