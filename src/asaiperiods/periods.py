@@ -194,9 +194,11 @@ def _schur_sum(
     so no power of q survives in any term. The Satake denominators are
     cleared once per variable set (alpha = a/D, beta = b/D_b), each
     Schur value is an int-pair Jacobi-Trudi determinant on one complete
-    homogeneous table per variable set, laid out once for expand_row
+    homogeneous table h per variable set, laid out once for expand_row
     (whittaker.GaussRows), and coefficient d is the integer sum divided
-    once, by D^(e*d) * D_b^d.
+    once, by D^(e*d) * D_b^d. A sum of one-row determinants, n = 1
+    below, is the table itself: coefficient q is h(e*q), and no table
+    is laid out.
 
     A partition of d <= order has at most n = min(k, order) parts, and
     padded with zero parts to exactly n it keeps its determinant: row i
@@ -209,7 +211,7 @@ def _schur_sum(
     the expansion is linear in the minors below, so the minors of every
     tail with the same total and top part are summed and expanded once
     (_summed_determinants): one summed minor set per (total, top part),
-    and only one level of them is held. With beta each term is a
+    and at most two levels of them are held. With beta each term is a
     product of two determinants, which is not linear in either minor
     set, so a depth-first walk picks the parts of each partition, a
     weakly increasing suffix whose total stays within order, and the
@@ -240,14 +242,20 @@ def _schur_sum(
     if n == 0:
         return Series([1] + [0] * order)
     den, a = clear_denominators(alpha)
-    rows = GaussRows(h_table(a, e * order + k))
+    h = h_table(a, e * order + k)
     sr = [0] * (order + 1)
     si = [0] * (order + 1)
     if beta is None:
-        for total, (tr, ti) in _summed_determinants(rows, n, e, order):
+        if n == 1:
+            # one row: the determinant of the partition (q) is h(e*q)
+            dets = ((q, h[e * q]) for q in range(order + 1))
+        else:
+            dets = _summed_determinants(GaussRows(h), n, e, order)
+        for total, (tr, ti) in dets:
             sr[total] += tr
             si[total] += ti
         return Series(graded(sr, si, den ** e))
+    rows = GaussRows(h)
     den_b, b = clear_denominators(beta)
     rows_b = GaussRows(h_table(b, order + k))
 
@@ -275,68 +283,53 @@ def _schur_sum(
 
 def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
     """Yields pairs (d, x) whose x, summed for each d, give the sum over
-    partitions lam of d with exactly n nonnegative parts (zero parts
-    allowed, n >= 1) of det[h(e*lam_i - i + j)]: the undivided int-pair
+    partitions lam of d with exactly n >= 2 nonnegative parts (zero
+    parts allowed) of det[h(e*lam_i - i + j)]: the undivided int-pair
     sums of s_(e*lam) that _schur_sum adds up. rows is the table h laid
     out by whittaker.GaussRows.
 
-    The rows are built from the last up. Row i with part q sits above
-    every tail (rows i+1..n-1) whose top part is at most q, and a
-    Laplace expansion along it is linear in the minors below, so it is
-    expanded once (whittaker.expand_row) against the sum of those
-    tails' minors. A level maps each total t of its rows to the rising
-    list of their top parts p and, for each p, the summed minors (a map
-    from column set to int pair) of every tail with total t and top
-    part at most p; the empty tail has total 0 and top part 0. Rows
-    0..i-1 each take at least q, so t + (i + 1)*q stays within order.
-    Rows 1 and 0 are built one total t of rows 1..n-1 at a time and not
-    stored: the determinants with row 0 of part q are one expansion
-    along it of the summed minors of rows 1..n-1 with total t and part
-    at most q, which grow with q by one expansion of row 1 each. With
-    n = 1 the determinant is the entry h(e*q) itself.
+    The rows are built from the last up, by one level step per row
+    n-1..1. A level maps each total t of its rows to the rising list of
+    their top parts p and, for each p, the summed minors (a map from
+    column set to int pair) of every tail with total t and top part at
+    most p; the empty tail has total 0 and top part 0. Row i with part q
+    sits above every tail (rows i+1..n-1) whose top part is at most q,
+    and a Laplace expansion along it is linear in the minors below. So
+    for each total t of rows i..n-1, in rising order, the step walks the
+    rising parts q of row i, expands once (whittaker.expand_row) against
+    the summed minors at t - q below, and keeps the running sums. Rows
+    0..i-1 each take at least q, so t + i*q stays within order. A step
+    holds the whole level below it; the level of rows 1..n-1 goes to the
+    row-0 expansion one total at a time and is not stored.
     """
-    if n == 1:
-        for q in range(order + 1):
-            yield q, rows.entries[2 * e * q][:2]
-        return
+
+    def step(i: int, below: dict):
+        for total in range(order + 1):
+            parts, sums, running = [], [], {}
+            for q in range(min(total, (order - total) // i) + 1):
+                got = below.get(total - q)
+                if got is None or got[0][0] > q:
+                    continue
+                minors = expand_row(rows, e * q - i, n, got[1][bisect_right(got[0], q) - 1])
+                if minors:
+                    # minors is fresh from expand_row, so running is added into it
+                    for mask, (mr, mi) in running.items():
+                        x = minors.get(mask)
+                        minors[mask] = (mr, mi) if x is None else (x[0] + mr, x[1] + mi)
+                    running = minors
+                    parts.append(q)
+                    sums.append(running)
+            if parts:
+                yield total, (parts, sums)
+
     level = {0: ([0], [{0: (1, 0)}])}
     for i in range(n - 1, 1, -1):
-        nxt: dict = {}
-        # t falls, so each total t + q of nxt gets its parts q in rising order
-        for total in sorted(level, reverse=True):
-            parts, sums = level.pop(total)
-            for q in range(parts[0], (order - total) // (i + 1) + 1):
-                below = sums[bisect_right(parts, q) - 1]
-                minors = expand_row(rows, e * q - i, n, below)
-                if minors:
-                    got_parts, got_sums = nxt.setdefault(total + q, ([], []))
-                    if got_sums:
-                        minors = _added(minors, got_sums[-1])
-                    got_parts.append(q)
-                    got_sums.append(minors)
-        level = nxt
-    for total in range(order):
-        # running: summed minors of rows 1..n-1 with total `total` and row-1 part <= q
-        running: dict = {}
-        for q in range(order - total + 1):
-            got = level.get(total - q)
-            if got is not None and got[0][0] <= q:
-                parts, sums = got
-                below = sums[bisect_right(parts, q) - 1]
-                running = _added(expand_row(rows, e * q - 1, n, below), running)
-            if running:
-                # row 0 leaves one minor: the summed determinants, on all n columns
-                for det in expand_row(rows, e * q, n, running).values():
-                    yield total + q, det
-
-
-def _added(minors: dict, onto: dict) -> dict:
-    """Adds onto into minors, column set by column set, and returns
-    minors: a map fresh from expand_row, which no one else holds."""
-    for mask, (mr, mi) in onto.items():
-        got = minors.get(mask)
-        minors[mask] = (mr, mi) if got is None else (got[0] + mr, got[1] + mi)
-    return minors
+        level = dict(step(i, level))
+    for total, (parts, sums) in step(1, level):
+        for q in range(parts[0], order - total + 1):
+            # row 0 leaves one minor: the summed determinants, on all n columns
+            for det in expand_row(rows, e * q, n, sums[bisect_right(parts, q) - 1]).values():
+                yield total + q, det
 
 
 def flicker_series(mod: UnramifiedModule, order: int) -> Series:

@@ -107,11 +107,13 @@ class GaussRows:
     -h_i at place 2i + 1, so that in the loop a signed product of an
     entry with a minor c + di takes Gauss's three multiplications,
     k = a(c + d), re = k - d(a + b), im = k + c(b - a), and no negation.
-    free maps (n, first) to a map from each column set (a bitmask) that
-    expand_row has met to its free columns first <= j < n, as pairs
-    (2j + sign parity, mask | 1 << j): filled one mask at a time, so a
-    sum at the work cap holds a few hundred masks, where a table of every
-    mask would hold (n + 1) * 2^n.
+    A real entry and its negation share the two ints a and -a, so a
+    real table holds no more ints than twice h. free maps (n, first) to
+    a map from each column set (a bitmask) that expand_row has met to
+    its free columns first <= j < n, as pairs (2j + sign parity,
+    mask | 1 << j): filled one mask at a time, so a sum at the work cap
+    holds a few hundred masks, where a table of every mask would hold
+    (n + 1) * 2^n.
     """
 
     __slots__ = ("entries", "free")
@@ -119,8 +121,11 @@ class GaussRows:
     def __init__(self, h: Sequence[tuple]):
         self.entries = entries = []
         for a, b in h:
-            entries.append((a, b, a + b, b - a))
-            entries.append((-a, -b, -a - b, a - b))
+            na = -a
+            if b:
+                entries += (a, b, a + b, b - a), (na, -b, na - b, a - b)
+            else:
+                entries += (a, 0, a, na), (na, 0, na, a)
         self.free: dict = {}
 
 

@@ -230,6 +230,14 @@ def test_summed_kernel_matches_one_determinant_per_partition():
                 for k in (m, m - 1):
                     got = periods._schur_sum(alpha, k, e, order)
                     assert got == per_partition_sum(alpha, k, e, order), (m, order, e, k)
+    # k = 1..3 give n = 1 (no row expanded), 2 (row 1 against the empty
+    # tail) and 3 (one stored level); an order below k cuts n to the order
+    alpha = COINCIDENT[0]
+    for k in (1, 2, 3):
+        for order in (k - 1, 12):
+            for e in (1, 2):
+                got = periods._schur_sum(alpha, k, e, order)
+                assert got == per_partition_sum(alpha, k, e, order), (order, e, k)
 
 
 def test_schur_integer_path_matches_bialternant_oracle():

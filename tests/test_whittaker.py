@@ -5,11 +5,14 @@ and against a brute-force semistandard-tableau enumeration kept here as
 an independent oracle.
 """
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import asaiperiods
 from asaiperiods.rational import rat
 from asaiperiods.scalars import GaussRat
 from asaiperiods.localfields import FieldPair
@@ -170,6 +173,34 @@ def test_expand_row_drops_a_column_set_whose_terms_cancel():
         assert 0b011 not in got and got
     # a start below 0 leaves no nonzero entry at all
     assert expand_row(GaussRows([(1, 2)] * 4), -3, 3, {0: (1, 0)}) == {}
+
+
+def test_real_table_entries_share_their_ints():
+    # a real entry and its negation lay out a and -a alone (beside the
+    # cached 0); a complex entry keeps its Gauss sums
+    rng = random.Random(2222)
+    h = [(rng.choice((1, -1)) * rng.randint(2 ** 70, 2 ** 300), 0) for _ in range(20)] + [(0, 0)]
+    entries = GaussRows(h).entries
+    for i, (a, _) in enumerate(h):
+        pair = entries[2 * i] + entries[2 * i + 1]
+        assert pair == (a, 0, a, -a, -a, 0, -a, a)
+        assert len({id(x) for x in pair if x}) <= 2, i
+    h = [int_pair(rng, kind) for kind in ("complex", "imag", "small") * 5]
+    assert GaussRows(h).entries == [x for a, b in h for x in (
+        (a, b, a + b, b - a), (-a, -b, -a - b, a - b))]
+
+
+def test_only_whittaker_reads_the_table_layout():
+    # GaussRows.entries and .free are expand_row's layout: no other
+    # module of the package may read them off a table
+    found = []
+    for path in sorted(Path(asaiperiods.__file__).parent.glob("*.py")):
+        if path.name == "whittaker.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("entries", "free"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
 
 
 # -- modulus_exponent ----------------------------------------------------
