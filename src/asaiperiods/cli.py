@@ -42,6 +42,7 @@ from .lfactors import (
     asai_factor_list,
     closed_form_for,
     kable_factorization_check,
+    lattice_value_at,
     rs_L,
     rs_factor_list,
 )
@@ -52,7 +53,6 @@ from .periods import (
     certifying_order,
     coefficient_bits,
     flicker_series,
-    lattice_value_at,
     mirabolic_largest_order,
     printable_bits,
     rs_series,
@@ -108,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, False)
-    p.add_argument("--suite", default="all",
-                   choices=("theorem1", "cpi", "multiplicativity", "identities", "all"))
+    p.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
 
     p = sub.add_parser("segments", help="segment combinatorics report")
     common(p, True)

@@ -41,8 +41,8 @@ def _rand_nonzero(rng: random.Random) -> int:
     return num
 
 
-def rand_gauss(rng: random.Random, allow_complex: bool = True) -> GaussRat:
-    if allow_complex and rng.random() < 0.5:
+def rand_gauss(rng: random.Random) -> GaussRat:
+    if rng.random() < 0.5:
         p, q = rng.randint(-9, 9), rng.randint(1, 9)
         ip = _rand_nonzero(rng)
         iq = rng.randint(1, 9)
@@ -71,7 +71,7 @@ def rand_module(rng: random.Random, fp: FieldPair, r: int, unitary: bool = False
 
 def _module_generic(mod: UnramifiedModule) -> bool:
     """No linked pair among the rank-one pieces: no value ratio q_E^(+-1)."""
-    return is_generic([Segment(unram_char(v), 1) for v in mod.satake], mod.fp.q_E)
+    return is_generic([Segment(MultChar.unramified(v), 1) for v in mod.satake], mod.fp.q_E)
 
 
 def csd_module(rng: random.Random, fp: FieldPair, pairs: int, self_ones: int = 0) -> UnramifiedModule:
@@ -130,10 +130,6 @@ def ramified_char(rng: random.Random, unit_conductor: int, selfdual: bool = Fals
     return MultChar(label, unit_conductor, a, _fresh_label(rng), rand_gauss(rng))
 
 
-def unram_char(value: GaussRat) -> MultChar:
-    return MultChar.unramified(value)
-
-
 def sigma_paired_segments(rng: random.Random, unit_conductor: int, k: int) -> tuple[Segment, Segment]:
     """A segment with ramified base character and its twisted dual."""
     seg = Segment(ramified_char(rng, unit_conductor), k)
@@ -144,27 +140,27 @@ def selfdual_ramified_segment(rng: random.Random, unit_conductor: int, k: int) -
     return Segment(ramified_char(rng, unit_conductor, selfdual=True), k)
 
 
-def csd_rep(rng: random.Random, fp: FieldPair, max_components: int = 2) -> GenericRep:
+def csd_rep(rng: random.Random, fp: FieldPair) -> GenericRep:
     """Conjugate-self-dual generic representation mixing unramified dual
     pairs, self-dual unramified segments, and ramified sigma-paired or
     self-paired segments. Over a ramified field pair every component is
     chosen with even conductor so the parity obstruction vanishes."""
     while True:
         segments: list[Segment] = []
-        for _ in range(rng.randint(1, max_components)):
+        for _ in range(rng.randint(1, 2)):
             kind = rng.choice(("unram_pair", "unram_self", "ram_pair", "ram_self"))
             if kind == "unram_pair":
                 a = rand_gauss(rng)
                 k = rng.randint(1, 2)
-                segments.append(Segment(unram_char(a), k))
-                segments.append(Segment(unram_char(a.inverse()), k))
+                segments.append(Segment(MultChar.unramified(a), k))
+                segments.append(Segment(MultChar.unramified(a.inverse()), k))
             elif kind == "unram_self":
                 a = GaussRat(rng.choice((1, -1)))
                 if fp.ramified:
                     k = rng.choice((1, 3))  # conductor k-1 stays even
                 else:
                     k = rng.randint(1, 3)
-                segments.append(Segment(unram_char(a), k))
+                segments.append(Segment(MultChar.unramified(a), k))
             elif kind == "ram_pair":
                 f = rng.choice((1, 2))
                 s1, s2 = sigma_paired_segments(rng, f, rng.randint(1, 2))
@@ -181,18 +177,18 @@ def csd_rep(rng: random.Random, fp: FieldPair, max_components: int = 2) -> Gener
             continue
 
 
-def ramified_rep(rng: random.Random, fp: FieldPair, max_components: int = 3) -> GenericRep:
+def ramified_rep(rng: random.Random, fp: FieldPair) -> GenericRep:
     """Representation that is ramified as a representation, with mixed
     character supports (for the essential-vector period identity)."""
     while True:
         segments: list[Segment] = []
         ramified_part = False
-        for _ in range(rng.randint(1, max_components)):
+        for _ in range(rng.randint(1, 3)):
             kind = rng.choice(("unram1", "steinberg", "ram"))
             if kind == "unram1":
-                segments.append(Segment(unram_char(rand_gauss(rng)), 1))
+                segments.append(Segment(MultChar.unramified(rand_gauss(rng)), 1))
             elif kind == "steinberg":
-                segments.append(Segment(unram_char(rand_gauss(rng)), rng.randint(2, 3)))
+                segments.append(Segment(MultChar.unramified(rand_gauss(rng)), rng.randint(2, 3)))
                 ramified_part = True
             else:
                 segments.append(Segment(ramified_char(rng, rng.choice((1, 2))), rng.randint(1, 2)))
@@ -208,18 +204,19 @@ def ramified_rep(rng: random.Random, fp: FieldPair, max_components: int = 3) -> 
 
 
 def steinberg_gl2(fp: FieldPair) -> GenericRep:
-    return GenericRep(fp, (Segment(unram_char(GaussRat(1)), 2),))
+    return GenericRep(fp, (Segment(MultChar.unramified(GaussRat(1)), 2),))
 
 
-def unitary_gl2_example(q_F: int = 2) -> GenericRep:
-    """The unramified GL(2) example with Satake values (3+4i)/5, (3-4i)/5."""
-    fp = FieldPair(q_F, False)
+def unitary_gl2_example() -> GenericRep:
+    """The unramified GL(2) example over q_F = 2 with Satake values
+    (3+4i)/5, (3-4i)/5."""
+    fp = FieldPair(2, False)
     a = GaussRat.scaled(3, 4, 5)
     return GenericRep(
         fp,
-        (Segment(unram_char(a), 1), Segment(unram_char(a.conj()), 1)),
+        (Segment(MultChar.unramified(a), 1), Segment(MultChar.unramified(a.conj()), 1)),
     )
 
 
 def module_as_rep(mod: UnramifiedModule) -> GenericRep:
-    return GenericRep(mod.fp, tuple(Segment(unram_char(v), 1) for v in mod.satake))
+    return GenericRep(mod.fp, tuple(Segment(MultChar.unramified(v), 1) for v in mod.satake))

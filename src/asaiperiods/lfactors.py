@@ -3,9 +3,9 @@
 Conventions: the uniform series variable is t = q_F^(-s). The
 Rankin-Selberg factor is native in t_E = q_E^(-s), which equals t^2
 for unramified pairs and t for ramified ones (t_E = t^f in general);
-it converts on request. All factories return canonical reduced
-RatFunc values and also expose their factor lists (coefficient c and
-power k per factor 1 - c*t^k). The factor products run on scaled
+RatFunc.substitute_power(f) takes it to t. All factories return
+canonical reduced RatFunc values and also expose their factor lists
+(coefficient c and power k per factor 1 - c*t^k). The factor products run on scaled
 Gaussian integers inside RatFunc.from_factors and Poly products (one
 int-pair product, one division per coefficient); the factor lists and
 the returned RatFunc keep GaussRat coefficients. The multiplicativity
@@ -15,6 +15,8 @@ Poly product in between.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .ratfunc import RatFunc, eval_at
 from .scalars import GaussRat
@@ -47,27 +49,20 @@ def asai_L(mod: UnramifiedModule) -> RatFunc:
     return RatFunc.from_factors(asai_factor_list(mod))
 
 
-def rs_factor_list(m1: UnramifiedModule, m2: UnramifiedModule, as_t: bool = False) -> FactorList:
-    fp = m1.fp
-    if fp != m2.fp:
+def rs_factor_list(m1: UnramifiedModule, m2: UnramifiedModule) -> FactorList:
+    if m1.fp != m2.fp:
         raise ValueError("modules live over different field pairs")
-    power = fp.f if as_t else 1
-    return [(x * y, power) for x in m1.satake for y in m2.satake]
+    return [(x * y, 1) for x in m1.satake for y in m2.satake]
 
 
-def rs_L(m1: UnramifiedModule, m2: UnramifiedModule, as_t: bool = False) -> RatFunc:
-    """Rankin-Selberg L-factor of two unramified modules.
-
-    Native variable is t_E; pass as_t=True to substitute t_E = t^f and
-    express the factor in t.
-    """
-    return RatFunc.from_factors(rs_factor_list(m1, m2, as_t))
+def rs_L(m1: UnramifiedModule, m2: UnramifiedModule) -> RatFunc:
+    """Rankin-Selberg L-factor of two unramified modules, in t_E."""
+    return RatFunc.from_factors(rs_factor_list(m1, m2))
 
 
 def tate_L(value_at_unif: GaussRat, power: int) -> RatFunc:
-    """Tate factor 1/(1 - value * t^power) of an unramified character."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
+    """Tate factor 1/(1 - value * t^power) of an unramified character;
+    a power below 1 raises ValueError."""
     return RatFunc.from_factors([(value_at_unif, power)])
 
 
@@ -77,14 +72,10 @@ def asai_L_multiplicative(mod: UnramifiedModule) -> RatFunc:
     the Rankin-Selberg factors of the distinct pairs, as one product of
     their factor lists."""
     fp = mod.fp
-    # x^e is the value of the character restricted to F*
+    # x^e is the value of the character restricted to F*; the rank-one
+    # pieces are sigma-fixed, so a pair's factor is 1 - x*y*t_E, t_E = t^f
     factors: FactorList = [(x**fp.e, 1) for x in mod.satake]
-    r = mod.r
-    for i in range(r):
-        for j in range(i + 1, r):
-            pair_i = UnramifiedModule(fp, (mod.satake[i],))
-            pair_j = UnramifiedModule(fp, (mod.satake[j],))  # sigma-fixed
-            factors += rs_factor_list(pair_i, pair_j, as_t=True)
+    factors += [(x * y, fp.f) for x, y in combinations(mod.satake, 2)]
     return RatFunc.from_factors(factors)
 
 
@@ -100,15 +91,23 @@ def closed_form_for(rep: GenericRep) -> RatFunc:
     return cf
 
 
-def lstar_at_1(rep: GenericRep, cf: RatFunc | None = None) -> GaussRat:
-    """Normalized value at the edge point s=1: the reduced closed form
-    of the mirabolic period evaluated at t = 1/q_F, so a pole that the
-    central Tate factor cancels is no pole. Pass cf when the caller has
-    already built closed_form_for(rep)."""
+def lattice_value_at(rep: GenericRep, s: int, cf: RatFunc | None = None) -> GaussRat:
+    """Exact value of the mirabolic period at integer s >= 1: the reduced
+    closed form at t = q_F^(-s), so a pole that the central Tate factor
+    cancels is no pole. Raises ZeroDivisionError on a pole. Pass cf when
+    the caller has already built closed_form_for(rep)."""
+    if s < 1:
+        raise ValueError("s must be a positive integer")
     if cf is None:
         cf = closed_form_for(rep)
+    return eval_at(cf, GaussRat.scaled(1, 0, rep.fp.q_F ** s))
+
+
+def lstar_at_1(rep: GenericRep, cf: RatFunc | None = None) -> GaussRat:
+    """Normalized value at the edge point s=1, lattice_value_at(rep, 1,
+    cf); raises ValueError on a pole."""
     try:
-        return eval_at(cf, GaussRat.scaled(1, 0, rep.fp.q_F))
+        return lattice_value_at(rep, 1, cf)
     except ZeroDivisionError:
         raise ValueError("non-holomorphic at s=1") from None
 
@@ -119,6 +118,6 @@ def kable_factorization_check(mod: UnramifiedModule) -> bool:
     unramified quadratic character). Unramified pairs only."""
     if mod.fp.ramified:
         raise ValueError("the quadratic twist character is ramified here: out of scope")
-    lhs = rs_L(mod, mod, as_t=True)  # unramified modules are sigma-fixed
+    lhs = rs_L(mod, mod).substitute_power(2)  # unramified modules are sigma-fixed
     rhs = RatFunc.from_factors(asai_factor_list(mod) + asai_factor_list(mod.twist_by_sign()))
     return lhs == rhs

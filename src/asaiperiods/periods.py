@@ -30,7 +30,7 @@ from math import log10
 from typing import Sequence
 
 from .lfactors import closed_form_for, lstar_at_1, rs_L
-from .ratfunc import RatFunc, eval_at, reconstruct, series_of
+from .ratfunc import RatFunc, reconstruct, series_of
 from .scalars import GaussRat
 from .segments import (
     GenericRep,
@@ -298,12 +298,15 @@ def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
     for each total t of rows i..n-1, in rising order, the step walks the
     rising parts q of row i, expands once (whittaker.expand_row) against
     the summed minors at t - q below, and keeps the running sums. Rows
-    0..i-1 each take at least q, so t + i*q stays within order. A step
-    holds the whole level below it; the level of rows 1..n-1 goes to the
-    row-0 expansion one total at a time and is not stored.
+    0..i-1 each take at least q, so t + i*q stays within order. So the
+    entry at total t below is last read at total t + (order - t) // (i + 1),
+    and a step pops it once that total is done: it frees the level below
+    as it builds its own. The level of rows 1..n-1 goes to the row-0
+    expansion one total at a time and is not stored.
     """
 
     def step(i: int, below: dict):
+        done = 0  # every total of below under done is popped
         for total in range(order + 1):
             parts, sums, running = [], [], {}
             for q in range(min(total, (order - total) // i) + 1):
@@ -319,6 +322,11 @@ def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
                     running = minors
                     parts.append(q)
                     sums.append(running)
+            # the entry at total t below is last read at t + (order - t) // (i + 1),
+            # which never falls as t rises
+            while done + (order - done) // (i + 1) <= total:
+                below.pop(done, None)
+                done += 1
             if parts:
                 yield total, (parts, sums)
 
@@ -343,31 +351,28 @@ def flicker_series(mod: UnramifiedModule, order: int) -> Series:
     return _schur_sum(mod.satake, mod.r, mod.fp.e, order)
 
 
-def mirabolic_series(rep, order: int) -> Series:
+def mirabolic_series(rep: GenericRep, order: int) -> Series:
     """Mirabolic period sum over the F-points of the (n-1)-torus, with
     the determinant twist |det|^(s-1), as a series in t = q_F^(-s).
 
-    Accepts a GenericRep or a bare UnramifiedModule (n = r). The
-    essential vector is supported on the first r torus entries of the
-    unramified support, so both the spherical route (r = n) and the
+    The essential vector is supported on the first r torus entries of
+    the unramified support, so both the spherical route (r = n) and the
     essential-vector route (r < n) sum s_(e*lam) over partitions of
-    length <= min(r, n-1).
+    length <= min(r, n-1). A bare module enters as
+    corpus.module_as_rep(mod).
     """
     return _schur_sum(*_mirabolic_sum(rep), order)
 
 
-def _mirabolic_sum(rep) -> tuple:
+def _mirabolic_sum(rep: GenericRep) -> tuple:
     """(alpha, k, e) of the Schur sum of mirabolic_series(rep, order)."""
-    if isinstance(rep, UnramifiedModule):
-        mod, n = rep, rep.r
-    elif isinstance(rep, GenericRep):
-        mod, n = pi_u(rep), rep.n
-    else:
-        raise TypeError("expected GenericRep or UnramifiedModule")
-    return mod.satake, min(mod.r, n - 1), mod.fp.e
+    if not isinstance(rep, GenericRep):
+        raise TypeError("expected GenericRep")
+    mod = pi_u(rep)
+    return mod.satake, min(mod.r, rep.n - 1), mod.fp.e
 
 
-def mirabolic_largest_order(rep) -> int:
+def mirabolic_largest_order(rep: GenericRep) -> int:
     """Largest order at which mirabolic_series(rep, order) passes the
     work and size caps."""
     alpha, k, e = _mirabolic_sum(rep)
@@ -470,15 +475,3 @@ def essential_rs_check(rep: GenericRep, t_module: UnramifiedModule, order: int) 
         raise ValueError("out of scope: the pairing is modeled for unramified reps only")
     mod = pi_u(rep)
     return rs_series(mod, t_module, order) == series_of(rs_L(mod, t_module), order)
-
-
-def lattice_value_at(rep: GenericRep, s: int, cf: RatFunc | None = None) -> GaussRat:
-    """Exact closed-form value of the mirabolic period at integer s >= 1,
-    t = q_F^(-s). Raises ZeroDivisionError on a pole. Pass cf when the
-    caller has already built closed_form_for(rep)."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    if cf is None:
-        cf = closed_form_for(rep)
-    t0 = GaussRat.scaled(1, 0, rep.fp.q_F ** s)
-    return eval_at(cf, t0)

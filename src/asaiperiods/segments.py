@@ -230,7 +230,7 @@ class UnramifiedModule(Frozen):
         for v in vals:
             if v.is_zero():
                 raise ValueError("Satake values must be nonzero")
-        if len(vals) > 1:  # the product formula builds many rank-one modules
+        if len(vals) > 1:  # one value needs no sort
             # |alpha|^2 over one common denominator: integer norms, same order
             _, beta = clear_denominators(vals)
             norms = [br * br + bi * bi for br, bi in beta]

@@ -492,7 +492,7 @@ def test_lfactor_against_reports_both_variables(descriptor, capsys, field, value
               for fp, segs in (load_rep_file(path), load_rep_file(other_path)))
     got = json.loads(out)["rs"]
     assert got["tE"] == ratfunc_json(rs_L(m1, m2))
-    assert got["t"] == ratfunc_json(rs_L(m1, m2, as_t=True))
+    assert got["t"] == ratfunc_json(rs_L(m1, m2).substitute_power(m1.fp.f))
 
 
 def test_hostile_satake_height_at_default_order(descriptor, capsys):

@@ -23,12 +23,14 @@ from asaiperiods.lfactors import (
     asai_L,
     asai_L_multiplicative,
     asai_factor_list,
+    closed_form_for,
     kable_factorization_check,
+    lattice_value_at,
     lstar_at_1,
     rs_L,
     tate_L,
 )
-from asaiperiods import corpus
+from asaiperiods import corpus, segments
 
 UFP = FieldPair(2, False)
 RFP = FieldPair(2, True, 1)
@@ -109,11 +111,10 @@ def test_rs_two_by_one():
 def test_rs_variable_conversion():
     a, b = g(2), g(3)
     native = rs_L(umod(UFP, a), umod(UFP, b))
-    in_t = rs_L(umod(UFP, a), umod(UFP, b), as_t=True)
     # unramified: t_E = t^2
-    assert in_t == native.substitute_power(2)
+    assert native.substitute_power(UFP.f) == RatFunc(Poly([1]), om(a * b, 2))
     ram_native = rs_L(umod(RFP, a), umod(RFP, b))
-    assert rs_L(umod(RFP, a), umod(RFP, b), as_t=True) == ram_native
+    assert ram_native.substitute_power(RFP.f) == ram_native
 
 
 def test_rs_field_pair_mismatch():
@@ -165,6 +166,19 @@ def test_multiplicative_agrees_randomized():
         assert asai_L(mod) == asai_L_multiplicative(mod)
 
 
+def test_multiplicative_builds_no_module(monkeypatch):
+    # the pair factors come straight from the Satake values
+    rng = random.Random(1414)
+    mods = [corpus.rand_module(rng, corpus.rand_field(rng, bool(r % 2)), r) for r in range(7)]
+    built = []
+    init = segments.UnramifiedModule.__init__
+    monkeypatch.setattr(segments.UnramifiedModule, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for mod in mods:
+        assert asai_L_multiplicative(mod) == RatFunc.from_factors(asai_factor_list(mod))
+    assert built == []
+
+
 def asai_multiplicative_running_product(mod):
     """The product formula as a running RatFunc product, the reference."""
     fp = mod.fp
@@ -173,7 +187,8 @@ def asai_multiplicative_running_product(mod):
         out = out * tate_L(x**fp.e, 1)
     for i in range(mod.r):
         for j in range(i + 1, mod.r):
-            out = out * rs_L(umod(fp, mod.satake[i]), umod(fp, mod.satake[j]), as_t=True)
+            pair = rs_L(umod(fp, mod.satake[i]), umod(fp, mod.satake[j]))
+            out = out * pair.substitute_power(fp.f)
     return out
 
 
@@ -194,7 +209,7 @@ def test_kable_one_product_matches_product_of_asai_factors():
         old_rhs = asai_L(mod) * asai_L(twist)
         new_rhs = RatFunc.from_factors(asai_factor_list(mod) + asai_factor_list(twist))
         assert new_rhs == old_rhs
-        assert old_rhs == rs_L(mod, mod, as_t=True)
+        assert old_rhs == rs_L(mod, mod).substitute_power(2)
         assert kable_factorization_check(mod)
     with pytest.raises(ValueError, match="out of scope"):
         kable_factorization_check(corpus.rand_module(rng, corpus.rand_field(rng, True), 3))
@@ -247,6 +262,20 @@ def test_lstar_pole_raises():
                           Segment(MultChar.unramified(g(3)), 1)))
     with pytest.raises(ValueError, match="non-holomorphic"):
         lstar_at_1(rep)
+    # the one evaluator under it reports the pole as ZeroDivisionError
+    with pytest.raises(ZeroDivisionError):
+        lattice_value_at(rep, 1)
+
+
+def test_lstar_is_the_lattice_value_at_s_1():
+    rng = random.Random(1515)
+    reps = []
+    for i in range(30):
+        fp = corpus.rand_field(rng, ramified=bool(i % 2))
+        reps += [corpus.csd_rep(rng, fp), corpus.ramified_rep(rng, fp)]
+    for rep in reps:
+        cf = closed_form_for(rep)
+        assert lattice_value_at(rep, 1, cf) == lstar_at_1(rep, cf) == lstar_at_1(rep)
 
 
 # -- kable factorization ---------------------------------------------------
