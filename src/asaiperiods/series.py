@@ -14,13 +14,16 @@ product, of Poly or of Series (stopping at the shorter order), convolves
 the pairs and divides each coefficient once (GaussRat.scaled); a value is one integer Horner sum, divided once;
 poly_gcd is the subresultant remainder sequence over Z[i], whose every
 division is exact, and only the gcd it ends with becomes GaussRat. The
-public coefficients stay GaussRat; the scaled form is internal, as in
-the lattice-sum kernel.
+public coefficients stay GaussRat; the scaled form is internal. The
+lattice-sum kernel scales its Satake values the same way, but by the
+smallest Gaussian scale (clear_gaussian_denominators): the lcm over
+Z[i] of their least Gaussian denominators, found by Euclid's algorithm
+in Z[i], which divides the integer common denominator.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
@@ -39,13 +42,60 @@ def clear_denominators(values: Sequence[GaussRat]) -> tuple[int, list]:
     return den, [scaled_pair(v, den) for v in values]
 
 
-def graded(re: Sequence[int], im: Sequence[int], scale: int) -> list:
-    """The GaussRat coefficients (re[d] + im[d]*i) / scale^d."""
+def clear_gaussian_denominators(values: Sequence[GaussRat]) -> tuple[int, tuple, list]:
+    """(D, c, beta): D the lcm of the den of values, as in
+    clear_denominators, and beta = D_g*values as (re, im) int pairs, for
+    a Gaussian integer D_g that divides D with the exact quotient c =
+    D/D_g, an (re, im) int pair.
+
+    D_g is the lcm over Z[i] of the least Gaussian denominator of each
+    value (x + yi)/d, which is d / gcd(x + yi, d) with the gcd taken in
+    Z[i]: the least scale that makes every value integral over Z[i]. A
+    value 1/(x + yi) = (x - yi)/d, d = x^2 + y^2, needs only x + yi, of
+    absolute value sqrt(d). When gcd(x^2 + y^2, d) == 1, no Gaussian
+    prime divides both x + yi and d, and the least denominator is d
+    itself with no Euclid run. Each step of Euclid's algorithm in Z[i]
+    at least halves the norm (_gauss_gcd), so a gcd of b-bit operands
+    takes at most about 2b steps. When N(D_g) = D^2, D_g is an associate
+    of D and the scale is D itself (c = 1, beta as clear_denominators
+    gives it): every real value, and every Gaussian integer, takes that
+    route.
+    """
+    den = lcm(*[v.den for v in values])
+    lr, li = 1, 0
+    for v in values:
+        d = v.den
+        if gcd(v.nr * v.nr + v.ni * v.ni, d) == 1:
+            dr, di = d, 0
+        else:
+            dr, di = _gauss_div_exact((d, 0), _gauss_gcd((d, 0), (v.nr, v.ni)))
+        if li or di:
+            lr, li = gauss_mul((lr, li), _gauss_div_exact((dr, di), _gauss_gcd((lr, li), (dr, di))))
+        else:
+            lr = lcm(lr, dr)
+    if lr * lr + li * li == den * den:
+        return den, (1, 0), [scaled_pair(v, den) for v in values]
+    # D_g*(x + yi) is d times a Gaussian integer, since d / gcd(x + yi, d) divides D_g
+    beta = [((lr * v.nr - li * v.ni) // v.den, (lr * v.ni + li * v.nr) // v.den) for v in values]
+    return den, _gauss_div_exact((den, 0), (lr, li)), beta
+
+
+def graded(re: Sequence[int], im: Sequence[int], scale: int, c: tuple = (1, 0)) -> list:
+    """The GaussRat coefficients (re[d] + im[d]*i) * c^d / scale^d, for
+    a Gaussian integer c given as an int pair."""
     coeffs = []
     den = 1
+    if c == (1, 0):
+        for x, y in zip(re, im):
+            coeffs.append(GaussRat.scaled(x, y, den))
+            den *= scale
+        return coeffs
+    cr, ci = c
+    pr, pi = 1, 0
     for x, y in zip(re, im):
-        coeffs.append(GaussRat.scaled(x, y, den))
+        coeffs.append(GaussRat.scaled(x * pr - y * pi, x * pi + y * pr, den))
         den *= scale
+        pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
     return coeffs
 
 
@@ -214,14 +264,14 @@ class Poly:
         return out
 
 
-def _gauss_mul(a: tuple, b: tuple) -> tuple:
+def gauss_mul(a: tuple, b: tuple) -> tuple:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _gauss_pow(a: tuple, n: int) -> tuple:
+def gauss_pow(a: tuple, n: int) -> tuple:
     out = (1, 0)
     for _ in range(n):
-        out = _gauss_mul(out, a)
+        out = gauss_mul(out, a)
     return out
 
 
@@ -236,8 +286,24 @@ def _gauss_div_exact(a: tuple, b: tuple) -> tuple:
         qr, rr = divmod(a[0], br)
         qi, ri = divmod(a[1], br)
     if rr or ri:
-        raise ArithmeticError("inexact Gaussian division in the subresultant sequence")
+        raise ArithmeticError("inexact Gaussian division")
     return qr, qi
+
+
+def _gauss_gcd(a: tuple, b: tuple) -> tuple:
+    """A gcd of a and b in Z[i], determined up to a unit, by Euclid's
+    algorithm with each quotient a/b rounded to the nearest Gaussian
+    integer. That quotient is off by at most 1/2 in each part, so each
+    step's remainder has at most half the norm of its divisor, and the
+    loop ends within log2(N(b)) + 1 steps."""
+    while b[0] or b[1]:
+        br, bi = b
+        n = br * br + bi * bi
+        # a * conj(b) = x + yi, and round(x/n) = floor((2x + n) / 2n)
+        x, y = a[0] * br + a[1] * bi, a[1] * br - a[0] * bi
+        qr, qi = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+        a, b = b, (a[0] - qr * br + qi * bi, a[1] - qr * bi - qi * br)
+    return a
 
 
 def _pseudo_remainder(a: list, b: list) -> list:
@@ -248,9 +314,9 @@ def _pseudo_remainder(a: list, b: list) -> list:
     r = list(a)
     for off in range(len(a) - len(b), -1, -1):
         c = r.pop()
-        r = [_gauss_mul(lead, x) for x in r]
+        r = [gauss_mul(lead, x) for x in r]
         for j, y in enumerate(low, off):
-            cy = _gauss_mul(c, y)
+            cy = gauss_mul(c, y)
             r[j] = (r[j][0] - cy[0], r[j][1] - cy[1])
     while r and r[-1] == (0, 0):
         r.pop()
@@ -288,11 +354,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
                 break
             if len(rem) == 1:
                 return Poly.one()
-            div = _gauss_mul(g, _gauss_pow(h, delta))
+            div = gauss_mul(g, gauss_pow(h, delta))
             prev, last = last, [_gauss_div_exact(c, div) for c in rem]
             g = prev[-1]
             if delta:
-                h = _gauss_div_exact(_gauss_pow(g, delta), _gauss_pow(h, delta - 1))
+                h = _gauss_div_exact(gauss_pow(g, delta), gauss_pow(h, delta - 1))
     lr, li = last[-1]
     n = lr * lr + li * li
     return Poly([GaussRat.scaled(x * lr + y * li, y * lr - x * li, n) for x, y in last])

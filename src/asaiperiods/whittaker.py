@@ -201,7 +201,9 @@ def schur(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
     """Schur polynomial s_lam(alpha) by the Jacobi-Trudi determinant.
 
     lam must be weakly decreasing and the same length as alpha;
-    negative entries are allowed and handled by a central shift.
+    negative entries are allowed and handled by a central shift. The
+    values are cleared at the integer scale D, not at the Gaussian one
+    of the lattice sums, so this is an independent oracle for them.
     """
     m = len(alpha)
     if len(lam) != m:

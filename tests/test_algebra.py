@@ -9,7 +9,15 @@ import pytest
 from asaiperiods.rational import parse_ratio, rat, ratio_str
 from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_of
 from asaiperiods.scalars import GAUSS_ONE, GaussRat
-from asaiperiods.series import Poly, Series, _gauss_div_exact, poly_gcd
+from asaiperiods.series import (
+    Poly,
+    Series,
+    _gauss_div_exact,
+    _gauss_gcd,
+    clear_denominators,
+    clear_gaussian_denominators,
+    poly_gcd,
+)
 
 
 def g(p, q=1):
@@ -547,6 +555,127 @@ def test_gaussian_division_refuses_a_remainder():
     for a, b in (((11, 5), (2, 1)), ((10, 6), (4, 0)), ((1, 0), (1, 1))):
         with pytest.raises(ArithmeticError):
             _gauss_div_exact(a, b)
+
+
+# -- Gaussian gcd and the least Gaussian denominator, against brute force --
+
+
+def norm(z):
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def divides(z, w):
+    """z | w in Z[i], for z != 0: w * conj(z) is N(z) times a Gaussian integer."""
+    n = norm(z)
+    return (w[0] * z[0] + w[1] * z[1]) % n == 0 and (w[1] * z[0] - w[0] * z[1]) % n == 0
+
+
+def gaussian_points(bound):
+    """Every nonzero Gaussian integer of norm at most bound."""
+    r = math.isqrt(bound)
+    return [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if 0 < x * x + y * y <= bound]
+
+
+def small_gaussian(rng):
+    """A small Gaussian integer: real-only, imaginary-only, a unit, or any."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-12, 12), 0
+    if kind == 1:
+        return 0, rng.randint(-12, 12)
+    if kind == 2:
+        return rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+    return rng.randint(-9, 9), rng.randint(-9, 9)
+
+
+def test_gaussian_gcd_matches_common_divisors():
+    rng = random.Random(2401)
+    pairs = [(small_gaussian(rng), small_gaussian(rng)) for _ in range(150)]
+    # associates (times i, -1, -i), and multiples of a shared factor
+    for a in ((3, 2), (-4, 1), (0, 6), (5, 0), (1, 1)):
+        pairs += [(a, (-a[1], a[0])), (a, (-a[0], -a[1])), (a, (a[1], -a[0]))]
+        pairs.append(((a[0] * 2 - a[1], a[1] * 2 + a[0]), (a[0] * 3 + a[1], a[1] * 3 - a[0])))
+    pairs += [((0, 0), (0, 0)), ((0, 0), (-3, 4)), ((7, 0), (0, 0))]
+    for a, b in pairs:
+        got = _gauss_gcd(a, b)
+        if a == b == (0, 0):
+            assert got == (0, 0)
+            continue
+        assert divides(got, a) and divides(got, b), (a, b, got)
+        # every common divisor divides the gcd, so the gcd has the largest norm
+        for z in gaussian_points(max(norm(a), norm(b))):
+            if divides(z, a) and divides(z, b):
+                assert divides(z, got), (a, b, got, z)
+
+
+def value(nr, ni, den):
+    return GaussRat.scaled(nr, ni, den)
+
+
+def denominator_cases(rng):
+    """Lists of Satake-like values: inverses of Gaussian integers over
+    split primes (5, 13, 17) and their products, real-only and
+    imaginary-only values, Gaussian integers, and random mixes."""
+    inverses = [value(a, -b, a * a + b * b) for a, b in ((1, 1), (2, 1), (3, 2), (1, 4), (4, 1), (3, 4), (1, 8))]
+    yield inverses[:3]
+    yield [inverses[1], inverses[1].conj()]
+    yield [value(rng.randint(-9, 9) or 1, 0, rng.randint(1, 30)) for _ in range(3)]
+    yield [value(0, rng.randint(1, 9), rng.randint(1, 30)) for _ in range(3)]
+    yield [value(3, -4, 1), value(0, 1, 1), value(-2, 0, 1)]
+    yield [value(1, 2, 5), value(1, -2, 5)]
+    yield []
+    for _ in range(60):
+        vals = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                vals.append(rng.choice(inverses) * value(rng.randint(-3, 3) or 1, rng.randint(-2, 2), 1))
+            elif kind == 1:
+                vals.append(value(rng.randint(-9, 9), rng.randint(-9, 9) or 1, rng.randint(1, 12)))
+            else:
+                vals.append(value(rng.randint(-9, 9) or 1, 0, rng.randint(1, 12)))
+        yield vals
+
+
+def clears(z, vals):
+    """z * v in Z[i] for every value v."""
+    return all(divides((v.den, 0), (z[0] * v.nr - z[1] * v.ni, z[0] * v.ni + z[1] * v.nr))
+               for v in vals)
+
+
+def test_least_gaussian_denominator_matches_brute_force():
+    rng = random.Random(2402)
+    routes = set()
+    for vals in denominator_cases(rng):
+        den, c, beta = clear_gaussian_denominators(vals)
+        assert den == math.lcm(*[v.den for v in vals])
+        # c = D / D_g is exact, and D_g * values = beta
+        dg = _gauss_div_exact((den, 0), c)
+        assert divides(c, (den, 0))
+        for v, (br, bi) in zip(vals, beta):
+            assert value(br, bi, 1) == value(*dg, 1) * v, (vals, c)
+        # the scales that clear every value form an ideal of Z[i], which
+        # D_g generates: no proper divisor D_g/z clears them all (a
+        # Gaussian prime over p has norm p or p^2), and when the norm is
+        # small, no Gaussian integer of smaller norm does either
+        primes = [p for p in range(2, den + 1) if den % p == 0 and all(p % f for f in range(2, p))]
+        for z in gaussian_points(max(primes, default=1) ** 2):
+            if norm(z) > 1 and divides(z, dg):
+                assert not clears(_gauss_div_exact(dg, z), vals), (vals, dg, z)
+        if norm(dg) <= 4096:
+            for z in gaussian_points(norm(dg)):
+                if clears(z, vals):
+                    assert norm(z) == norm(dg) and divides(dg, z), (vals, dg, z)
+        # c = 1 exactly when D_g is an associate of D, and then D itself is the scale
+        if norm(dg) == den * den:
+            assert (c, beta) == ((1, 0), clear_denominators(vals)[1])
+        else:
+            assert norm(c) > 1
+        routes.add(c == (1, 0))
+        if all(v.is_real() for v in vals) or all(not v.nr for v in vals) \
+                or all(v.den == 1 for v in vals):
+            assert c == (1, 0), vals
+    assert routes == {True, False}
 
 
 def test_poly_eval_matches_gaussrat_horner():

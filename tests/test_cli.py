@@ -3,6 +3,7 @@ shape, table mode, determinism and import footprint. A test that
 patches the library calls cli.main in process instead."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from asaiperiods import cli, lfactors, periods
-from asaiperiods.descriptors import load_rep_file, ratfunc_json
+from asaiperiods.descriptors import DescriptorError, load_rep_file, ratfunc_json
 from asaiperiods.lfactors import asai_L, rs_L
 from asaiperiods.scalars import GaussRat
 from asaiperiods.segments import GenericRep, pi_u
@@ -506,6 +507,48 @@ def test_hostile_satake_height_at_default_order(descriptor, capsys):
     assert 5 <= most < 40
     code, out, err, _ = run_fast(["period", "--rep", path, "--order", str(most)], capsys)
     assert code == 0 and json.loads(out)["match"] is True
+
+
+def split_inverse_rep(bits):
+    """Rank-3 unramified descriptor of Satake values 1/(a + bi), with a
+    and b near 2^bits, coprime and of opposite parity: every prime of
+    the denominator a^2 + b^2 then splits in Z[i], so each value's least
+    Gaussian denominator is a + bi, of norm its integer one."""
+    vals = []
+    for j, (a, b) in enumerate(((3, 2), (5, 4), (7, 2))):
+        a, b = a << bits, (b << bits) + 2 * j + 1
+        while math.gcd(a, b) != 1:
+            b += 2
+        n = a * a + b * b
+        vals.append(["%d/%d" % (a, n), "%d/%d" % (-b, n)])
+    return {"field": {"qF": 2, "ramified": False}, "segments": [
+        {"k": 1, "rho": {"unitLabel": "triv", "unitConductor": 0, "atUnif": v}} for v in vals]}
+
+
+def test_hostile_split_prime_denominators_at_the_largest_height(descriptor, capsys):
+    # the largest bits that the size check admits, found by bisection
+    def admitted(bits):
+        fp, segs = load_rep_file(descriptor(split_inverse_rep(bits)))
+        try:
+            cli._check_sizes(GenericRep(fp, tuple(segs)))
+        except DescriptorError:
+            return False
+        return True
+
+    low, high = 1, 2000
+    assert admitted(low) and not admitted(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if admitted(mid) else (low, mid)
+    path = descriptor(split_inverse_rep(low))
+    code, out, err, elapsed = run_fast(["period", "--rep", path], capsys)
+    assert elapsed < 1.0 and "Traceback" not in err
+    if code == 2:
+        assert (out, err.startswith("input error: --order: ")) == ("", True)
+        most = largest_named(err, "order")
+        code, out, err, elapsed = run_fast(["period", "--rep", path, "--order", str(most)], capsys)
+        assert elapsed < 1.0
+    assert (code, err) == (0, "") and json.loads(out)["match"] is True
 
 
 def test_hostile_satake_value_names_the_field(descriptor, capsys):

@@ -252,6 +252,68 @@ def test_summed_kernel_matches_one_determinant_per_partition():
                 assert got == per_partition_sum(alpha, k, e, order), (order, e, k)
 
 
+# -- the kernel at the Gaussian scale -------------------------------------
+
+# inverses of Gaussian integers over split primes, whose least Gaussian
+# denominator is a square root of their integer one: 1/(1+i), 1/(2+i),
+# 1/(3+2i), 1/(4+i), 1/(3+4i) and 1/(1-8i), over 2, 5, 13, 17, 25, 65
+SPLIT = (g(1, 2, -1, 2), g(2, 5, -1, 5), g(3, 13, -2, 13), g(4, 17, -1, 17),
+         g(3, 25, -4, 25), g(1, 65, 8, 65))
+GAUSSIAN_SCALE = (
+    SPLIT[:5],
+    (SPLIT[1], SPLIT[1], SPLIT[2], g(-3, 5)),
+    (SPLIT[5], g(7, 65, 4, 65), g(1, 2), g(0, 1, 2, 13)),
+    (SPLIT[3], SPLIT[4], SPLIT[3].conj(), g(2, 1, 1, 1)),
+)
+
+
+def per_partition_product_sum(alpha, k, e, order, beta):
+    """Coefficient d: sum over lam |- d with <= k parts of
+    s_(e*lam)(alpha) * s_lam(beta), one Jacobi-Trudi determinant
+    (whittaker.schur, at the integer scale) per Schur value."""
+    coeffs = []
+    for d in range(order + 1):
+        acc = GaussRat(0)
+        for lam in partitions_within(d, min(k, len(alpha), len(beta)), d):
+            acc = acc + (schur(tuple(e * x for x in lam) + (0,) * (len(alpha) - len(lam)), alpha)
+                         * schur(tuple(lam) + (0,) * (len(beta) - len(lam)), beta))
+        coeffs.append(acc)
+    return Series(coeffs)
+
+
+def test_gaussian_scale_kernel_matches_one_determinant_per_partition():
+    for alpha in GAUSSIAN_SCALE:
+        for k in range(1, 6):
+            for e in (1, 2):
+                # a partition with more parts than alpha has values s = 0
+                got = periods._schur_sum(alpha, k, e, 7)
+                assert got == per_partition_sum(alpha, min(k, len(alpha)), e, 7), (alpha, k, e)
+    for alpha, beta in ((GAUSSIAN_SCALE[0], GAUSSIAN_SCALE[2]), (GAUSSIAN_SCALE[1], SPLIT[4:]),
+                        (GAUSSIAN_SCALE[3], (g(1, 3), g(-2, 5))), (GAUSSIAN_SCALE[2], SPLIT[:1])):
+        for k in range(1, 6):
+            got = periods._schur_sum(alpha, k, 1, 6, beta)
+            assert got == per_partition_product_sum(alpha, k, 1, 6, beta), (alpha, beta, k)
+
+
+def test_gaussian_scale_halves_the_table_bits(monkeypatch):
+    # 1/(2+i), 1/(3+2i), 1/(1+4i) have the integer denominator D = 5*13*17
+    # (11 bits), which gives the table h 9-10 bits per degree; their least
+    # Gaussian denominator (2+i)(3+2i)(1+4i) has norm D, and gives it 4-5
+    alpha = (g(2, 5, -1, 5), g(3, 13, -2, 13), g(1, 17, -4, 17))
+    den = 5 * 13 * 17
+    tables = []
+
+    def spy(h):
+        tables.append(list(h))
+        return whittaker.GaussRows(h)
+
+    monkeypatch.setattr(periods, "GaussRows", spy)
+    assert periods._schur_sum(alpha, 3, 1, 20) == per_partition_sum(alpha, 3, 1, 20)
+    (h,) = tables
+    for d, (x, y) in enumerate(h[1:], 1):
+        assert max(abs(x), abs(y)).bit_length() <= d * (den.bit_length() + 2) / 2, (d, x, y)
+
+
 def test_summed_kernel_frees_the_level_below():
     # rank 6 at order 55, the work cap, on the Satake values of the
     # MAX_LATTICE_WORK comment: the traced peak was 0.911 MB while a step
