@@ -20,10 +20,6 @@ rational function the series is.
 
 Every sum is capped before it starts, by its work (lattice_work) and by
 the size of its coefficients (coefficient_bits against printable_bits).
-The kernel runs on Gaussian integers at the smallest Gaussian scale of
-the Satake values (series.clear_gaussian_denominators), which divides
-their integer common denominator; the caps read the integer one, which
-bounds every output and every integer of the kernel.
 """
 
 from __future__ import annotations
@@ -170,12 +166,8 @@ def coefficient_bits(alpha: Sequence[GaussRat]) -> int:
     max|beta|^e / D^e in absolute value and integral over Z[i] after
     scaling by D^e. So its numerators and denominators have at most
     e*m*coefficient_bits(alpha) bits. Over two sets of values (the
-    Rankin-Selberg factor) the bits per degree add.
-
-    The lattice-sum kernel scales by the Gaussian D_g that divides D
-    (series.clear_gaussian_denominators), and |D_g * alpha_j| <= |D *
-    alpha_j|, so its integers are at most those of this bound; the bound
-    stays on the integer D, which bounds the outputs.
+    Rankin-Selberg factor) the bits per degree add. The kernel's tables,
+    at a Gaussian scale that divides D (_schur_sum), stay within it.
     """
     den, beta = clear_denominators(alpha)
     top = max((max(abs(br), abs(bi)).bit_length() for br, bi in beta), default=0)
@@ -221,10 +213,8 @@ def _schur_sum(
     denominator (1/(2+i) = (2-i)/5 takes 2+i, not 5). A sum of one-row
     determinants, n = 1 below, is the table itself: coefficient q is
     h(e*q), and no table is laid out. It keeps the integer scale: it
-    expands no row, so the Gaussian gcds and the powers of c cost more
-    than the smaller table saves (with them, the median check-corpus
-    operation, among whose omega-trivial rank-2 periods are such sums,
-    took 9-17% longer in three in-process runs).
+    expands no row, so the smaller table saves less than the Gaussian
+    gcds cost.
 
     A partition of d <= order has at most n = min(k, order) parts, and
     padded with zero parts to exactly n it keeps its determinant: row i
@@ -274,37 +264,44 @@ def _schur_sum(
         return Series(graded(*zip(*h[::e]), den ** e))
     den, c, a = clear_gaussian_denominators(alpha)
     rows = GaussRows(h_table(a, e * order + k))
-    c = gauss_pow(c, e)
     sr = [0] * (order + 1)
     si = [0] * (order + 1)
     if beta is None:
+        den_b, c_b = 1, (1, 0)
         for total, (tr, ti) in _summed_determinants(rows, n, e, order):
             sr[total] += tr
             si[total] += ti
-        return Series(graded(sr, si, den ** e, c))
-    den_b, c_b, b = clear_gaussian_denominators(beta)
-    rows_b = GaussRows(h_table(b, order + k))
+    else:
+        den_b, c_b, b = clear_gaussian_denominators(beta)
+        rows_b = GaussRows(h_table(b, order + k))
 
-    def walk(i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
-        # row i takes part p >= low, and rows 0..i-1 each take at least p
-        for p in range(low, (order - total) // (i + 1) + 1):
-            ma = expand_row(rows, e * p - i, n, below_a)
-            if not ma:
-                continue
-            mb = expand_row(rows_b, p - i, n, below_b)
-            if not mb:
-                continue
-            if i:
-                walk(i - 1, p, total + p, ma, mb)
-                continue
-            # row 0 leaves one minor: the determinant, on all n columns
-            (tr, ti), = ma.values()
-            (br, bi), = mb.values()
-            sr[total + p] += tr * br - ti * bi
-            si[total + p] += tr * bi + ti * br
+        def walk(i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
+            # row i takes part p >= low, and rows 0..i-1 each take at least p
+            for p in range(low, (order - total) // (i + 1) + 1):
+                ma = expand_row(rows, e * p - i, n, below_a)
+                if not ma:
+                    continue
+                mb = expand_row(rows_b, p - i, n, below_b)
+                if not mb:
+                    continue
+                if i:
+                    walk(i - 1, p, total + p, ma, mb)
+                    continue
+                # row 0 leaves one minor: the determinant, on all n columns
+                (tr, ti), = ma.values()
+                (br, bi), = mb.values()
+                sr[total + p] += tr * br - ti * bi
+                si[total + p] += tr * bi + ti * br
 
-    walk(n - 1, 0, 0, {0: (1, 0)}, {0: (1, 0)})
-    return Series(graded(sr, si, den ** e * den_b, gauss_mul(c, c_b)))
+        walk(n - 1, 0, 0, {0: (1, 0)}, {0: (1, 0)})
+    # coefficient d times (c^e * c_b)^d is the sum at the integer scale
+    cr, ci = gauss_mul(gauss_pow(c, e), c_b)
+    pr, pi = 1, 0
+    for d in range(order + 1):
+        sr[d], si[d] = sr[d] * pr - si[d] * pi, sr[d] * pi + si[d] * pr
+        pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
+    return Series(graded(sr, si, den ** e * den_b))
+
 
 
 def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):

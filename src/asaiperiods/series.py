@@ -15,10 +15,8 @@ the pairs and divides each coefficient once (GaussRat.scaled); a value is one in
 poly_gcd is the subresultant remainder sequence over Z[i], whose every
 division is exact, and only the gcd it ends with becomes GaussRat. The
 public coefficients stay GaussRat; the scaled form is internal. The
-lattice-sum kernel scales its Satake values the same way, but by the
-smallest Gaussian scale (clear_gaussian_denominators): the lcm over
-Z[i] of their least Gaussian denominators, found by Euclid's algorithm
-in Z[i], which divides the integer common denominator.
+lattice-sum kernel clears its Satake values at a Gaussian scale instead
+(clear_gaussian_denominators).
 """
 
 from __future__ import annotations
@@ -80,22 +78,13 @@ def clear_gaussian_denominators(values: Sequence[GaussRat]) -> tuple[int, tuple,
     return den, _gauss_div_exact((den, 0), (lr, li)), beta
 
 
-def graded(re: Sequence[int], im: Sequence[int], scale: int, c: tuple = (1, 0)) -> list:
-    """The GaussRat coefficients (re[d] + im[d]*i) * c^d / scale^d, for
-    a Gaussian integer c given as an int pair."""
+def graded(re: Sequence[int], im: Sequence[int], scale: int) -> list:
+    """The GaussRat coefficients (re[d] + im[d]*i) / scale^d."""
     coeffs = []
     den = 1
-    if c == (1, 0):
-        for x, y in zip(re, im):
-            coeffs.append(GaussRat.scaled(x, y, den))
-            den *= scale
-        return coeffs
-    cr, ci = c
-    pr, pi = 1, 0
     for x, y in zip(re, im):
-        coeffs.append(GaussRat.scaled(x * pr - y * pi, x * pi + y * pr, den))
+        coeffs.append(GaussRat.scaled(x, y, den))
         den *= scale
-        pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
     return coeffs
 
 
