@@ -20,7 +20,9 @@ output coefficient becomes a GaussRat once, by one division
 reconstruct recovers the unique rational function within given degree
 bounds from a long enough truncated expansion, by exact Gaussian
 elimination on the linear relations satisfied by the denominator
-coefficients, and then re-checks every available coefficient. The
+coefficients, and then re-checks every available coefficient. That
+elimination (eliminate) is the package's one exact solver over Q(i):
+it also gives the determinants of whittaker.schur_bialternant. The
 period checks do not need it when the series matches a closed form
 (Pade uniqueness already certifies that form); they call it only on a
 mismatch, to report which rational function the series actually is.
@@ -187,28 +189,27 @@ def eval_at(rf: RatFunc, t0) -> GaussRat:
     return rf.num(x) / d
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Q(i): forward elimination below each
-    pivot, then back-substitution. rows: list of coefficient lists.
+def eliminate(mat, n: int):
+    """Forward elimination over Q(i) on the first n columns of mat, in
+    place: each pivot row is scaled to a leading 1 and cleared below,
+    and later columns (a right-hand side) ride along.
 
-    Returns the solution with free variables set to zero, or None when
-    the system is inconsistent. The pivot columns depend on the matrix
-    alone, so this is the solution full Gauss-Jordan reduction gives.
+    Returns the pivot columns, one per row from the top, and the
+    determinant of the first n columns when mat has n rows: the signed
+    product of the pivots, zero when a column has none.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    m = len(mat)
     pivots = []
-    row = 0
+    det = GAUSS_ONE
     for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if not mat[r][col].is_zero():
-                pivot = r
-                break
+        row = len(pivots)
+        pivot = next((r for r in range(row, m) if not mat[r][col].is_zero()), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
+        if pivot != row:
+            mat[row], mat[pivot] = mat[pivot], mat[row]
+            det = -det
+        det = det * mat[row][col]
         inv = mat[row][col].inverse()
         # entries left of col are zero in this row and every row below
         prow = [x * inv for x in mat[row][col:]]
@@ -218,14 +219,25 @@ def _solve_exact(rows, rhs):
             if not f.is_zero():
                 mat[r][col:] = [x - f * y for x, y in zip(mat[r][col:], prow)]
         pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if not mat[r][n].is_zero():
-            return None
+    return pivots, det if len(pivots) == n else GAUSS_ZERO
+
+
+def _solve_exact(rows, rhs):
+    """Gaussian elimination over Q(i): eliminate, then
+    back-substitution. rows: list of coefficient lists, all of one
+    length, which may be zero.
+
+    Returns the solution with free variables set to zero, or None when
+    the system is inconsistent. The pivot columns depend on the matrix
+    alone, so this is the solution full Gauss-Jordan reduction gives.
+    """
+    n = len(rows[0]) if rows else 0
+    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots, _ = eliminate(mat, n)
+    if any(not r[n].is_zero() for r in mat[len(pivots):]):
+        return None
     sol = [GAUSS_ZERO] * n
-    for r in range(row - 1, -1, -1):
+    for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
         acc = mat[r][n]
         for c in range(col + 1, n):
@@ -256,25 +268,13 @@ def reconstruct(s: Series, max_num_deg: int, max_den_deg: int) -> RatFunc:
     for j in range(max_num_deg + 1, s.order + 1):
         rows.append([(c[j - i] if j - i >= 0 else GAUSS_ZERO) for i in range(1, max_den_deg + 1)])
         rhs.append(-c[j])
-    if max_den_deg == 0:
-        for v in rhs:
-            if not v.is_zero():
-                raise ValueError("reconstruction inconsistent")
-        sol = []
-    else:
-        sol = _solve_exact(rows, rhs)
-        if sol is None:
-            raise ValueError("reconstruction inconsistent")
-    den = Poly([GAUSS_ONE] + list(sol))
-    num_coeffs = []
-    for k in range(max_num_deg + 1):
-        acc = GAUSS_ZERO
-        for i in range(0, min(k, den.degree) + 1):
-            di = den.coeff(i)
-            if not di.is_zero():
-                acc = acc + di * c[k - i]
-        num_coeffs.append(acc)
-    candidate = RatFunc(Poly(num_coeffs), den)
+    sol = _solve_exact(rows, rhs)
+    if sol is None:
+        raise ValueError("reconstruction inconsistent")
+    den = Poly([GAUSS_ONE] + sol)
+    size = max_num_deg + 1
+    num = Poly((Poly(c[:size]) * den).coeffs[:size])
+    candidate = RatFunc(num, den)
     if series_of(candidate, s.order) != s:
         raise ValueError("reconstruction inconsistent")
     return candidate

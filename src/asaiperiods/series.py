@@ -56,8 +56,9 @@ def clear_gaussian_denominators(values: Sequence[GaussRat]) -> tuple[int, tuple,
     at least halves the norm (_gauss_gcd), so a gcd of b-bit operands
     takes at most about 2b steps. When N(D_g) = D^2, D_g is an associate
     of D and the scale is D itself (c = 1, beta as clear_denominators
-    gives it): every real value, and every Gaussian integer, takes that
-    route.
+    gives it): every Gaussian integer takes that route, and so does every
+    list of real values, since Euclid's rounded quotient of two real
+    Gaussian integers is real and D_g stays real.
     """
     den = lcm(*[v.den for v in values])
     lr, li = 1, 0
@@ -67,10 +68,7 @@ def clear_gaussian_denominators(values: Sequence[GaussRat]) -> tuple[int, tuple,
             dr, di = d, 0
         else:
             dr, di = _gauss_div_exact((d, 0), _gauss_gcd((d, 0), (v.nr, v.ni)))
-        if li or di:
-            lr, li = gauss_mul((lr, li), _gauss_div_exact((dr, di), _gauss_gcd((lr, li), (dr, di))))
-        else:
-            lr = lcm(lr, dr)
+        lr, li = gauss_mul((lr, li), _gauss_div_exact((dr, di), _gauss_gcd((lr, li), (dr, di))))
     if lr * lr + li * li == den * den:
         return den, (1, 0), [scaled_pair(v, den) for v in values]
     # D_g*(x + yi) is d times a Gaussian integer, since d / gcd(x + yi, d) divides D_g

@@ -32,13 +32,16 @@ the minors below, a sum of Schur values expands each row once against
 the summed minors of every tail it can sit on, and a sum of products of
 two Schur values walks the partitions so that those with the same tail
 share its minors. The bialternant quotient, on GaussRat values, is
-provided as a second, independent algorithm for cross-validation.
+provided as a second, independent algorithm for cross-validation: its
+two alternants are determinants by exact elimination over Q(i)
+(ratfunc.eliminate), which shares no step with expand_row.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .ratfunc import eliminate
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
 from .series import clear_denominators
@@ -64,40 +67,6 @@ def h_table(beta: Sequence[tuple], upto: int) -> list:
             cr, ci = hr + br * cr - bi * ci, hi + br * ci + bi * cr
             h[k] = (cr, ci)
     return h
-
-
-def _det(mat) -> GaussRat:
-    """Division-free GaussRat determinant by Laplace expansion over
-    column subsets, for the bialternant oracle."""
-    n = len(mat)
-    if n == 0:
-        return GAUSS_ONE
-    memo: dict[int, GaussRat] = {}
-
-    def rec(row: int, mask: int) -> GaussRat:
-        if row == n:
-            return GAUSS_ONE
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        total = GAUSS_ZERO
-        pos = 0
-        r = mat[row]
-        for col in range(n):
-            bit = 1 << col
-            if mask & bit:
-                continue
-            entry = r[col]
-            if not entry.is_zero():
-                sub = rec(row + 1, mask | bit)
-                if not sub.is_zero():
-                    term = entry * sub
-                    total = total + term if pos % 2 == 0 else total - term
-            pos += 1
-        memo[mask] = total
-        return total
-
-    return rec(0, 0)
 
 
 class GaussRows:
@@ -231,7 +200,9 @@ def schur(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
 def schur_bialternant(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
     """Schur polynomial as a quotient of alternants; needs distinct alpha.
 
-    Independent of the Jacobi-Trudi route, used for cross-validation.
+    Independent of the Jacobi-Trudi route, used for cross-validation:
+    both alternants are determinants by Gaussian elimination over Q(i)
+    (ratfunc.eliminate), not by Laplace expansion.
     """
     m = len(alpha)
     if len(lam) != m:
@@ -243,10 +214,10 @@ def schur_bialternant(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat
     lam2, pre = _shift_nonnegative(lam, alpha)
     numer = [[alpha[i] ** (lam2[j] + m - 1 - j) for j in range(m)] for i in range(m)]
     vander = [[alpha[i] ** (m - 1 - j) for j in range(m)] for i in range(m)]
-    dv = _det(vander)
+    _, dv = eliminate(vander, m)
     if dv.is_zero():
         raise ValueError("bialternant form needs distinct alpha values")
-    return pre * _det(numer) / dv
+    return pre * eliminate(numer, m)[1] / dv
 
 
 def modulus_exponent(lam: Sequence[int]) -> int:

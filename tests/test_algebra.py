@@ -1,13 +1,14 @@
 """Exact arithmetic layer: Gaussian rationals, polynomials, truncated
 series, canonical rational functions."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from asaiperiods.rational import parse_ratio, rat, ratio_str
-from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_of
+from asaiperiods.ratfunc import RatFunc, _solve_exact, eliminate, eval_at, reconstruct, series_of
 from asaiperiods.scalars import GAUSS_ONE, GaussRat
 from asaiperiods.series import (
     Poly,
@@ -335,6 +336,73 @@ def test_reconstruct_random_round_trips():
         back = reconstruct(series_of(rf, order), rf.num_degree, rf.den_degree)
         assert back == rf
         assert series_of(back, order) == series_of(rf, order)
+
+
+def leibniz_det(mat):
+    """Sum over permutations of signed products: the determinant by its
+    definition, with the sign from the inversion count."""
+    n = len(mat)
+    total = g(0)
+    for perm in itertools.permutations(range(n)):
+        term = g(1)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def determinant(mat):
+    pivots, det = eliminate([list(r) for r in mat], len(mat))
+    assert (len(pivots) == len(mat)) == (not det.is_zero()), (mat, pivots)
+    return det
+
+
+def test_elimination_determinant_of_vandermonde():
+    # rows (a^(m-1), ..., a, 1): the determinant is prod_{i<j} (a_i - a_j),
+    # its sign set by the row order
+    rng = random.Random(2525)
+    for m in range(1, 7):
+        for _ in range(4):
+            alpha = []
+            while len(alpha) < m:
+                a = rand_gauss(rng)
+                if a not in alpha:
+                    alpha.append(a)
+            want = g(1)
+            for i in range(m):
+                for j in range(i + 1, m):
+                    want = want * (alpha[i] - alpha[j])
+            assert determinant([[a ** (m - 1 - j) for j in range(m)] for a in alpha]) == want
+
+
+def test_elimination_determinant_swaps_rows_for_a_zero_pivot():
+    assert determinant([[g(0), g(1)], [g(1), g(0)]]) == g(-1)
+    assert determinant([[g(0), g(2), g(1)], [g(3), g(1), g(0)], [g(1), g(0), g(4)]]) == g(-25)
+    rng = random.Random(77)
+    for m in range(2, 6):
+        for _ in range(6):
+            mat = [[rand_gauss(rng) if rng.random() < 0.6 else g(0) for _ in range(m)]
+                   for _ in range(m)]
+            mat[0][0] = g(0)
+            assert determinant(mat) == leibniz_det(mat), mat
+
+
+def test_elimination_determinant_of_singular_and_empty_matrices():
+    a, b = gi(1, 2, -1, 3), gi(2, 1, 0, 1)
+    row0, row1 = [g(1), g(2), gi(0, 1, 1, 1)], [g(3), g(0), g(5)]
+    mat = [row0, row1, [a * x + b * y for x, y in zip(row0, row1)]]
+    pivots, det = eliminate([list(r) for r in mat], 3)
+    assert det == g(0) and pivots == [0, 1]
+    assert eliminate([[g(1), g(2)], [g(2), g(4)]], 2) == ([0], g(0))
+    assert determinant([[g(0), g(1)], [g(0), g(3)]]) == g(0)
+    assert eliminate([], 0) == ([], GAUSS_ONE)
+
+
+def test_solve_exact_on_zero_columns():
+    assert _solve_exact([[], []], [g(0), g(0)]) == []
+    assert _solve_exact([[], []], [g(0), gi(0, 1, 1, 2)]) is None
+    assert _solve_exact([], []) == []
 
 
 def test_substitute_power():
