@@ -49,16 +49,17 @@ from .series import (
     gauss_pow,
     graded,
 )
-from .whittaker import GaussRows, expand_row, h_table
+from .whittaker import GaussRows, expand_row, expand_top_row, h_table
 
 
 # Cap on lattice_work(k, order). The benchmark workloads run rank 4 at
 # order 40 (118,176); a rank-5 sum at order 40 (554,816) is 18x below the
 # cap. At the cap, on 2 vCPUs with Python 3.11 and the first k + 1 of the
 # Satake values 1/2, -1/3, 2/5, 3/7, -5/6, 4/15, 1/35 (denominator 210),
-# a mirabolic sum took 0.55-0.7 s at rank 3 (order 352, e = 2), 0.4 s
-# at e = 1, and 0.02-0.08 s at ranks 4-6 (orders 132, 77, 55). At ranks 1
-# and 2 the size cap binds first: rank 2 at order 1428 took 5.3-6.2 s.
+# a mirabolic sum took 0.42-0.45 s at rank 3 (order 352, e = 2), 0.19 s
+# at e = 1, and 0.014-0.03 s at ranks 4-6 (orders 132, 77, 55). At ranks 1
+# and 2 the size cap binds first: rank 1 at order 1785 took 0.035 s, and
+# rank 2 at order 1428 took 3.0-3.1 s.
 MAX_LATTICE_WORK = 10_000_000
 
 
@@ -93,9 +94,10 @@ def lattice_work(k: int, order: int) -> int:
     number of partitions with at most k parts and size at most order,
     times 2^m with m = min(k, order), the number of column sets that a
     length-m walk can hold minors on. The summed kernel without beta
-    expands once per (total, top part) rather than once per tail, so
-    this bounds it too, loosely. Exact up to MAX_LATTICE_WORK; once the
-    count passes it, the value returned is merely above it."""
+    expands a row once per (total, top part), not once per tail, and its
+    top row once per (total below, part), so this bounds it too, loosely.
+    Exact up to MAX_LATTICE_WORK; once the count passes it, the value
+    returned is merely above it."""
     m = min(k, order)
     if m <= 1:
         # () alone, or () and (1), ..., (order): no loop as long as order
@@ -223,7 +225,8 @@ def _schur_sum(
     partitions with exactly n nonnegative parts covers every length, the
     empty one giving the constant term. The determinants are built from
     the last row up by Laplace expansion along each new row
-    (whittaker.expand_row). Without beta only their sum is wanted, and
+    (whittaker.expand_row), the top row for a run of its parts at once
+    (whittaker.expand_top_row). Without beta only their sum is wanted, and
     the expansion is linear in the minors below, so the minors of every
     tail with the same total and top part are summed and expanded once
     (_summed_determinants): one summed minor set per (total, top part),
@@ -264,34 +267,33 @@ def _schur_sum(
         return Series(graded(*zip(*h[::e]), den ** e))
     den, c, a = clear_gaussian_denominators(alpha)
     rows = GaussRows(h_table(a, e * order + k))
-    sr = [0] * (order + 1)
-    si = [0] * (order + 1)
     if beta is None:
         den_b, c_b = 1, (1, 0)
-        for total, (tr, ti) in _summed_determinants(rows, n, e, order):
-            sr[total] += tr
-            si[total] += ti
+        sr, si = _summed_determinants(rows, n, e, order)
     else:
         den_b, c_b, b = clear_gaussian_denominators(beta)
         rows_b = GaussRows(h_table(b, order + k))
+        sr = [0] * (order + 1)
+        si = [0] * (order + 1)
 
         def walk(i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
+            if not i:
+                # row 0 takes each part q >= low and leaves two determinants
+                high = order - total + 1
+                dets_a = expand_top_row(rows, n, below_a, range(e * low, e * high, e))
+                dets_b = expand_top_row(rows_b, n, below_b, range(low, high))
+                for d, (tr, ti), (br, bi) in zip(range(total + low, total + high), dets_a, dets_b):
+                    sr[d] += tr * br - ti * bi
+                    si[d] += tr * bi + ti * br
+                return
             # row i takes part p >= low, and rows 0..i-1 each take at least p
             for p in range(low, (order - total) // (i + 1) + 1):
                 ma = expand_row(rows, e * p - i, n, below_a)
                 if not ma:
                     continue
                 mb = expand_row(rows_b, p - i, n, below_b)
-                if not mb:
-                    continue
-                if i:
+                if mb:
                     walk(i - 1, p, total + p, ma, mb)
-                    continue
-                # row 0 leaves one minor: the determinant, on all n columns
-                (tr, ti), = ma.values()
-                (br, bi), = mb.values()
-                sr[total + p] += tr * br - ti * bi
-                si[total + p] += tr * bi + ti * br
 
         walk(n - 1, 0, 0, {0: (1, 0)}, {0: (1, 0)})
     # coefficient d times (c^e * c_b)^d is the sum at the integer scale
@@ -305,11 +307,11 @@ def _schur_sum(
 
 
 def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
-    """Yields pairs (d, x) whose x, summed for each d, give the sum over
+    """Lists (re, im) whose entries d are the int pair of the sum over
     partitions lam of d with exactly n >= 2 nonnegative parts (zero
-    parts allowed) of det[h(e*lam_i - i + j)]: the undivided int-pair
-    sums of s_(e*lam) that _schur_sum adds up. rows is the table h laid
-    out by whittaker.GaussRows.
+    parts allowed) of det[h(e*lam_i - i + j)]: the undivided sums of
+    s_(e*lam) that _schur_sum scales. rows is the table h laid out by
+    whittaker.GaussRows.
 
     The rows are built from the last up, by one level step per row
     n-1..1. A level maps each total t of its rows to the rising list of
@@ -319,13 +321,15 @@ def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
     sits above every tail (rows i+1..n-1) whose top part is at most q,
     and a Laplace expansion along it is linear in the minors below. So
     for each total t of rows i..n-1, in rising order, the step walks the
-    rising parts q of row i, expands once (whittaker.expand_row) against
-    the summed minors at t - q below, and keeps the running sums. Rows
-    0..i-1 each take at least q, so t + i*q stays within order. So the
-    entry at total t below is last read at total t + (order - t) // (i + 1),
-    and a step pops it once that total is done: it frees the level below
-    as it builds its own. The level of rows 1..n-1 goes to the row-0
-    expansion one total at a time and is not stored.
+    rising parts q of row i and expands (whittaker.expand_row) the summed
+    minors at t - q below into a copy of the running sum. Rows 0..i-1
+    each take at least q, so t + i*q stays within order. So the entry at
+    total t below is last read at total t + (order - t) // (i + 1), and a
+    step pops it once that total is done: it frees the level below as it
+    builds its own. The level of rows 1..n-1 is not stored: at each of
+    its totals t, the row-0 parts q from one part of row 1 to the next
+    read the same summed minors, so each such run goes to
+    whittaker.expand_top_row once, and determinant q is added at t + q.
     """
 
     def step(i: int, below: dict):
@@ -336,13 +340,10 @@ def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
                 got = below.get(total - q)
                 if got is None or got[0][0] > q:
                     continue
-                minors = expand_row(rows, e * q - i, n, got[1][bisect_right(got[0], q) - 1])
-                if minors:
-                    # minors is fresh from expand_row, so running is added into it
-                    for mask, (mr, mi) in running.items():
-                        x = minors.get(mask)
-                        minors[mask] = (mr, mi) if x is None else (x[0] + mr, x[1] + mi)
-                    running = minors
+                # expanded into a copy, since sums keeps the running sum at each part
+                running = expand_row(rows, e * q - i, n, got[1][bisect_right(got[0], q) - 1],
+                                     dict(running))
+                if running:
                     parts.append(q)
                     sums.append(running)
             # the entry at total t below is last read at t + (order - t) // (i + 1),
@@ -356,11 +357,16 @@ def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
     level = {0: ([0], [{0: (1, 0)}])}
     for i in range(n - 1, 1, -1):
         level = dict(step(i, level))
+    sr = [0] * (order + 1)
+    si = [0] * (order + 1)
     for total, (parts, sums) in step(1, level):
-        for q in range(parts[0], order - total + 1):
-            # row 0 leaves one minor: the summed determinants, on all n columns
-            for det in expand_row(rows, e * q, n, sums[bisect_right(parts, q) - 1]).values():
-                yield total + q, det
+        # row 0 takes each part q from parts[0] to order - total
+        for low, high, minors in zip(parts, parts[1:] + [order - total + 1], sums):
+            for d, (tr, ti) in zip(range(total + low, total + high),
+                                   expand_top_row(rows, n, minors, range(e * low, e * high, e))):
+                sr[d] += tr
+                si[d] += ti
+    return sr, si
 
 
 def flicker_series(mod: UnramifiedModule, order: int) -> Series:

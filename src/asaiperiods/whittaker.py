@@ -31,15 +31,18 @@ all partitions from the last row up: since the expansion is linear in
 the minors below, a sum of Schur values expands each row once against
 the summed minors of every tail it can sit on, and a sum of products of
 two Schur values walks the partitions so that those with the same tail
-share its minors. The bialternant quotient, on GaussRat values, is
-provided as a second, independent algorithm for cross-validation: its
-two alternants are determinants by exact elimination over Q(i)
-(ratfunc.eliminate), which shares no step with expand_row.
+share its minors. Their top row leaves one determinant per part:
+expand_top_row() sums each in two ints, over the minors below
+flattened once for a run of parts, with no map. The bialternant
+quotient, on GaussRat values, is provided as a second, independent
+algorithm for cross-validation: its two alternants are determinants by
+exact elimination over Q(i) (ratfunc.eliminate), which shares no step
+with expand_row.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ratfunc import eliminate
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
@@ -103,17 +106,19 @@ def _free_columns(mask: int, first: int, n: int) -> list:
             for j in range(first, n) if not mask >> j & 1]
 
 
-def expand_row(rows: GaussRows, start: int, n: int, below: dict) -> dict:
+def expand_row(rows: GaussRows, start: int, n: int, below: dict, out: dict | None = None) -> dict:
     """Minors of a matrix one row taller, by Laplace expansion along
     the new top row (h_start, ..., h_(start+n-1)), read off
     rows = GaussRows(h); h at a negative index is zero.
 
-    below maps each column set S (a bitmask) to the nonzero int-pair
-    minor on the rows under the new one and the columns S. The result
-    maps each S + {j} to the sum, over the S and j it comes from, of
+    below maps each column set S (a bitmask) to the int-pair minor on
+    the rows under the new one and the columns S. The result maps each
+    S + {j} to the sum, over the S and j it comes from, of
     (-1)^(columns of S before j) * h_(start+j) * minor(S), with the zero
     sums left out. So the top row of an n x n matrix, over the n minors
-    of size n-1, leaves the determinant alone, under the full mask.
+    of size n-1, leaves the determinant alone, under the full mask
+    (expand_top_row does that without a map). Given out, the products
+    are added into out, which is returned with its zero sums kept.
 
     For each S the loop takes only the columns j that S leaves free,
     from the first with a nonnegative index on, each with the place in
@@ -127,7 +132,9 @@ def expand_row(rows: GaussRows, start: int, n: int, below: dict) -> dict:
         free = rows.free[n, first] = {}
     entries = rows.entries
     base = 2 * start
-    out: dict = {}
+    fresh = out is None
+    if fresh:
+        out = {}
     get = out.get
     for mask, (c, d) in below.items():
         cols = free.get(mask)
@@ -150,7 +157,39 @@ def expand_row(rows: GaussRows, start: int, n: int, below: dict) -> dict:
                 tr, ti = a * c, b * c
                 got = get(key)
                 out[key] = (tr, ti) if got is None else (got[0] + tr, got[1] + ti)
-    return {key: v for key, v in out.items() if v[0] or v[1]}
+    return {key: v for key, v in out.items() if v[0] or v[1]} if fresh else out
+
+
+def expand_top_row(rows: GaussRows, n: int, below: dict, starts: Iterable[int]) -> Iterator[tuple]:
+    """For each start >= 0 in starts, the int-pair determinant, zero
+    included, that expand_row(rows, start, n, below) leaves under the
+    full mask; below holds minors on n-1 of the n columns.
+
+    The minor c + di on every column but j meets only h_(start+j), with
+    the sign (-1)^j, so below is flattened once into terms (the place of
+    that signed entry past 2*start in rows.entries, c, d, c + d), and a
+    determinant is a sum over them in two ints, by Gauss's three
+    products: no map, no free-column list, no zero filter.
+    """
+    full = (1 << n) - 1
+    terms = []
+    for mask, (c, d) in below.items():
+        j = (full ^ mask).bit_length() - 1
+        terms.append((2 * j + (j & 1), c, d, c + d))
+    entries = rows.entries
+    for start in starts:
+        base = 2 * start
+        tr = ti = 0
+        for at, c, d, s in terms:
+            a, b, apb, bma = entries[base + at]
+            if b:
+                k = a * s
+                tr += k - d * apb
+                ti += k + c * bma
+            else:
+                tr += a * c
+                ti += a * d
+        yield tr, ti
 
 
 def _shift_nonnegative(lam: Sequence[int], alpha: Sequence[GaussRat]):

@@ -367,16 +367,35 @@ def test_free_column_cache_holds_only_the_masks_a_sum_reaches(monkeypatch):
     assert periods.lattice_work(k, order) <= periods.MAX_LATTICE_WORK
     tables, reached = {}, set()
 
-    def spy(rows, start, n, below):
+    def spy(rows, start, n, below, out=None):
         tables[id(rows)] = rows
         reached.update((id(rows), n, max(0, -start), mask) for mask in below)
-        return whittaker.expand_row(rows, start, n, below)
+        return whittaker.expand_row(rows, start, n, below, out)
 
     monkeypatch.setattr(periods, "expand_row", spy)
     alpha = [g(p, q) for p, q in ((1, 2), (-1, 3), (2, 5), (3, 7), (-5, 6), (4, 15), (1, 35))] * 2
     assert periods._schur_sum(alpha, k, 1, order).coeffs[1] == sum(alpha, g(0))
     cached = sum(len(masks) for rows in tables.values() for masks in rows.free.values())
     assert 0 < cached <= len(reached) < 2 ** k
+
+
+def test_top_row_never_expands_into_a_map(monkeypatch):
+    # row 0 sits on minors of n-1 columns; expand_row must meet none,
+    # with or without beta, down to n = 1, where no row but the top is left
+    calls = []
+
+    def spy(rows, start, n, below, out=None):
+        calls.append((n, max(map(int.bit_count, below))))
+        return whittaker.expand_row(rows, start, n, below, out)
+
+    monkeypatch.setattr(periods, "expand_row", spy)
+    alpha = GAUSSIAN_SCALE[1]
+    for k, e, beta in ((2, 1, None), (3, 2, None), (4, 1, None), (1, 1, SPLIT[:1]),
+                       (2, 1, SPLIT[4:]), (3, 1, GAUSSIAN_SCALE[0])):
+        del calls[:]
+        periods._schur_sum(alpha, k, e, 8, beta)
+        assert bool(calls) == (k > 1), (k, e, beta)
+        assert all(size < n - 1 for n, size in calls), (k, e, beta)
 
 
 # -- flicker_series ------------------------------------------------------

@@ -21,6 +21,7 @@ from asaiperiods.whittaker import (
     GaussRows,
     essential_value,
     expand_row,
+    expand_top_row,
     is_dominant,
     modulus_exponent,
     schur,
@@ -173,6 +174,29 @@ def test_expand_row_drops_a_column_set_whose_terms_cancel():
         assert 0b011 not in got and got
     # a start below 0 leaves no nonzero entry at all
     assert expand_row(GaussRows([(1, 2)] * 4), -3, 3, {0: (1, 0)}) == {}
+
+
+def test_expand_top_row_matches_the_full_mask_of_expand_row():
+    # the determinant that expand_row leaves under the full mask, for a
+    # run of starts e*q, on real and complex tables and on minor maps that
+    # lack some of the n column sets of size n-1
+    rng = random.Random(2626)
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        e = rng.choice((1, 2))
+        kinds = ("real", "zero", "small") if trial % 2 else ("real", "imag", "complex", "small")
+        h = [int_pair(rng, rng.choice(kinds)) for _ in range(2 * 12 + n)]
+        rows = GaussRows(h)
+        full = (1 << n) - 1
+        below = {full ^ 1 << j: int_pair(rng, rng.choice(("real", "complex", "small")))
+                 for j in range(n) if rng.random() < 0.7}
+        low = rng.randint(0, 6)
+        starts = range(e * low, e * 12 + 1, e)
+        want = [expand_row(rows, start, n, below).get(full, (0, 0)) for start in starts]
+        assert list(expand_top_row(rows, n, below, starts)) == want, (n, e, below)
+    # an empty map leaves zero determinants, and so does a column of zeros
+    assert list(expand_top_row(GaussRows([(1, 2)] * 5), 3, {}, range(2))) == [(0, 0)] * 2
+    assert list(expand_top_row(GaussRows([(0, 0)] * 3), 2, {1: (4, 5), 2: (6, 0)}, [0])) == [(0, 0)]
 
 
 def test_real_table_entries_share_their_ints():
