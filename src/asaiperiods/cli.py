@@ -29,6 +29,7 @@ from math import gcd
 
 from .descriptors import (
     DescriptorError,
+    coeff_json,
     field_json,
     load_rep_file,
     ratfunc_json,
@@ -63,7 +64,7 @@ from .periods import (
 )
 from .ratfunc import series_of
 from .rational import ratio_str
-from .scalars import GaussRat
+from .scalars import GAUSS_ZERO, GaussRat
 from .segments import (
     GenericRep,
     NotGenericError,
@@ -211,6 +212,15 @@ def _emit(obj: dict, ns: argparse.Namespace, table_lines) -> None:
 # -- lfactor -----------------------------------------------------------
 
 
+def _spread(coeffs: list, f: int) -> list:
+    """A coefficient list in t_E as one in t, t_E = t^f: f - 1 zero
+    coefficients between terms, the list that
+    RatFunc.substitute_power(f) would serialize to."""
+    out = [coeff_json(GAUSS_ZERO)] * (f * (len(coeffs) - 1) + 1)
+    out[::f] = coeffs
+    return out
+
+
 def cmd_lfactor(ns: argparse.Namespace) -> int:
     rep = _load_generic_rep(ns.rep)
     mod = pi_u(rep)
@@ -232,11 +242,8 @@ def cmd_lfactor(ns: argparse.Namespace) -> int:
         need = mod.r * m2.r * (coefficient_bits(mod.satake) + coefficient_bits(m2.satake))
         if need > printable_bits():
             raise _too_large("--against", "the Rankin-Selberg factor", need)
-        rs = rs_L(mod, m2)
-        report["rs"] = {
-            "tE": ratfunc_json(rs),
-            "t": ratfunc_json(rs.substitute_power(rep.fp.f)),
-        }
+        rs = ratfunc_json(rs_L(mod, m2))
+        report["rs"] = {"tE": rs, "t": {part: _spread(coeffs, rep.fp.f) for part, coeffs in rs.items()}}
 
     def tables(obj):
         yield "Asai L-factor in t = q_F^-s:"

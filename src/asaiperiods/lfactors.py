@@ -3,15 +3,17 @@
 Conventions: the uniform series variable is t = q_F^(-s). The
 Rankin-Selberg factor is native in t_E = q_E^(-s), which equals t^2
 for unramified pairs and t for ramified ones (t_E = t^f in general);
-RatFunc.substitute_power(f) takes it to t. All factories return
-canonical reduced RatFunc values and also expose their factor lists
-(coefficient c and power k per factor 1 - c*t^k). The factor products run on scaled
-Gaussian integers inside RatFunc.from_factors and Poly products (one
-int-pair product, one division per coefficient); the factor lists and
-the returned RatFunc keep GaussRat coefficients. The multiplicativity
-and Kable checks build each side from its joined factor lists with one
-from_factors call: one integer product per side, with no RatFunc or
-Poly product in between.
+RatFunc.substitute_power(f) takes it to t, and the CLI's lfactor report
+spreads its t_E coefficients to t without a second RatFunc. All
+factories return canonical reduced RatFunc values and also expose their
+factor lists (coefficient c and power k per factor 1 - c*t^k). Each
+factor list becomes a RatFunc in one RatFunc.from_factors call: a
+Kronecker-packed product of scaled Gaussian integers, two or four
+small-by-big int products per factor, and one division per
+coefficient; the factor lists and the returned RatFunc keep GaussRat
+coefficients. The multiplicativity and Kable checks build each side
+from its joined factor lists with one from_factors call: one packed
+product per side, with no RatFunc or Poly product in between.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ the size of its coefficients (coefficient_bits against printable_bits).
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from math import log10
 from typing import Sequence
 
@@ -323,7 +323,9 @@ def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
     for each total t of rows i..n-1, in rising order, the step walks the
     rising parts q of row i and expands (whittaker.expand_row) the summed
     minors at t - q below into a copy of the running sum. Rows 0..i-1
-    each take at least q, so t + i*q stays within order. So the entry at
+    each take at least q, so t + i*q stays within order. The step walks
+    only the totals that the level below holds, falling, inside that
+    window of q, not every q: most q find no total there. So the entry at
     total t below is last read at total t + (order - t) // (i + 1), and a
     step pops it once that total is done: it frees the level below as it
     builds its own. The level of rows 1..n-1 is not stored: at each of
@@ -333,12 +335,16 @@ def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
     """
 
     def step(i: int, below: dict):
+        held = list(below)  # its totals, rising, as the level was built
         done = 0  # every total of below under done is popped
         for total in range(order + 1):
             parts, sums, running = [], [], {}
-            for q in range(min(total, (order - total) // i) + 1):
-                got = below.get(total - q)
-                if got is None or got[0][0] > q:
+            # the totals below in the window of parts q, falling, so q rises
+            first = total - min(total, (order - total) // i)
+            for sub in reversed(held[bisect_left(held, first):bisect_right(held, total)]):
+                q = total - sub
+                got = below[sub]
+                if got[0][0] > q:
                     continue
                 # expanded into a copy, since sums keeps the running sum at each part
                 running = expand_row(rows, e * q - i, n, got[1][bisect_right(got[0], q) - 1],

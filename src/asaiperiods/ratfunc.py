@@ -9,13 +9,17 @@ componentwise equality is true equality of rational functions.
 Factor products, reductions, expansions and values run on scaled
 Gaussian integers, held as (re, im) int pairs: from_factors builds
 prod(1 - c*t^k) in u = t/D, where coefficient m is a Gaussian integer
-over D^m; the constructor reduces through poly_gcd, the subresultant
-remainder sequence over Z[i], which for coprime parts (almost every
-closed form) ends at a constant remainder; series_of runs an
-integer recurrence whose coefficient k is over D^(k+1); eval_at is two
-integer Horner sums (Poly.__call__) and one Gaussian division. Each
-output coefficient becomes a GaussRat once, by one division
-(GaussRat.scaled); the public coefficients stay GaussRat.
+over D^m, as two packed ints (Kronecker substitution: the real and the
+imaginary part at u = 2^w, w a whole number of bytes past a bound on
+every coefficient), one shift and two or four small products per
+factor, split into coefficients once at the end; the constructor
+reduces through poly_gcd, the subresultant remainder sequence over
+Z[i], which for coprime parts (almost every closed form) ends at a
+constant remainder; series_of runs an integer recurrence whose
+coefficient k is over D^(k+1); eval_at is two integer Horner sums
+(Poly.__call__) and one Gaussian division. Each output coefficient
+becomes a GaussRat once, by one division (GaussRat.scaled); the public
+coefficients stay GaussRat.
 
 reconstruct recovers the unique rational function within given degree
 bounds from a long enough truncated expansion, by exact Gaussian
@@ -71,26 +75,43 @@ class RatFunc:
         """1 / prod(1 - c*t^k) for (c, k) pairs, k >= 1.
 
         The product runs in u = t/D, D the common denominator of the c:
-        the factor c*t^k is the Gaussian integer c*D^k times u^k, so
-        coefficient m of the product is a Gaussian integer over D^m.
+        factor 1 - c*t^k is 1 - b*u^k with b = c*D^k a Gaussian integer,
+        so coefficient m of the product is a Gaussian integer over D^m.
+        Its real and imaginary parts are packed, each as one int: the
+        part's polynomial at u = 2^w (Kronecker substitution). A factor
+        takes A - ((b*A) << w*k), four small-by-big products, or two
+        when b is real, and those ints are exact whatever their digits:
+        w only has to make the final digits readable. The norm
+        |x|_1 = |Re x| + |Im x| is submultiplicative, and every
+        coefficient of a partial product is a signed sum of distinct
+        products of the b, so the |.|_1 of all its coefficients sum to at
+        most B = prod(1 + |b|_1). w is the least whole number of bytes
+        with w >= bits(B) + 1, so every part of every coefficient lies
+        strictly inside +-2^(w-1); an offset of 2^(w-1) in every digit
+        makes them unsigned, and to_bytes splits them (_digits).
         """
         factors = list(factors)
         if any(k < 1 for _, k in factors):
             raise ValueError("factor powers must be >= 1")
         den, scaled = clear_denominators([c for c, _ in factors])
-        re, im = [1], [0]
+        bound = 1
+        steps = []
         for (cr, ci), (_, k) in zip(scaled, factors):
-            # c*D^k = (D*c) * D^(k-1); multiply by 1 - (that) u^k in place
-            w = den ** (k - 1)
-            br, bi = cr * w, ci * w
-            re += [0] * k
-            im += [0] * k
-            for m in range(len(re) - 1, k - 1, -1):
-                pr, pi = re[m - k], im[m - k]
-                if pr or pi:
-                    re[m] -= br * pr - bi * pi
-                    im[m] -= br * pi + bi * pr
-        return cls(Poly.one(), Poly(graded(re, im, den)))
+            # c*D^k = (D*c) * D^(k-1)
+            s = den ** (k - 1)
+            br, bi = cr * s, ci * s
+            bound *= 1 + abs(br) + abs(bi)
+            steps.append((br, bi, k))
+        size = (bound.bit_length() + 8) // 8  # bytes per digit
+        w = 8 * size
+        re, im = 1, 0
+        for br, bi, k in steps:
+            if bi:
+                re, im = re - ((br * re - bi * im) << w * k), im - ((br * im + bi * re) << w * k)
+            else:
+                re, im = re - ((br * re) << w * k), im - ((br * im) << w * k)
+        terms = sum(k for _, _, k in steps) + 1
+        return cls(Poly.one(), Poly(graded(_digits(re, size, terms), _digits(im, size, terms), den)))
 
     @property
     def num_degree(self) -> int:
@@ -132,6 +153,18 @@ class RatFunc:
             return Poly(out)
 
         return RatFunc(blow(self.num), blow(self.den))
+
+
+def _digits(packed: int, size: int, terms: int) -> list:
+    """Digits 0..terms-1 of packed in base 2^w, w = 8*size, each strictly
+    inside +-2^(w-1): an offset of 2^(w-1) in every digit makes them
+    unsigned, to be split as bytes."""
+    if not packed:
+        return [0] * terms
+    half = bytes(size - 1) + b"\x80"  # 2^(w-1), little-endian
+    data = (packed + int.from_bytes(half * terms, "little")).to_bytes(size * terms, "little")
+    low = 1 << (8 * size - 1)
+    return [int.from_bytes(data[i:i + size], "little") - low for i in range(0, size * terms, size)]
 
 
 def _covering_scale(scale: int, c: GaussRat, j: int) -> int:

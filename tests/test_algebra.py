@@ -493,6 +493,27 @@ def test_from_factors_matches_schoolbook():
     cases = [[], [(BIG[0], 1)], [(c, 2) for c in BIG], [(c, k) for c in BIG for k in (1, 2, 3)]]
     for _ in range(30):
         cases.append([(rng.choice(BIG), rng.choice((1, 2, 3, 4))) for _ in range(rng.randint(1, 8))])
+    # c = -M: every coefficient positive, the top one prod M; c = +M: alternating signs
+    ms = [rng.randint(1, 10**6) for _ in range(9)]
+    for k in (1, 2, 3, 4):
+        cases += [[(g(-m), k) for m in ms], [(g(m), k) for m in ms]]
+    # purely imaginary and zero c, alone and mixed in
+    cases += [[(gi(0, 1, m, 7), k) for m, k in zip(ms, (1, 2, 3, 4, 1))],
+              [(g(0), k) for k in (1, 2, 3, 4)],
+              [(g(0), 2), (BIG[1], 1), (gi(0, 1, -5, 3), 4), (g(0), 1), (BIG[3], 3)]]
+    # 49 factors, a rank-7 by rank-7 Rankin-Selberg list
+    xs = [gi(rng.randint(-9, 9), 3, rng.randint(-9, 9), 11) for _ in range(7)]
+    ys = [g(rng.choice((-1, 1)) * rng.randint(5, 9), 4) for _ in range(7)]
+    cases.append([(x * y, 1) for x in xs for y in ys])
+    # bound B = prod(1 + |Re b| + |Im b|), b = c*D^k, on either side of
+    # 2^(8j), where no digit width may fall a byte short, and of 2^(8j-1),
+    # where the width steps up a byte
+    for j in (1, 2, 3, 5):
+        for bound in (2 ** (8 * j) - 1, 2 ** (8 * j) + 1, 2 ** (8 * j - 1) - 1, 2 ** (8 * j - 1) + 1):
+            m = bound - 1
+            cases += [[(g(-m), 1)], [(g(m), 3)], [(gi(-1, 1, 1 - m, 1), 2)],
+                      [(g(-m), 1), (g(0), 1)], [(g(m), 2), (g(0), 4)],
+                      [(g(-m, m + 1), 1)]]  # over D = m + 1, prime to m: b = -m
     for factors in cases:
         den = [g(1)]
         for c, k in factors:

@@ -5,6 +5,7 @@ patches the library calls cli.main in process instead."""
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from asaiperiods import cli, lfactors, periods
-from asaiperiods.descriptors import DescriptorError, load_rep_file, ratfunc_json
-from asaiperiods.lfactors import asai_L, rs_L
+from asaiperiods import cli, corpus, lfactors, periods
+from asaiperiods.descriptors import DescriptorError, load_rep_file, ratfunc_json, rep_json
+from asaiperiods.lfactors import asai_L, asai_factor_list, rs_L, rs_factor_list
 from asaiperiods.scalars import GaussRat
-from asaiperiods.segments import GenericRep, pi_u
+from asaiperiods.segments import GenericRep, NotGenericError, pi_u
 from asaiperiods.series import Poly, Series
 
 STEINBERG = {
@@ -494,6 +495,46 @@ def test_lfactor_against_reports_both_variables(descriptor, capsys, field, value
     got = json.loads(out)["rs"]
     assert got["tE"] == ratfunc_json(rs_L(m1, m2))
     assert got["t"] == ratfunc_json(rs_L(m1, m2).substitute_power(m1.fp.f))
+
+
+def test_lfactor_against_t_form_is_the_substituted_factor(descriptor, capsys):
+    # the t form is spread from the t_E JSON; it must be the JSON of the
+    # substituted factor, over both field types and ranks 0-7, and the
+    # table must still print the factored forms
+    rng = random.Random(2707)
+    for ramified in (True, False):
+        for r1, r2 in ((0, 0), (0, 3), (4, 0)):
+            fp = corpus.rand_field(rng, ramified)
+            rs = rs_L(*(corpus.rand_module(rng, fp, r) for r in (r1, r2)))
+            spread = {part: cli._spread(c, fp.f) for part, c in ratfunc_json(rs).items()}
+            assert spread == ratfunc_json(rs.substitute_power(fp.f))
+    pairs, seen = 0, set()
+    while pairs < 30:
+        fp = corpus.rand_field(rng, pairs % 2 == 0)
+        try:
+            reps = [corpus.module_as_rep(corpus.rand_module(rng, fp, rng.randint(1, 7)))
+                    for _ in range(2)]
+        except NotGenericError:  # linked values: draw again
+            continue
+        paths = [descriptor(rep_json(rep), "m%d.json" % i) for i, rep in enumerate(reps)]
+        argv = ["lfactor", "--rep", paths[0], "--against", paths[1]]
+        code, out, err, _ = run_fast(argv, capsys)
+        assert (code, err) == (0, "")
+        m1, m2 = (pi_u(GenericRep(fld, tuple(segs))) for fld, segs in map(load_rep_file, paths))
+        seen |= {(fp.f, m1.r), (fp.f, m2.r)}
+        got = json.loads(out)["rs"]
+        assert got["tE"] == ratfunc_json(rs_L(m1, m2))
+        assert got["t"] == ratfunc_json(rs_L(m1, m2).substitute_power(fp.f))
+        code, out, err, _ = run_fast(argv + ["--output", "table"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "Asai L-factor in t = q_F^-s:",
+            "  " + cli._factored(asai_factor_list(m1)),
+            "Rankin-Selberg L-factor in t_E = q_E^-s:",
+            "  " + cli._factored(rs_factor_list(m1, m2), var="tE"),
+        ]
+        pairs += 1
+    assert {f for f, _ in seen} == {1, 2} and {(1, 7), (2, 7)} <= seen
 
 
 def test_hostile_satake_height_at_default_order(descriptor, capsys):
