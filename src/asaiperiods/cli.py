@@ -7,13 +7,17 @@ suites over a descriptor or the built-in seeded corpora), segments
 default; --output table renders the same data as text.
 
 Each command reads the parsed argparse namespace directly, once
-_check_options has checked --at-s and --order. verify loads and
-size-checks --rep once and hands that representation (or None) and
---order to each suite, which returns its check rows. Without --rep the
-suites draw their subjects from the seeded built-in corpora, importing
-corpus (and random) only then, so no other invocation pays for them.
-main() builds the parser on its first call and reuses it on every later
-call in the process; nothing is built at import.
+_check_options has checked --at-s and --order. lfactor writes its JSON
+line as text from the packed factor products, each rendered once
+(descriptors.graded_texts), and its table from the factor lists alone;
+the multiplicativity suite compares two factor lists with
+ratfunc.same_product. verify loads and size-checks --rep once and
+hands that representation (or None) and --order to each suite, which
+returns its check rows. Without --rep the suites draw their subjects
+from the seeded built-in corpora, importing corpus (and random) only
+then, so no other invocation pays for them. main() builds the parser
+on its first call and reuses it on every later call in the process;
+nothing is built at import.
 
 Exit codes: 0 success (a pole in a value is a result, not a failure),
 1 verification failure, 2 input error, 3 non-generic input.
@@ -29,18 +33,19 @@ from math import gcd
 
 from .descriptors import (
     DescriptorError,
-    coeff_json,
     field_json,
+    graded_texts,
     load_rep_file,
     ratfunc_json,
+    reciprocal_text,
     segment_json,
     series_json,
     value_str,
 )
 from .lfactors import (
     asai_L,
-    asai_L_multiplicative,
     asai_factor_list,
+    asai_multiplicative_factor_list,
     closed_form_for,
     kable_factorization_check,
     lattice_value_at,
@@ -62,9 +67,9 @@ from .periods import (
     verify_theorem1,
     value_bits,
 )
-from .ratfunc import series_of
+from .ratfunc import packed_product, same_product, series_of
 from .rational import ratio_str
-from .scalars import GAUSS_ZERO, GaussRat
+from .scalars import GaussRat
 from .segments import (
     GenericRep,
     NotGenericError,
@@ -212,23 +217,9 @@ def _emit(obj: dict, ns: argparse.Namespace, table_lines) -> None:
 # -- lfactor -----------------------------------------------------------
 
 
-def _spread(coeffs: list, f: int) -> list:
-    """A coefficient list in t_E as one in t, t_E = t^f: f - 1 zero
-    coefficients between terms, the list that
-    RatFunc.substitute_power(f) would serialize to."""
-    out = [coeff_json(GAUSS_ZERO)] * (f * (len(coeffs) - 1) + 1)
-    out[::f] = coeffs
-    return out
-
-
 def cmd_lfactor(ns: argparse.Namespace) -> int:
     rep = _load_generic_rep(ns.rep)
     mod = pi_u(rep)
-    report = {
-        "field": field_json(rep.fp),
-        "piU": [value_str(v) for v in mod.satake],
-        "asai": ratfunc_json(asai_L(mod)),
-    }
     m2 = None
     if ns.against:
         other = _load_generic_rep(ns.against)
@@ -242,17 +233,24 @@ def cmd_lfactor(ns: argparse.Namespace) -> int:
         need = mod.r * m2.r * (coefficient_bits(mod.satake) + coefficient_bits(m2.satake))
         if need > printable_bits():
             raise _too_large("--against", "the Rankin-Selberg factor", need)
-        rs = ratfunc_json(rs_L(mod, m2))
-        report["rs"] = {"tE": rs, "t": {part: _spread(coeffs, rep.fp.f) for part, coeffs in rs.items()}}
-
-    def tables(obj):
-        yield "Asai L-factor in t = q_F^-s:"
-        yield "  " + _factored(asai_factor_list(mod))
+    if ns.output == "table":
+        print("Asai L-factor in t = q_F^-s:")
+        print("  " + _factored(asai_factor_list(mod)))
         if m2 is not None:
-            yield "Rankin-Selberg L-factor in t_E = q_E^-s:"
-            yield "  " + _factored(rs_factor_list(mod, m2), var="tE")
-
-    _emit(report, ns, tables)
+            print("Rankin-Selberg L-factor in t_E = q_E^-s:")
+            print("  " + _factored(rs_factor_list(mod, m2), var="tE"))
+        return EXIT_OK
+    # the text json.dumps writes for {"field", "piU", "asai", "rs": {"tE",
+    # "t"}}; the t form of the Rankin-Selberg factor is its t_E text
+    # spread by t_E = t^f
+    head = json.dumps({"field": field_json(rep.fp), "piU": [value_str(v) for v in mod.satake]})
+    asai = graded_texts(*packed_product(asai_factor_list(mod)))
+    parts = [head[:-1], '"asai": ' + reciprocal_text(asai)]
+    if m2 is not None:
+        rs = graded_texts(*packed_product(rs_factor_list(mod, m2)))
+        parts.append('"rs": {"tE": %s, "t": %s}'
+                     % (reciprocal_text(rs), reciprocal_text(rs, rep.fp.f)))
+    print(", ".join(parts) + "}")
     return EXIT_OK
 
 
@@ -407,7 +405,8 @@ def _suite_multiplicativity(rep: GenericRep | None, order: int) -> list:
         subjects = [("module-%03d" % i, corpus.rand_module(
             rng, corpus.rand_field(rng, ramified=bool(i % 2)), rng.randint(0, 5)))
                     for i in range(100)]
-    return [_check("multiplicativity", name, asai_L(mod) == asai_L_multiplicative(mod))
+    return [_check("multiplicativity", name,
+                   same_product(asai_factor_list(mod), asai_multiplicative_factor_list(mod)))
             for name, mod in subjects]
 
 

@@ -6,7 +6,9 @@ A series or polynomial coefficient c serializes as {"a": [re, im],
 "b": ["0/1", "0/1"]}: the output format has a slot for a sqrt(q_F)
 component, which no coefficient of the package has, so "b" is always
 zero. RatFunc serializes as {"num": [...], "den": [...]} with
-ascending-degree coefficient arrays.
+ascending-degree coefficient arrays. graded_texts and reciprocal_text
+write the same text for a factor product's reciprocal straight from the
+digits of ratfunc.packed_product, with no GaussRat, Poly or dict.
 
 Parse errors raise DescriptorError whose message names the offending
 field; the CLI maps that to the input-error exit code.
@@ -15,6 +17,7 @@ field; the CLI maps that to the input-error exit code.
 from __future__ import annotations
 
 import json
+from math import gcd
 from typing import Any
 
 from .localfields import Q_F_LIMIT, FieldPair
@@ -188,6 +191,38 @@ def poly_json(p: Poly) -> list[dict]:
 
 def ratfunc_json(rf: RatFunc) -> dict:
     return {"num": poly_json(rf.num), "den": poly_json(rf.den)}
+
+
+_COEFF_TEXT = '{"a": ["%d/%d", "%d/%d"], "b": ["0/1", "0/1"]}'
+_ZERO_TEXT = _COEFF_TEXT % (0, 1, 0, 1)
+_ONE_TEXT = _COEFF_TEXT % (1, 1, 0, 1)
+
+
+def graded_texts(re: list, im: list, scale: int) -> list[str]:
+    """The json.dumps text of each coefficient (re[m] + im[m]*i) /
+    scale^m of a scaled coefficient list, such as packed_product
+    returns, trailing zero coefficients dropped: "[%s]" % ", ".join of
+    them is json.dumps(poly_json(Poly(graded(re, im, scale)))), with no
+    GaussRat or dict on the way. Each part is put in lowest terms over
+    scale^m by its own gcd, as gauss_json does."""
+    n = len(re)
+    while n and not (re[n - 1] or im[n - 1]):
+        n -= 1
+    out = []
+    den = 1
+    for x, y in zip(re[:n], im[:n]):
+        g, h = gcd(x, den), gcd(y, den)
+        out.append(_COEFF_TEXT % (x // g, den // g, y // h, den // h))
+        den *= scale
+    return out
+
+
+def reciprocal_text(texts: list[str], f: int = 1) -> str:
+    """The json.dumps text of ratfunc_json(1/P) for the polynomial P
+    whose coefficient texts are texts (graded_texts, constant term 1),
+    after t -> t^f: f - 1 zero coefficients between terms."""
+    sep = ", " + (_ZERO_TEXT + ", ") * (f - 1)
+    return '{"num": [%s], "den": [%s]}' % (_ONE_TEXT, sep.join(texts))
 
 
 def series_json(s: Series) -> list[dict]:

@@ -3,24 +3,25 @@
 Conventions: the uniform series variable is t = q_F^(-s). The
 Rankin-Selberg factor is native in t_E = q_E^(-s), which equals t^2
 for unramified pairs and t for ramified ones (t_E = t^f in general);
-RatFunc.substitute_power(f) takes it to t, and the CLI's lfactor report
-spreads its t_E coefficients to t without a second RatFunc. All
-factories return canonical reduced RatFunc values and also expose their
-factor lists (coefficient c and power k per factor 1 - c*t^k). Each
-factor list becomes a RatFunc in one RatFunc.from_factors call: a
-Kronecker-packed product of scaled Gaussian integers, two or four
-small-by-big int products per factor, and one division per
+the factor (1 - c*t_E^k) is (1 - c*t^(f*k)), and the CLI's lfactor
+report spreads its t_E coefficients to t. All factories return
+canonical reduced RatFunc values and also expose their factor lists
+(coefficient c and power k per factor 1 - c*t^k). Each factor list
+becomes a RatFunc in one RatFunc.from_factors call: a Kronecker-packed
+product of scaled Gaussian integers (ratfunc.packed_product), two or
+four small-by-big int products per factor, and one division per
 coefficient; the factor lists and the returned RatFunc keep GaussRat
-coefficients. The multiplicativity and Kable checks build each side
-from its joined factor lists with one from_factors call: one packed
-product per side, with no RatFunc or Poly product in between.
+coefficients. The Kable check, like the CLI's multiplicativity suite,
+compares two joined factor lists with ratfunc.same_product: one packed
+product per side, compared digit by digit, with no RatFunc, Poly or
+GaussRat per coefficient.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .ratfunc import RatFunc, eval_at
+from .ratfunc import RatFunc, eval_at, same_product
 from .scalars import GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
 from .series import Poly
@@ -68,17 +69,23 @@ def tate_L(value_at_unif: GaussRat, power: int) -> RatFunc:
     return RatFunc.from_factors([(value_at_unif, power)])
 
 
-def asai_L_multiplicative(mod: UnramifiedModule) -> RatFunc:
-    """Asai factor assembled from the standard-module product formula:
-    rank-one Asai factors (Tate factors of the restrictions to F*) times
-    the Rankin-Selberg factors of the distinct pairs, as one product of
-    their factor lists."""
+def asai_multiplicative_factor_list(mod: UnramifiedModule) -> FactorList:
+    """Denominator factors of the Asai factor by the standard-module
+    product formula: rank-one Asai factors (Tate factors of the
+    restrictions to F*) and the Rankin-Selberg factors of the distinct
+    pairs."""
     fp = mod.fp
     # x^e is the value of the character restricted to F*; the rank-one
     # pieces are sigma-fixed, so a pair's factor is 1 - x*y*t_E, t_E = t^f
     factors: FactorList = [(x**fp.e, 1) for x in mod.satake]
     factors += [(x * y, fp.f) for x, y in combinations(mod.satake, 2)]
-    return RatFunc.from_factors(factors)
+    return factors
+
+
+def asai_L_multiplicative(mod: UnramifiedModule) -> RatFunc:
+    """Asai factor assembled from the standard-module product formula,
+    as one product of its factor list."""
+    return RatFunc.from_factors(asai_multiplicative_factor_list(mod))
 
 
 def closed_form_for(rep: GenericRep) -> RatFunc:
@@ -120,6 +127,6 @@ def kable_factorization_check(mod: UnramifiedModule) -> bool:
     unramified quadratic character). Unramified pairs only."""
     if mod.fp.ramified:
         raise ValueError("the quadratic twist character is ramified here: out of scope")
-    lhs = rs_L(mod, mod).substitute_power(2)  # unramified modules are sigma-fixed
-    rhs = RatFunc.from_factors(asai_factor_list(mod) + asai_factor_list(mod.twist_by_sign()))
-    return lhs == rhs
+    # unramified modules are sigma-fixed, and t_E = t^2
+    lhs = [(c, 2 * k) for c, k in rs_factor_list(mod, mod)]
+    return same_product(lhs, asai_factor_list(mod) + asai_factor_list(mod.twist_by_sign()))

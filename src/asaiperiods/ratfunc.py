@@ -7,19 +7,23 @@ coprime, denominator constant term equal to 1. With that normalization
 componentwise equality is true equality of rational functions.
 
 Factor products, reductions, expansions and values run on scaled
-Gaussian integers, held as (re, im) int pairs: from_factors builds
-prod(1 - c*t^k) in u = t/D, where coefficient m is a Gaussian integer
-over D^m, as two packed ints (Kronecker substitution: the real and the
-imaginary part at u = 2^w, w a whole number of bytes past a bound on
-every coefficient), one shift and two or four small products per
-factor, split into coefficients once at the end; the constructor
-reduces through poly_gcd, the subresultant remainder sequence over
-Z[i], which for coprime parts (almost every closed form) ends at a
-constant remainder; series_of runs an integer recurrence whose
-coefficient k is over D^(k+1); eval_at is two integer Horner sums
-(Poly.__call__) and one Gaussian division. Each output coefficient
-becomes a GaussRat once, by one division (GaussRat.scaled); the public
-coefficients stay GaussRat.
+Gaussian integers, held as (re, im) int pairs. packed_product, the one
+product kernel, builds prod(1 - c*t^k) in u = t/D, where coefficient m
+is a Gaussian integer over D^m, as two packed ints (Kronecker
+substitution: the real and the imaginary part at u = 2^w, w a whole
+number of bytes past a bound on every coefficient), one shift and two
+or four small products per factor, split into (re, im, D) digit lists
+once at the end. Its callers keep those ints: same_product decides
+whether two factor lists have one product by cross-multiplying the
+digits, and descriptors.graded_texts renders them as JSON text;
+from_factors alone grades them into a RatFunc. The constructor reduces
+through poly_gcd, the subresultant remainder sequence over Z[i], which
+for coprime parts (almost every closed form) ends at a constant
+remainder; series_of runs an integer recurrence whose coefficient k is
+over D^(k+1); eval_at is two integer Horner sums (Poly.__call__) and
+one Gaussian division. Each output coefficient becomes a GaussRat once,
+by one division (GaussRat.scaled); the public coefficients stay
+GaussRat.
 
 reconstruct recovers the unique rational function within given degree
 bounds from a long enough truncated expansion, by exact Gaussian
@@ -34,6 +38,7 @@ mismatch, to report which rational function the series actually is.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd
 
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
@@ -72,46 +77,9 @@ class RatFunc:
 
     @classmethod
     def from_factors(cls, factors) -> "RatFunc":
-        """1 / prod(1 - c*t^k) for (c, k) pairs, k >= 1.
-
-        The product runs in u = t/D, D the common denominator of the c:
-        factor 1 - c*t^k is 1 - b*u^k with b = c*D^k a Gaussian integer,
-        so coefficient m of the product is a Gaussian integer over D^m.
-        Its real and imaginary parts are packed, each as one int: the
-        part's polynomial at u = 2^w (Kronecker substitution). A factor
-        takes A - ((b*A) << w*k), four small-by-big products, or two
-        when b is real, and those ints are exact whatever their digits:
-        w only has to make the final digits readable. The norm
-        |x|_1 = |Re x| + |Im x| is submultiplicative, and every
-        coefficient of a partial product is a signed sum of distinct
-        products of the b, so the |.|_1 of all its coefficients sum to at
-        most B = prod(1 + |b|_1). w is the least whole number of bytes
-        with w >= bits(B) + 1, so every part of every coefficient lies
-        strictly inside +-2^(w-1); an offset of 2^(w-1) in every digit
-        makes them unsigned, and to_bytes splits them (_digits).
-        """
-        factors = list(factors)
-        if any(k < 1 for _, k in factors):
-            raise ValueError("factor powers must be >= 1")
-        den, scaled = clear_denominators([c for c, _ in factors])
-        bound = 1
-        steps = []
-        for (cr, ci), (_, k) in zip(scaled, factors):
-            # c*D^k = (D*c) * D^(k-1)
-            s = den ** (k - 1)
-            br, bi = cr * s, ci * s
-            bound *= 1 + abs(br) + abs(bi)
-            steps.append((br, bi, k))
-        size = (bound.bit_length() + 8) // 8  # bytes per digit
-        w = 8 * size
-        re, im = 1, 0
-        for br, bi, k in steps:
-            if bi:
-                re, im = re - ((br * re - bi * im) << w * k), im - ((br * im + bi * re) << w * k)
-            else:
-                re, im = re - ((br * re) << w * k), im - ((br * im) << w * k)
-        terms = sum(k for _, _, k in steps) + 1
-        return cls(Poly.one(), Poly(graded(_digits(re, size, terms), _digits(im, size, terms), den)))
+        """1 / prod(1 - c*t^k) for (c, k) pairs, k >= 1: the graded
+        coefficients of packed_product(factors)."""
+        return cls(Poly.one(), Poly(graded(*packed_product(factors))))
 
     @property
     def num_degree(self) -> int:
@@ -153,6 +121,68 @@ class RatFunc:
             return Poly(out)
 
         return RatFunc(blow(self.num), blow(self.den))
+
+
+def packed_product(factors) -> tuple[list, list, int]:
+    """(re, im, D) for the product prod(1 - c*t^k) over (c, k) pairs,
+    k >= 1: coefficient m of the product is (re[m] + im[m]*i) / D^m.
+
+    The product runs in u = t/D, D the common denominator of the c:
+    factor 1 - c*t^k is 1 - b*u^k with b = c*D^k a Gaussian integer,
+    so coefficient m of the product is a Gaussian integer over D^m.
+    Its real and imaginary parts are packed, each as one int: the
+    part's polynomial at u = 2^w (Kronecker substitution). A factor
+    takes A - ((b*A) << w*k), four small-by-big products, or two
+    when b is real, and those ints are exact whatever their digits:
+    w only has to make the final digits readable. The norm
+    |x|_1 = |Re x| + |Im x| is submultiplicative, and every
+    coefficient of a partial product is a signed sum of distinct
+    products of the b, so the |.|_1 of all its coefficients sum to at
+    most B = prod(1 + |b|_1). w is the least whole number of bytes
+    with w >= bits(B) + 1, so every part of every coefficient lies
+    strictly inside +-2^(w-1); an offset of 2^(w-1) in every digit
+    makes them unsigned, and to_bytes splits them (_digits). The lists
+    hold 1 + sum(k) digits, trailing zeros included.
+    """
+    factors = list(factors)
+    if any(k < 1 for _, k in factors):
+        raise ValueError("factor powers must be >= 1")
+    den, scaled = clear_denominators([c for c, _ in factors])
+    bound = 1
+    steps = []
+    for (cr, ci), (_, k) in zip(scaled, factors):
+        # c*D^k = (D*c) * D^(k-1)
+        s = den ** (k - 1)
+        br, bi = cr * s, ci * s
+        bound *= 1 + abs(br) + abs(bi)
+        steps.append((br, bi, k))
+    size = (bound.bit_length() + 8) // 8  # bytes per digit
+    w = 8 * size
+    re, im = 1, 0
+    for br, bi, k in steps:
+        if bi:
+            re, im = re - ((br * re - bi * im) << w * k), im - ((br * im + bi * re) << w * k)
+        else:
+            re, im = re - ((br * re) << w * k), im - ((br * im) << w * k)
+    terms = sum(k for _, _, k in steps) + 1
+    return _digits(re, size, terms), _digits(im, size, terms), den
+
+
+def same_product(f1, f2) -> bool:
+    """Whether the factor lists f1 and f2 have one product
+    prod(1 - c*t^k), decided exactly on their packed products:
+    coefficient m is re[m]/D^m + (im[m]/D^m)*i on each side, so the two
+    agree when re1[m]*D2^m == re2[m]*D1^m and im1[m]*D2^m ==
+    im2[m]*D1^m. A shorter list counts as zero past its end."""
+    re1, im1, d1 = packed_product(f1)
+    re2, im2, d2 = packed_product(f2)
+    p1 = p2 = 1  # D1^m and D2^m
+    for x1, y1, x2, y2 in zip_longest(re1, im1, re2, im2, fillvalue=0):
+        if x1 * p2 != x2 * p1 or y1 * p2 != y2 * p1:
+            return False
+        p1 *= d1
+        p2 *= d2
+    return True
 
 
 def _digits(packed: int, size: int, terms: int) -> list:

@@ -8,7 +8,15 @@ import random
 import pytest
 
 from asaiperiods.rational import parse_ratio, rat, ratio_str
-from asaiperiods.ratfunc import RatFunc, _solve_exact, eliminate, eval_at, reconstruct, series_of
+from asaiperiods.ratfunc import (
+    RatFunc,
+    _solve_exact,
+    eliminate,
+    eval_at,
+    reconstruct,
+    same_product,
+    series_of,
+)
 from asaiperiods.scalars import GAUSS_ONE, GaussRat
 from asaiperiods.series import (
     Poly,
@@ -520,6 +528,38 @@ def test_from_factors_matches_schoolbook():
             den = schoolbook_mul(den, [g(1)] + [g(0)] * (k - 1) + [-c])
         rf = RatFunc.from_factors(factors)
         assert rf.num == Poly.one() and list(rf.den.coeffs) == den
+
+
+def test_same_product_is_ratfunc_equality():
+    # (f1, f2, whether their products are equal), each also checked
+    # against RatFunc equality and with the lists swapped
+    rng = random.Random(2929)
+    i = gi(0, 1, 1, 1)
+    cases = []
+    for _ in range(40):  # shuffled equal lists, c = 0 among them
+        f1 = [(rng.choice(BIG + [g(0)]), rng.randint(1, 4)) for _ in range(rng.randint(0, 8))]
+        f2 = f1[:]
+        rng.shuffle(f2)
+        cases.append((f1, f2, True))
+    for a in BIG + [g(3, 7), gi(1, 2, -5, 3)]:
+        for k in (1, 2):
+            two = [(a, k), (-a, k)]  # 1 - a^2 t^(2k), over D
+            four = two + [(i * a, k), (-i * a, k)]  # 1 - a^4 t^(4k), over D
+            # equal products over different D: D^2 and D^4 on the right
+            cases += [(two, [(a * a, 2 * k)], True), (four, [(a**4, 4 * k)], True)]
+            # the products differ only in the top coefficient, in its
+            # real or its imaginary part
+            for e in (g(1, 5), gi(0, 1, 1, 5)):
+                cases += [(two, [(a * a + e, 2 * k)], False), (four, [(a**4 + e, 4 * k)], False)]
+        tail = [(rng.choice(BIG), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+        # c = 0 factors lengthen a list and leave its product; a factor of
+        # higher power than the rest raises the total degree
+        cases += [(tail, tail + [(g(0), 3)], True), ([(g(0), 1)] + tail, tail, True),
+                  ([(g(0), 2)], [], True), (tail, tail + [(a, 9)], False),
+                  (tail + [(g(0), 1)], tail + [(a, 1)], False)]
+    for f1, f2, equal in cases:
+        assert (RatFunc.from_factors(f1) == RatFunc.from_factors(f2)) == equal
+        assert same_product(f1, f2) == equal and same_product(f2, f1) == equal
 
 
 def test_from_factors_refuses_power_zero():

@@ -15,8 +15,16 @@ from pathlib import Path
 import pytest
 
 from asaiperiods import cli, corpus, lfactors, periods
-from asaiperiods.descriptors import DescriptorError, load_rep_file, ratfunc_json, rep_json
+from asaiperiods.descriptors import (
+    DescriptorError,
+    graded_texts,
+    load_rep_file,
+    ratfunc_json,
+    reciprocal_text,
+    rep_json,
+)
 from asaiperiods.lfactors import asai_L, asai_factor_list, rs_L, rs_factor_list
+from asaiperiods.ratfunc import packed_product
 from asaiperiods.scalars import GaussRat
 from asaiperiods.segments import GenericRep, NotGenericError, pi_u
 from asaiperiods.series import Poly, Series
@@ -498,16 +506,16 @@ def test_lfactor_against_reports_both_variables(descriptor, capsys, field, value
 
 
 def test_lfactor_against_t_form_is_the_substituted_factor(descriptor, capsys):
-    # the t form is spread from the t_E JSON; it must be the JSON of the
+    # the t form is spread from the t_E text; it must be the JSON of the
     # substituted factor, over both field types and ranks 0-7, and the
     # table must still print the factored forms
     rng = random.Random(2707)
     for ramified in (True, False):
         for r1, r2 in ((0, 0), (0, 3), (4, 0)):
             fp = corpus.rand_field(rng, ramified)
-            rs = rs_L(*(corpus.rand_module(rng, fp, r) for r in (r1, r2)))
-            spread = {part: cli._spread(c, fp.f) for part, c in ratfunc_json(rs).items()}
-            assert spread == ratfunc_json(rs.substitute_power(fp.f))
+            mods = [corpus.rand_module(rng, fp, r) for r in (r1, r2)]
+            spread = reciprocal_text(graded_texts(*packed_product(rs_factor_list(*mods))), fp.f)
+            assert spread == json.dumps(ratfunc_json(rs_L(*mods).substitute_power(fp.f)))
     pairs, seen = 0, set()
     while pairs < 30:
         fp = corpus.rand_field(rng, pairs % 2 == 0)
@@ -535,6 +543,35 @@ def test_lfactor_against_t_form_is_the_substituted_factor(descriptor, capsys):
         ]
         pairs += 1
     assert {f for f, _ in seen} == {1, 2} and {(1, 7), (2, 7)} <= seen
+
+
+def test_lfactor_table_builds_no_json(descriptor, capsys, monkeypatch):
+    # --output table prints the factor lists only: it renders no
+    # coefficient text and builds no RatFunc JSON, while the JSON mode
+    # renders the Asai and the Rankin-Selberg lists once each
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("graded_texts", "ratfunc_json", "packed_product"):
+        monkeypatch.setattr(cli, name, spy(name))
+    rng = random.Random(2911)
+    fp = corpus.rand_field(rng, False)
+    paths = [descriptor(rep_json(corpus.module_as_rep(corpus.rand_module(rng, fp, r))), "m%d.json" % r)
+             for r in (3, 4)]
+    argv = ["lfactor", "--rep", paths[0], "--against", paths[1]]
+    code, out, err, _ = run_fast(argv + ["--output", "table"], capsys)
+    assert (code, err, calls) == (0, "", [])
+    assert out.startswith("Asai L-factor in t = q_F^-s:\n")
+    code, out, err, _ = run_fast(argv, capsys)
+    assert (code, err) == (0, "") and "rs" in json.loads(out)
+    assert sorted(calls) == ["graded_texts"] * 2 + ["packed_product"] * 2
 
 
 def test_hostile_satake_height_at_default_order(descriptor, capsys):

@@ -1,13 +1,14 @@
 """JSON descriptor round trips and error-path diagnostics."""
 
 import json
+import random
 
 import pytest
 
 from asaiperiods.rational import rat
 from asaiperiods.scalars import GaussRat
 from asaiperiods.series import Poly, Series
-from asaiperiods.ratfunc import RatFunc
+from asaiperiods.ratfunc import RatFunc, packed_product
 from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import GenericRep, MultChar, Segment
 from asaiperiods.descriptors import (
@@ -15,6 +16,7 @@ from asaiperiods.descriptors import (
     coeff_json,
     field_json,
     gauss_json,
+    graded_texts,
     load_rep_file,
     parse_field,
     parse_gauss,
@@ -22,6 +24,7 @@ from asaiperiods.descriptors import (
     parse_rho,
     poly_json,
     ratfunc_json,
+    reciprocal_text,
     rep_json,
     series_json,
     value_str,
@@ -119,3 +122,32 @@ def test_value_serializations():
     assert series_json(s) == [coeff_json(g(1)), coeff_json(g(2))]
     # everything stays JSON-serializable
     json.dumps(ratfunc_json(rf))
+
+
+def random_factor_list(rng):
+    """0-49 factors (c, k), k = 1..4, with zero, real, imaginary and
+    complex c; numerators up to 2^90 and denominators up to 2^70 on
+    short lists, small denominators on long ones."""
+    n = rng.randint(0, 49)
+    bits = rng.choice((4, 12, 90) if n <= 4 else (2, 4, 8))
+    factors = []
+    for _ in range(n):
+        kind = rng.choice(("zero", "real", "imaginary", "complex"))
+        den = rng.randint(1, 2 ** rng.choice((4, 70))) if n <= 4 else rng.choice((1, 2, 3, 4, 6))
+        re = 0 if kind in ("zero", "imaginary") else rng.randint(-2 ** bits, 2 ** bits)
+        im = 0 if kind in ("zero", "real") else rng.randint(-2 ** bits, 2 ** bits)
+        factors.append((g(re, den, im, den), rng.randint(1, 4)))
+    return factors
+
+
+def test_graded_texts_are_the_json_of_the_factor_product():
+    # the text route writes the bytes json.dumps writes for the RatFunc
+    # route, in t_E and spread to t, t_E = t^2
+    rng = random.Random(2909)
+    cases = [[], [(g(0), 3)], [(g(1), 1), (g(-1), 1)], [(g(0), 2), (g(0, 1, 1, 2), 1)]]
+    cases += [random_factor_list(rng) for _ in range(2000)]
+    for factors in cases:
+        texts = graded_texts(*packed_product(factors))
+        rf = RatFunc.from_factors(factors)
+        assert reciprocal_text(texts) == json.dumps(ratfunc_json(rf))
+        assert reciprocal_text(texts, 2) == json.dumps(ratfunc_json(rf.substitute_power(2)))

@@ -88,11 +88,11 @@ def test_stdout_matches_golden(name, capsys):
 DRAW_DIGESTS = {
     "theorem1": "0a0f7d6229d935192e3b3d86588af7e11cb8e65533169382020976ce487b7945",
     "cpi": "b7a3e2deb7bd98cb4eee978e03997703e954a78bf1a7ba11815b561eea9f0323",
-    "multiplicativity": "1a4e3ca29afb98a6e2634903c094c6d83c833289c3424f7372800965619c1936",
+    "multiplicativity": "d52b984645c1442b6d6794b1bc1fe8599ac44de515a2145ee501120fd20a4d6b",
     "identities": "356bdb8db3712faf1fcfee9420943c1da2ea0ad43dcf80a6ad0ffb1a4942d372",
 }
 
-CHECKED = ("verify_theorem1", "verify_c_pi", "asai_L_multiplicative", "flicker_series",
+CHECKED = ("verify_theorem1", "verify_c_pi", "asai_multiplicative_factor_list", "flicker_series",
            "rs_series", "kable_factorization_check")
 
 
