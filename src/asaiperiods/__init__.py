@@ -32,7 +32,6 @@ from .segments import (
     is_conjugate_selfdual,
     is_generic,
     pi_u,
-    sigma_twist,
     standard_order,
 )
 from .series import Poly, Series
@@ -69,7 +68,6 @@ __all__ = [
     "rs_series",
     "schur",
     "series_of",
-    "sigma_twist",
     "spherical_value",
     "standard_order",
     "tate_L",

@@ -179,15 +179,17 @@ def _too_large(field: str, what: str, need: int, hint: str = "") -> DescriptorEr
     return DescriptorError("%s: %s%s" % (field, too_long(what, need), hint))
 
 
-def _check_sizes(rep: GenericRep, at_s: int | None = None) -> None:
+def _check_sizes(rep: GenericRep, at_s: int | None = None) -> tuple[UnramifiedModule, int]:
     """Refuse rep before any evaluation when its closed form or value at
     s = 1 (naming its largest Satake value) or its value at s = at_s
     (--at-s) could need integers longer than printable_bits(). The
-    lattice sums check --order themselves."""
+    lattice sums check --order themselves. Returns pi_u(rep) and its
+    coefficient_bits, for the caller's own caps."""
     fp, segments = rep.fp, rep.segments
-    alpha = pi_u(rep).satake
-    at_0 = value_bits(alpha, fp.e, fp.q_F, 0)
-    per_s = value_bits(alpha, fp.e, fp.q_F, 1) - at_0
+    mod = pi_u(rep)
+    bits = coefficient_bits(mod.satake)
+    at_0 = value_bits(mod.r, bits, fp.e, fp.q_F, 0)
+    per_s = value_bits(mod.r, bits, fp.e, fp.q_F, 1) - at_0
     cap = printable_bits()
     if at_0 + per_s > cap:
         i = max((i for i, seg in enumerate(segments) if seg.rho.is_unramified),
@@ -197,13 +199,15 @@ def _check_sizes(rep: GenericRep, at_s: int | None = None) -> None:
     if at_s is not None and at_0 + at_s * per_s > cap:
         raise _too_large("--at-s", "the value at s=%d" % at_s, at_0 + at_s * per_s,
                          "; the largest s for this descriptor is %d" % ((cap - at_0) // per_s))
+    return mod, bits
 
 
-def _load_generic_rep(path: str, at_s: int | None = None) -> GenericRep:
+def _load_generic_rep(path: str, at_s: int | None = None) -> tuple[GenericRep, UnramifiedModule, int]:
+    """The size-checked representation at path, with _check_sizes's
+    pi_u and its coefficient_bits."""
     fp, segments = load_rep_file(path)
     rep = GenericRep(fp, tuple(segments))
-    _check_sizes(rep, at_s)
-    return rep
+    return (rep, *_check_sizes(rep, at_s))
 
 
 def _emit(obj: dict, ns: argparse.Namespace, table_lines) -> None:
@@ -218,19 +222,17 @@ def _emit(obj: dict, ns: argparse.Namespace, table_lines) -> None:
 
 
 def cmd_lfactor(ns: argparse.Namespace) -> int:
-    rep = _load_generic_rep(ns.rep)
-    mod = pi_u(rep)
+    rep, mod, bits = _load_generic_rep(ns.rep)
     m2 = None
     if ns.against:
-        other = _load_generic_rep(ns.against)
+        other, m2, bits2 = _load_generic_rep(ns.against)
         if other.fp != rep.fp:
             raise DescriptorError("--against: field pair differs from --rep")
         if not (is_unramified_rep(rep) and is_unramified_rep(other)):
             raise DescriptorError(
                 "--against: the Rankin-Selberg factor is modeled for unramified representations"
             )
-        m2 = pi_u(other)
-        need = mod.r * m2.r * (coefficient_bits(mod.satake) + coefficient_bits(m2.satake))
+        need = mod.r * m2.r * (bits + bits2)
         if need > printable_bits():
             raise _too_large("--against", "the Rankin-Selberg factor", need)
     if ns.output == "table":
@@ -258,7 +260,7 @@ def cmd_lfactor(ns: argparse.Namespace) -> int:
 
 
 def cmd_period(ns: argparse.Namespace) -> int:
-    rep = _load_generic_rep(ns.rep, ns.at_s)
+    rep = _load_generic_rep(ns.rep, ns.at_s)[0]
     report = verify_theorem1(rep, ns.order)
     obj = {
         "series": series_json(report.series),
@@ -447,7 +449,7 @@ _SUITES = {
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    rep = _load_generic_rep(ns.rep) if ns.rep else None
+    rep = _load_generic_rep(ns.rep)[0] if ns.rep else None
     names = list(_SUITES) if ns.suite == "all" else [ns.suite]
     # every check runs before any is printed, so an input error found
     # by a later suite leaves no partial report on stdout

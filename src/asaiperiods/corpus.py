@@ -1,10 +1,11 @@
-"""Seeded randomized corpora shared by the test suite and the CLI.
+"""Seeded randomized corpora of the CLI's built-in verify suites.
 
-All generators take an explicit random.Random so runs are reproducible
-byte for byte. Satake values are small Gaussian rationals; "unitary"
-values are drawn from the rational unit circle (m^2-n^2, 2mn, m^2+n^2
-triples). Conjugate-self-dual corpora are built closed under the
-twisted dual by construction and resampled until generic.
+verify without --rep draws its subjects from these generators, and the
+tests draw from them too; the generators that only tests use are in
+tests/corpora.py. Each takes an explicit random.Random, so runs are
+reproducible byte for byte. Satake values are small Gaussian
+rationals. Conjugate-self-dual representations are built closed under
+the twisted dual by construction and resampled until generic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .segments import (
     Segment,
     UnramifiedModule,
     inverse_label,
-    is_generic,
 )
 
 FIELD_PRIMES = (2, 3, 5, 7)
@@ -51,60 +51,8 @@ def rand_gauss(rng: random.Random) -> GaussRat:
     return GaussRat.scaled(p, 0, rng.randint(1, 9))
 
 
-def unit_circle_gauss(rng: random.Random) -> GaussRat:
-    """Random Gaussian rational of absolute value exactly 1."""
-    m = rng.randint(2, 6)
-    n = rng.randint(1, m - 1)
-    den = m * m + n * n
-    g = GaussRat.scaled(m * m - n * n, 2 * m * n, den)
-    if rng.random() < 0.5:
-        g = g.conj()
-    if rng.random() < 0.5:
-        g = -g
-    return g
-
-
-def rand_module(rng: random.Random, fp: FieldPair, r: int, unitary: bool = False) -> UnramifiedModule:
-    draw = unit_circle_gauss if unitary else rand_gauss
-    return UnramifiedModule(fp, tuple(draw(rng) for _ in range(r)))
-
-
-def _module_generic(mod: UnramifiedModule) -> bool:
-    """No linked pair among the rank-one pieces: no value ratio q_E^(+-1)."""
-    return is_generic([Segment(MultChar.unramified(v), 1) for v in mod.satake], mod.fp.q_E)
-
-
-def csd_module(rng: random.Random, fp: FieldPair, pairs: int, self_ones: int = 0) -> UnramifiedModule:
-    """Conjugate-self-dual generic module: inverse-closed value multiset."""
-    while True:
-        vals: list[GaussRat] = []
-        for _ in range(pairs):
-            a = rand_gauss(rng)
-            vals.extend((a, a.inverse()))
-        for _ in range(self_ones):
-            vals.append(GaussRat(rng.choice((1, -1))))
-        mod = UnramifiedModule(fp, tuple(vals))
-        if _module_generic(mod):
-            return mod
-
-
-def omega_trivial_module(rng: random.Random, fp: FieldPair, r: int) -> UnramifiedModule:
-    """Generic module whose central character is trivial on F*: the
-    product of the Satake values is 1 (unramified pair) or +-1
-    (ramified pair)."""
-    assert r >= 1
-    while True:
-        vals = [rand_gauss(rng) for _ in range(r - 1)]
-        prod = GaussRat(1)
-        for v in vals:
-            prod = prod * v
-        last = prod.inverse()
-        if fp.ramified and rng.random() < 0.5:
-            last = -last
-        vals.append(last)
-        mod = UnramifiedModule(fp, tuple(vals))
-        if _module_generic(mod):
-            return mod
+def rand_module(rng: random.Random, fp: FieldPair, r: int) -> UnramifiedModule:
+    return UnramifiedModule(fp, tuple(rand_gauss(rng) for _ in range(r)))
 
 
 # ramified characters are numbered per generator, so a draw depends on
@@ -216,7 +164,3 @@ def unitary_gl2_example() -> GenericRep:
         fp,
         (Segment(MultChar.unramified(a), 1), Segment(MultChar.unramified(a.conj()), 1)),
     )
-
-
-def module_as_rep(mod: UnramifiedModule) -> GenericRep:
-    return GenericRep(mod.fp, tuple(Segment(MultChar.unramified(v), 1) for v in mod.satake))

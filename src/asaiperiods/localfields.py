@@ -116,11 +116,6 @@ class FieldPair(Frozen):
     def q_E(self) -> int:
         return self.q_F if self.ramified else self.q_F * self.q_F
 
-    @property
-    def v_E_of_unif_F(self) -> int:
-        """Valuation in E of a uniformizer of F."""
-        return self.e
-
 
 class AddCharData(Frozen):
     """Additive character data: conductor exponent and F-triviality flag.

@@ -176,15 +176,16 @@ def coefficient_bits(alpha: Sequence[GaussRat]) -> int:
     return max(den.bit_length(), top + 2 * len(alpha).bit_length() + 2)
 
 
-def value_bits(alpha: Sequence[GaussRat], e: int, q_F: int, s: int) -> int:
+def value_bits(r: int, bits: int, e: int, q_F: int, s: int) -> int:
     """Bound on the bits of the value at t = q_F^(-s) of a closed form
-    over the Satake values alpha. Its degrees sum to at most d = r^2 + r,
-    so with X = D^e * q_F^s the numerator and the denominator, each at
-    t = q_F^(-s), are sums of at most d + 1 terms a_m * X^(deg - m) over
-    X^deg, with a_m bounded by coefficient_bits; the value's numerator
-    and denominator each multiply at most three such integers."""
-    d = len(alpha) ** 2 + len(alpha)
-    return 2 * (d + 1) * (e * coefficient_bits(alpha) + s * q_F.bit_length())
+    over r Satake values alpha, given bits = coefficient_bits(alpha).
+    Its degrees sum to at most d = r^2 + r, so with X = D^e * q_F^s the
+    numerator and the denominator, each at t = q_F^(-s), are sums of at
+    most d + 1 terms a_m * X^(deg - m) over X^deg, with a_m bounded by
+    coefficient_bits; the value's numerator and denominator each
+    multiply at most three such integers."""
+    d = r * r + r
+    return 2 * (d + 1) * (e * bits + s * q_F.bit_length())
 
 
 def _schur_sum(
@@ -393,8 +394,8 @@ def mirabolic_series(rep: GenericRep, order: int) -> Series:
     The essential vector is supported on the first r torus entries of
     the unramified support, so both the spherical route (r = n) and the
     essential-vector route (r < n) sum s_(e*lam) over partitions of
-    length <= min(r, n-1). A bare module enters as
-    corpus.module_as_rep(mod).
+    length <= min(r, n-1). A bare module enters as the representation
+    whose segments are its rank-one pieces.
     """
     return _schur_sum(*_mirabolic_sum(rep), order)
 

@@ -30,10 +30,11 @@ bounds from a long enough truncated expansion, by exact Gaussian
 elimination on the linear relations satisfied by the denominator
 coefficients, and then re-checks every available coefficient. That
 elimination (eliminate) is the package's one exact solver over Q(i):
-it also gives the determinants of whittaker.schur_bialternant. The
-period checks do not need it when the series matches a closed form
-(Pade uniqueness already certifies that form); they call it only on a
-mismatch, to report which rational function the series actually is.
+it also gives the determinants of the bialternant Schur oracle in
+tests/iwasawa.py. The period checks do not need it when the series
+matches a closed form (Pade uniqueness already certifies that form);
+they call it only on a mismatch, to report which rational function the
+series actually is.
 """
 
 from __future__ import annotations
@@ -106,21 +107,6 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc((%s) / (%s))" % (self.num.to_str(), self.den.to_str())
-
-    def substitute_power(self, k: int) -> "RatFunc":
-        """Replace t by t^k (used to move between t_E and t)."""
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        if k == 1:
-            return self
-
-        def blow(p: Poly) -> Poly:
-            out = [GAUSS_ZERO] * (k * p.degree + 1) if not p.is_zero() else []
-            for i, c in enumerate(p.coeffs):
-                out[k * i] = c
-            return Poly(out)
-
-        return RatFunc(blow(self.num), blow(self.den))
 
 
 def packed_product(factors) -> tuple[list, list, int]:

@@ -127,9 +127,6 @@ class GaussRat:
             return _made(den, 0, nr) if nr > 0 else _made(-den, 0, -nr)
         return _scaled(den * nr, -den * ni, nr * nr + ni * ni)
 
-    def to_complex(self) -> complex:
-        return complex(self.nr / self.den, self.ni / self.den)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):

@@ -292,10 +292,6 @@ def contragredient(rep: GenericRep) -> GenericRep:
     return GenericRep(rep.fp, tuple(s.contragredient() for s in rep.segments))
 
 
-def sigma_twist(rep: GenericRep) -> GenericRep:
-    return GenericRep(rep.fp, tuple(s.sigma() for s in rep.segments))
-
-
 def _segment_key(s: Segment):
     return (s.rho.key(), s.k)
 

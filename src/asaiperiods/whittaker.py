@@ -33,18 +33,16 @@ the summed minors of every tail it can sit on, and a sum of products of
 two Schur values walks the partitions so that those with the same tail
 share its minors. Their top row leaves one determinant per part:
 expand_top_row() sums each in two ints, over the minors below
-flattened once for a run of parts, with no map. The bialternant
-quotient, on GaussRat values, is provided as a second, independent
-algorithm for cross-validation: its two alternants are determinants by
-exact elimination over Q(i) (ratfunc.eliminate), which shares no step
-with expand_row.
+flattened once for a run of parts, with no map. The tests check
+schur() against a second, independent algorithm, the bialternant
+quotient in tests/iwasawa.py, whose alternants are determinants by
+exact elimination over Q(i) and share no step with expand_row.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .ratfunc import eliminate
 from .scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
 from .series import clear_denominators
@@ -234,29 +232,6 @@ def schur(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
     re, im = minors.get((1 << n) - 1, (0, 0))
     det = GaussRat.scaled(re, im, d ** sum(lam2))
     return det if pre == GAUSS_ONE else pre * det
-
-
-def schur_bialternant(lam: Sequence[int], alpha: Sequence[GaussRat]) -> GaussRat:
-    """Schur polynomial as a quotient of alternants; needs distinct alpha.
-
-    Independent of the Jacobi-Trudi route, used for cross-validation:
-    both alternants are determinants by Gaussian elimination over Q(i)
-    (ratfunc.eliminate), not by Laplace expansion.
-    """
-    m = len(alpha)
-    if len(lam) != m:
-        raise ValueError("lam and alpha must have the same length")
-    if not is_dominant(lam):
-        raise ValueError("not dominant")
-    if m == 0:
-        return GAUSS_ONE
-    lam2, pre = _shift_nonnegative(lam, alpha)
-    numer = [[alpha[i] ** (lam2[j] + m - 1 - j) for j in range(m)] for i in range(m)]
-    vander = [[alpha[i] ** (m - 1 - j) for j in range(m)] for i in range(m)]
-    _, dv = eliminate(vander, m)
-    if dv.is_zero():
-        raise ValueError("bialternant form needs distinct alpha values")
-    return pre * eliminate(numer, m)[1] / dv
 
 
 def modulus_exponent(lam: Sequence[int]) -> int:

@@ -10,13 +10,43 @@ Whittaker values. Each coefficient keeps two accumulators: the Q(i)
 sum of the terms with even m, and the sum of the sqrt(q_F)
 coefficients of the terms with odd m. A kernel coefficient is confirmed
 when the odd sum is zero and the even sum equals it.
+
+schur_bialternant is the second route to a Schur value, the oracle of
+whittaker.schur: a quotient of alternants, both determinants by exact
+elimination over Q(i), not by Laplace expansion.
 """
 
 import itertools
 
+from asaiperiods.ratfunc import eliminate
 from asaiperiods.scalars import GAUSS_ONE, GAUSS_ZERO, GaussRat
 from asaiperiods.segments import is_unramified_rep, pi_u
-from asaiperiods.whittaker import essential_value, modulus_exponent, spherical_value
+from asaiperiods.whittaker import (
+    _shift_nonnegative,
+    essential_value,
+    is_dominant,
+    modulus_exponent,
+    spherical_value,
+)
+
+
+def schur_bialternant(lam, alpha):
+    """Schur polynomial s_lam(alpha) as a quotient of alternants; needs
+    distinct alpha. lam must be weakly decreasing and as long as alpha."""
+    m = len(alpha)
+    if len(lam) != m:
+        raise ValueError("lam and alpha must have the same length")
+    if not is_dominant(lam):
+        raise ValueError("not dominant")
+    if m == 0:
+        return GAUSS_ONE
+    lam2, pre = _shift_nonnegative(lam, alpha)
+    numer = [[alpha[i] ** (lam2[j] + m - 1 - j) for j in range(m)] for i in range(m)]
+    vander = [[alpha[i] ** (m - 1 - j) for j in range(m)] for i in range(m)]
+    _, dv = eliminate(vander, m)
+    if dv.is_zero():
+        raise ValueError("bialternant form needs distinct alpha values")
+    return pre * eliminate(numer, m)[1] / dv
 
 
 def box(m, order):

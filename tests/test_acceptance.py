@@ -31,7 +31,7 @@ from asaiperiods.segments import (
     conductor,
     pi_u,
 )
-from asaiperiods.whittaker import schur, schur_bialternant
+from asaiperiods.whittaker import schur
 from asaiperiods.lfactors import (
     asai_L,
     asai_L_multiplicative,
@@ -42,7 +42,15 @@ from asaiperiods.lfactors import (
 )
 from asaiperiods.periods import flicker_series, mirabolic_series, rs_series
 from asaiperiods import corpus
-from iwasawa import brute_flicker, brute_mirabolic, iwasawa_sum, kernel_mismatches, rs_terms
+from corpora import csd_module, module_as_rep, omega_trivial_module
+from iwasawa import (
+    brute_flicker,
+    brute_mirabolic,
+    iwasawa_sum,
+    kernel_mismatches,
+    rs_terms,
+    schur_bialternant,
+)
 
 
 def _check(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -81,8 +89,8 @@ def corpus_chain():
     out = []
     for i in range(12):
         fp = corpus.rand_field(rng, ramified=bool(i % 2))
-        mod = corpus.omega_trivial_module(rng, fp, rng.randint(1, 4))
-        rep = corpus.module_as_rep(mod)
+        mod = omega_trivial_module(rng, fp, rng.randint(1, 4))
+        rep = module_as_rep(mod)
         out.append((mod, rep, flicker_series(mod, 30), mirabolic_series(rep, 30)))
     return out
 
@@ -236,14 +244,14 @@ def test_criterion_8_holomorphy_at_edge():
         for _ in range(100):
             pairs = rng.randint(1, 2)
             self_ones = rng.randint(0, 1)
-            mod = corpus.csd_module(rng, fp, pairs, self_ones)
+            mod = csd_module(rng, fp, pairs, self_ones)
             checked += 1
             t0 = GaussRat(rat(1, fp.q_F))
             try:
                 eval_at(asai_L(mod), t0)
             except ZeroDivisionError:
                 bad_pole += 1
-            if not asai_holomorphic_witness(corpus.module_as_rep(mod)):
+            if not asai_holomorphic_witness(module_as_rep(mod)):
                 bad_witness += 1
     _check(8, "Asai denominator nonzero at t = 1/q_F and witness true, "
               "%d conjugate-self-dual modules" % checked,

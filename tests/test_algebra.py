@@ -413,13 +413,6 @@ def test_solve_exact_on_zero_columns():
     assert _solve_exact([], []) == []
 
 
-def test_substitute_power():
-    rf = RatFunc(Poly([1]), one_minus(1))  # 1/(1-t)
-    blown = rf.substitute_power(2)
-    s = series_of(blown, 6)
-    assert [x.re for x in s.coeffs] == [rat(1), rat(0), rat(1), rat(0), rat(1), rat(0), rat(1)]
-
-
 # -- scaled Gaussian-integer paths against GaussRat schoolbook oracles --
 #
 # Poly.__mul__, RatFunc.from_factors and series_of run on (re, im) int

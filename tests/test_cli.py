@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from asaiperiods import cli, corpus, lfactors, periods
+from asaiperiods import cli, corpus, lfactors, periods, segments
 from asaiperiods.descriptors import (
     DescriptorError,
     graded_texts,
@@ -24,10 +24,11 @@ from asaiperiods.descriptors import (
     rep_json,
 )
 from asaiperiods.lfactors import asai_L, asai_factor_list, rs_L, rs_factor_list
-from asaiperiods.ratfunc import packed_product
+from asaiperiods.ratfunc import RatFunc, packed_product
 from asaiperiods.scalars import GaussRat
 from asaiperiods.segments import GenericRep, NotGenericError, pi_u
 from asaiperiods.series import Poly, Series
+from corpora import module_as_rep
 
 STEINBERG = {
     "field": {"qF": 2, "ramified": False},
@@ -382,6 +383,22 @@ def test_verify_reads_its_descriptor_once(descriptor, monkeypatch, capsys):
     assert reads == [path]
 
 
+def test_lfactor_sizes_each_descriptor_once(descriptor, monkeypatch, capsys):
+    # the size check of each descriptor builds its pi_u and bits once,
+    # and the --against cap reuses them
+    calls = []
+    for module, name in ((cli, "pi_u"), (segments, "pi_u"),
+                         (cli, "coefficient_bits"), (periods, "coefficient_bits")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    path = descriptor(UNITARY)
+    code, out, err, _ = run_fast(["lfactor", "--rep", path, "--against", path], capsys)
+    assert (code, err) == (0, "") and "rs" in json.loads(out)
+    assert sorted(calls) == ["coefficient_bits"] * 2 + ["pi_u"] * 2
+
+
 def test_period_nontrivial_central_character(descriptor):
     # closed form asai * (1 - omega(unif_F) t^n), reduced before the edge
     # value: omega = 1/6 gives 1/((1 - t/2)(1 - t/3)); for GL(1) with
@@ -438,6 +455,12 @@ def run_fast(argv, capsys):
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     return code, captured.out, captured.err, elapsed
+
+
+def rs_L_in_t(m1, m2):
+    """The Rankin-Selberg factor in t: its factor list in t_E spread
+    by t_E = t^f, one product."""
+    return RatFunc.from_factors([(c, m1.fp.f * k) for c, k in rs_factor_list(m1, m2)])
 
 
 def largest_named(stderr, what):
@@ -502,7 +525,7 @@ def test_lfactor_against_reports_both_variables(descriptor, capsys, field, value
               for fp, segs in (load_rep_file(path), load_rep_file(other_path)))
     got = json.loads(out)["rs"]
     assert got["tE"] == ratfunc_json(rs_L(m1, m2))
-    assert got["t"] == ratfunc_json(rs_L(m1, m2).substitute_power(m1.fp.f))
+    assert got["t"] == ratfunc_json(rs_L_in_t(m1, m2))
 
 
 def test_lfactor_against_t_form_is_the_substituted_factor(descriptor, capsys):
@@ -515,12 +538,12 @@ def test_lfactor_against_t_form_is_the_substituted_factor(descriptor, capsys):
             fp = corpus.rand_field(rng, ramified)
             mods = [corpus.rand_module(rng, fp, r) for r in (r1, r2)]
             spread = reciprocal_text(graded_texts(*packed_product(rs_factor_list(*mods))), fp.f)
-            assert spread == json.dumps(ratfunc_json(rs_L(*mods).substitute_power(fp.f)))
+            assert spread == json.dumps(ratfunc_json(rs_L_in_t(*mods)))
     pairs, seen = 0, set()
     while pairs < 30:
         fp = corpus.rand_field(rng, pairs % 2 == 0)
         try:
-            reps = [corpus.module_as_rep(corpus.rand_module(rng, fp, rng.randint(1, 7)))
+            reps = [module_as_rep(corpus.rand_module(rng, fp, rng.randint(1, 7)))
                     for _ in range(2)]
         except NotGenericError:  # linked values: draw again
             continue
@@ -532,7 +555,7 @@ def test_lfactor_against_t_form_is_the_substituted_factor(descriptor, capsys):
         seen |= {(fp.f, m1.r), (fp.f, m2.r)}
         got = json.loads(out)["rs"]
         assert got["tE"] == ratfunc_json(rs_L(m1, m2))
-        assert got["t"] == ratfunc_json(rs_L(m1, m2).substitute_power(fp.f))
+        assert got["t"] == ratfunc_json(rs_L_in_t(m1, m2))
         code, out, err, _ = run_fast(argv + ["--output", "table"], capsys)
         assert (code, err) == (0, "")
         assert out.splitlines() == [
@@ -563,7 +586,7 @@ def test_lfactor_table_builds_no_json(descriptor, capsys, monkeypatch):
         monkeypatch.setattr(cli, name, spy(name))
     rng = random.Random(2911)
     fp = corpus.rand_field(rng, False)
-    paths = [descriptor(rep_json(corpus.module_as_rep(corpus.rand_module(rng, fp, r))), "m%d.json" % r)
+    paths = [descriptor(rep_json(module_as_rep(corpus.rand_module(rng, fp, r))), "m%d.json" % r)
              for r in (3, 4)]
     argv = ["lfactor", "--rep", paths[0], "--against", paths[1]]
     code, out, err, _ = run_fast(argv + ["--output", "table"], capsys)

@@ -150,4 +150,5 @@ def test_graded_texts_are_the_json_of_the_factor_product():
         texts = graded_texts(*packed_product(factors))
         rf = RatFunc.from_factors(factors)
         assert reciprocal_text(texts) == json.dumps(ratfunc_json(rf))
-        assert reciprocal_text(texts, 2) == json.dumps(ratfunc_json(rf.substitute_power(2)))
+        spread = RatFunc.from_factors([(c, 2 * k) for c, k in factors])
+        assert reciprocal_text(texts, 2) == json.dumps(ratfunc_json(spread))

@@ -28,6 +28,7 @@ from asaiperiods.lfactors import (
     lattice_value_at,
     lstar_at_1,
     rs_L,
+    rs_factor_list,
     tate_L,
 )
 from asaiperiods import corpus, segments
@@ -46,6 +47,11 @@ def om(c, k=1):
 
 def umod(fp, *vals):
     return UnramifiedModule(fp, tuple(v if isinstance(v, GaussRat) else g(v) for v in vals))
+
+
+def in_t(factors, f):
+    """1 / prod(1 - c*t^(f*k)): a factor list in t_E spread to t = t_E^(1/f)."""
+    return RatFunc.from_factors([(c, f * k) for c, k in factors])
 
 
 # -- asai_L --------------------------------------------------------------
@@ -110,11 +116,10 @@ def test_rs_two_by_one():
 
 def test_rs_variable_conversion():
     a, b = g(2), g(3)
-    native = rs_L(umod(UFP, a), umod(UFP, b))
     # unramified: t_E = t^2
-    assert native.substitute_power(UFP.f) == RatFunc(Poly([1]), om(a * b, 2))
+    assert in_t(rs_factor_list(umod(UFP, a), umod(UFP, b)), UFP.f) == RatFunc(Poly([1]), om(a * b, 2))
     ram_native = rs_L(umod(RFP, a), umod(RFP, b))
-    assert ram_native.substitute_power(RFP.f) == ram_native
+    assert in_t(rs_factor_list(umod(RFP, a), umod(RFP, b)), RFP.f) == ram_native
 
 
 def test_rs_field_pair_mismatch():
@@ -187,8 +192,8 @@ def asai_multiplicative_running_product(mod):
         out = out * tate_L(x**fp.e, 1)
     for i in range(mod.r):
         for j in range(i + 1, mod.r):
-            pair = rs_L(umod(fp, mod.satake[i]), umod(fp, mod.satake[j]))
-            out = out * pair.substitute_power(fp.f)
+            pair = rs_factor_list(umod(fp, mod.satake[i]), umod(fp, mod.satake[j]))
+            out = out * in_t(pair, fp.f)
     return out
 
 
@@ -209,7 +214,7 @@ def test_kable_one_product_matches_product_of_asai_factors():
         old_rhs = asai_L(mod) * asai_L(twist)
         new_rhs = RatFunc.from_factors(asai_factor_list(mod) + asai_factor_list(twist))
         assert new_rhs == old_rhs
-        assert old_rhs == rs_L(mod, mod).substitute_power(2)
+        assert old_rhs == in_t(rs_factor_list(mod, mod), 2)
         assert kable_factorization_check(mod)
     with pytest.raises(ValueError, match="out of scope"):
         kable_factorization_check(corpus.rand_module(rng, corpus.rand_field(rng, True), 3))

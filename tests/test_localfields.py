@@ -15,10 +15,8 @@ from asaiperiods.localfields import (
 def test_field_pair_derived_quantities():
     u = FieldPair(3, False)
     assert u.q_E == 9 and u.e == 1 and u.f == 2
-    assert u.v_E_of_unif_F == 1
     r = FieldPair(3, True, 1)
     assert r.q_E == 3 and r.e == 2 and r.f == 1
-    assert r.v_E_of_unif_F == 2
 
 
 def test_field_pair_validation():

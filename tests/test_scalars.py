@@ -201,7 +201,6 @@ def test_text_forms():
     assert repr(g) == "GaussRat(1/2, -3)"
     assert str(GaussRat(4)) == "4/1"
     assert repr(GaussRat(0, Fraction(2, 4))) == "GaussRat(0, 1/2)"
-    assert GaussRat.scaled(3, 4, 5).to_complex() == complex(0.6, 0.8)
 
 
 def test_only_scalars_names_algnum():

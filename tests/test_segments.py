@@ -23,7 +23,6 @@ from asaiperiods.segments import (
     is_unramified_rep,
     pi_u,
     precedes,
-    sigma_twist,
     standard_order,
 )
 from asaiperiods import corpus
@@ -240,20 +239,23 @@ def test_contragredient_spec_instances():
 
 def test_sigma_twist_fixes_unramified():
     rep = GenericRep(UFP, (useg(7, k=2),))
-    assert sigma_twist(rep) == rep
+    assert [s.sigma() for s in rep.segments] == list(rep.segments)
+    assert rep.twisted_duals == contragredient(rep).segments
 
 
 def test_sigma_twist_involution_on_ramified():
     c = rchar("eta", GaussRat(rat(2)), "etaSig", GaussRat(rat(5)))
-    rep = GenericRep(RFP, (Segment(c, 1),))
-    assert sigma_twist(sigma_twist(rep)) == rep
-    assert sigma_twist(rep) != rep
+    seg = Segment(c, 1)
+    assert c.sigma().sigma() == c and c.sigma() != c
+    assert seg.sigma().sigma() == seg and seg.sigma() != seg
 
 
 def test_involutions_commute():
     c = rchar("eta", GaussRat(rat(2)), "etaSig", GaussRat(rat(5)))
     rep = GenericRep(RFP, (Segment(c, 1), useg(3)))
-    assert sigma_twist(contragredient(rep)) == contragredient(sigma_twist(rep))
+    assert [s.contragredient().sigma() for s in rep.segments] == [
+        s.sigma().contragredient() for s in rep.segments]
+    assert rep.twisted_duals == tuple(s.sigma() for s in contragredient(rep).segments)
 
 
 # -- is_conjugate_selfdual ----------------------------------------------

@@ -25,9 +25,9 @@ from asaiperiods.whittaker import (
     is_dominant,
     modulus_exponent,
     schur,
-    schur_bialternant,
     spherical_value,
 )
+from iwasawa import schur_bialternant
 
 UFP = FieldPair(2, False)
 RFP = FieldPair(2, True, 1)
