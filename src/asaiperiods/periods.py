@@ -10,13 +10,15 @@ modulus weight of the Iwasawa measure is exactly the inverse of those
 half powers: every power of q cancels termwise, which leaves plain
 sums of Schur values (the Littlewood and Cauchy sums). All three
 integrals are therefore one Schur-sum kernel with different ranks and
-scalings. Each sum is truncated by total t-degree, which is exact:
-every omitted term has strictly larger degree. Analytic continuation
-goes through the closed form: a truncated series that matches it to
-order num_deg + den_deg + 1 or beyond determines it (Pade uniqueness),
-and its exact value is taken there, never by summing at a point.
-Rational reconstruction runs only on a mismatch, to report which
-rational function the series is.
+scalings, _schur_sum: the Pfaffian of a small matrix of truncated
+series, by the minor summation formula for the Littlewood sums and by
+Cauchy-Binet for the Cauchy sum. Each sum is truncated by total
+t-degree, which is exact: every omitted term has strictly larger
+degree. Analytic continuation goes through the closed form: a
+truncated series that matches it to order num_deg + den_deg + 1 or
+beyond determines it (Pade uniqueness), and its exact value is taken
+there, never by summing at a point. Rational reconstruction runs only
+on a mismatch, to report which rational function the series is.
 
 Every sum is capped before it starts, by its work (lattice_work) and by
 the size of its coefficients (coefficient_bits against printable_bits).
@@ -25,7 +27,6 @@ the size of its coefficients (coefficient_bits against printable_bits).
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
 from math import log10
 from typing import Sequence
 
@@ -49,17 +50,17 @@ from .series import (
     gauss_pow,
     graded,
 )
-from .whittaker import GaussRows, expand_row, expand_top_row, h_table
+from .whittaker import h_table
 
 
 # Cap on lattice_work(k, order). The benchmark workloads run rank 4 at
 # order 40 (118,176); a rank-5 sum at order 40 (554,816) is 18x below the
 # cap. At the cap, on 2 vCPUs with Python 3.11 and the first k + 1 of the
 # Satake values 1/2, -1/3, 2/5, 3/7, -5/6, 4/15, 1/35 (denominator 210),
-# a mirabolic sum took 0.42-0.45 s at rank 3 (order 352, e = 2), 0.19 s
-# at e = 1, and 0.014-0.03 s at ranks 4-6 (orders 132, 77, 55). At ranks 1
-# and 2 the size cap binds first: rank 1 at order 1785 took 0.035 s, and
-# rank 2 at order 1428 took 3.0-3.1 s.
+# a mirabolic sum took 0.43-0.44 s at rank 3 (order 352, e = 2),
+# 0.15-0.17 s at e = 1, and 0.007-0.025 s at ranks 4-6 (orders 132, 77,
+# 55). At ranks 1 and 2 the size cap binds first: rank 1 at order 1785
+# took 0.03-0.04 s, and rank 2 at order 1428 took 0.054-0.062 s.
 MAX_LATTICE_WORK = 10_000_000
 
 
@@ -90,13 +91,14 @@ def certifying_order(cf: RatFunc) -> int:
 
 
 def lattice_work(k: int, order: int) -> int:
-    """Bound on the Schur-sum kernel's work from k and order alone: the
+    """Proxy for the Schur-sum kernel's work from k and order alone: the
     number of partitions with at most k parts and size at most order,
     times 2^m with m = min(k, order), the number of column sets that a
-    length-m walk can hold minors on. The summed kernel without beta
-    expands a row once per (total, top part), not once per tail, and its
-    top row once per (total below, part), so this bounds it too, loosely.
-    Exact up to MAX_LATTICE_WORK; once the count passes it, the value
+    Laplace expansion of each partition's determinant, row by row, holds
+    minors on. The Pfaffian of _schur_sum takes a few series products at
+    ranks 2-8, far fewer than this counts, but the number of index sets
+    it memoizes grows fast past rank 8, where this count does not follow
+    it. Exact up to MAX_LATTICE_WORK; once the count passes it, the value
     returned is merely above it."""
     m = min(k, order)
     if m <= 1:
@@ -197,7 +199,7 @@ def _schur_sum(
 ) -> Series:
     """Series whose coefficient d is the sum over partitions lam of d
     with at most k parts of s_(e*lam)(alpha) * s_lam(beta), the beta
-    factor left out when beta is None.
+    factor left out when beta is None; with beta, e must be 1.
 
     This is every lattice sum of the module: the Iwasawa modulus weight
     q^(modulus exponent) at a lattice point is the inverse of the
@@ -206,45 +208,49 @@ def _schur_sum(
     cleared once per variable set at the smallest Gaussian scale
     (series.clear_gaussian_denominators: alpha = a/D_g, beta = b/D_gb,
     with D = c*D_g and D_b = c_b*D_gb for the integer common
-    denominators D and D_b and Gaussian integers c and c_b). Each Schur
-    value is an int-pair Jacobi-Trudi determinant on one complete
-    homogeneous table h per variable set, laid out once for expand_row
-    (whittaker.GaussRows), and coefficient d is the integer sum times
-    (c^e * c_b)^d, divided once by D^(e*d) * D_b^d: the same integers,
-    and so the same GaussRat, as at the integer scale, from a table of
-    fewer bits when a value's numerator shares a Gaussian prime with its
-    denominator (1/(2+i) = (2-i)/5 takes 2+i, not 5). A sum of one-row
-    determinants, n = 1 below, is the table itself: coefficient q is
-    h(e*q), and no table is laid out. It keeps the integer scale: it
-    expands no row, so the smaller table saves less than the Gaussian
-    gcds cost.
+    denominators D and D_b and Gaussian integers c and c_b). The sum is
+    one Pfaffian (_pfaffian) of series over the int-pair table h of
+    complete homogeneous polynomials of a (and of b), and coefficient d
+    is the integer sum times (c^e * c_b)^d, divided once by
+    D^(e*d) * D_b^d: the same integers, and so the same GaussRat, as at
+    the integer scale, from a table of fewer bits when a value's
+    numerator shares a Gaussian prime with its denominator (1/(2+i) =
+    (2-i)/5 takes 2+i, not 5). A sum of one-row determinants, n = 1
+    below, is the table itself: coefficient q is h(e*q). It keeps the
+    integer scale, since it multiplies no series, so the smaller table
+    saves less than the Gaussian gcds cost.
 
     A partition of d <= order has at most n = min(k, order) parts, and
-    padded with zero parts to exactly n it keeps its determinant: row i
-    of part 0 is (h_(j-i)), zero left of the diagonal and 1 on it
-    (Macdonald, Symmetric Functions, I.3). So one pass over the
-    partitions with exactly n nonnegative parts covers every length, the
-    empty one giving the constant term. The determinants are built from
-    the last row up by Laplace expansion along each new row
-    (whittaker.expand_row), the top row for a run of its parts at once
-    (whittaker.expand_top_row). Without beta only their sum is wanted, and
-    the expansion is linear in the minors below, so the minors of every
-    tail with the same total and top part are summed and expanded once
-    (_summed_determinants): one summed minor set per (total, top part),
-    and at most two levels of them are held. With beta each term is a
-    product of two determinants, which is not linear in either minor
-    set, so a depth-first walk picks the parts of each partition, a
-    weakly increasing suffix whose total stays within order, and the
-    minors of a tail, on both variable sets, are built once and serve
-    every head above it; only the minors on the current path are held.
-    Summing the products of the two minor sets on every pair of column
-    sets instead measured 2.2-4.2x slower than that walk at k = 3..6,
-    order 20.
+    padded with zero parts to exactly n it keeps its Jacobi-Trudi
+    determinant (Macdonald, Symmetric Functions, I.3). Take the n x inf
+    matrix T with T_i[m] = h(m - w_i), w_i = n - 1 - i: the minor of T
+    on the columns m_j = mu_j + n - 1 - j, in rising order, is
+    (-1)^(n(n-1)/2) * s_mu, and the columns sum to |mu| + n(n-1)/2.
+    Without beta, the minor summation formula (Ishikawa and Wakayama,
+    Linear Multilinear Algebra 39, 1995; Stembridge, Adv. Math. 83,
+    1990) sums the minors over every column set, each times u^(its
+    sum), as the Pfaffian of the skew matrix
+    Q_ij = sum over m < m' of (T_i[m] T_j[m'] - T_i[m'] T_j[m]) u^(m+m')
+    (_mirabolic_matrix), bordered for odd n by the column
+    sum over m of T_i[m] u^m. In general it sums det(T_I) * Pf(A_I) over
+    the column sets I as Pf(T A T^T), for a skew matrix A; Q takes A = 1
+    above the diagonal. For e = 2, A = 1 at the even m < odd m' only
+    (0 at the other m < m', and the border takes the even m only): its
+    Pfaffian on I is 1 when the parities of I alternate from an even
+    least column, as those of the column sets of the partitions 2*lam
+    do, and 0 otherwise. With beta,
+    Cauchy-Binet sums the products of the two minors as det M,
+    M_xy = sum over m of T^a_x[m] T^b_y[m] t^m (_cauchy_matrix), which
+    is (-1)^(n(n-1)/2) times the Pfaffian of [[0, M], [-M^T, 0]]. Either
+    way coefficient d is (-1)^(n(n-1)/2) times the Pfaffian's
+    coefficient in degree e*d + n(n-1)/2.
 
     Raises LatticeCostError, before any work, when lattice_work(k,
     order) exceeds MAX_LATTICE_WORK, or when the coefficients through
     order could need integers longer than printable_bits().
     """
+    if beta is not None and e != 1:
+        raise ValueError("a sum of s_(e*lam)(alpha) * s_lam(beta) needs e = 1")
     per_order = e * coefficient_bits(alpha) + (0 if beta is None else coefficient_bits(beta))
     if lattice_work(k, order) > MAX_LATTICE_WORK:
         raise LatticeCostError(
@@ -267,113 +273,164 @@ def _schur_sum(
         h = h_table(a, e * order)
         return Series(graded(*zip(*h[::e]), den ** e))
     den, c, a = clear_gaussian_denominators(alpha)
-    rows = GaussRows(h_table(a, e * order + k))
     if beta is None:
         den_b, c_b = 1, (1, 0)
-        sr, si = _summed_determinants(rows, n, e, order)
+        pf = _pfaffian(n + n % 2, _mirabolic_matrix(a, n, e, order), order + 1)
     else:
         den_b, c_b, b = clear_gaussian_denominators(beta)
-        rows_b = GaussRows(h_table(b, order + k))
-        sr = [0] * (order + 1)
-        si = [0] * (order + 1)
-
-        def walk(i: int, low: int, total: int, below_a: dict, below_b: dict) -> None:
-            if not i:
-                # row 0 takes each part q >= low and leaves two determinants
-                high = order - total + 1
-                dets_a = expand_top_row(rows, n, below_a, range(e * low, e * high, e))
-                dets_b = expand_top_row(rows_b, n, below_b, range(low, high))
-                for d, (tr, ti), (br, bi) in zip(range(total + low, total + high), dets_a, dets_b):
-                    sr[d] += tr * br - ti * bi
-                    si[d] += tr * bi + ti * br
-                return
-            # row i takes part p >= low, and rows 0..i-1 each take at least p
-            for p in range(low, (order - total) // (i + 1) + 1):
-                ma = expand_row(rows, e * p - i, n, below_a)
-                if not ma:
-                    continue
-                mb = expand_row(rows_b, p - i, n, below_b)
-                if mb:
-                    walk(i - 1, p, total + p, ma, mb)
-
-        walk(n - 1, 0, 0, {0: (1, 0)}, {0: (1, 0)})
-    # coefficient d times (c^e * c_b)^d is the sum at the integer scale
+        pf = _pfaffian(2 * n, _cauchy_matrix(a, b, n, order), order + 1)
+    sr = [x for x, _ in pf]
+    si = [y for _, y in pf]
+    # coefficient d times (c^e * c_b)^d is the sum at the integer scale,
+    # and the first power carries the sign (-1)^(n(n-1)/2)
     cr, ci = gauss_mul(gauss_pow(c, e), c_b)
-    pr, pi = 1, 0
+    pr, pi = (-1) ** (n * (n - 1) // 2), 0
     for d in range(order + 1):
         sr[d], si[d] = sr[d] * pr - si[d] * pi, sr[d] * pi + si[d] * pr
         pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
     return Series(graded(sr, si, den ** e * den_b))
 
 
+def _pfaffian(count: int, entry, size: int) -> list:
+    """Coefficients 0..size-1 of the Pfaffian of a count x count skew
+    matrix of series, as int pairs, past the sum of the weights W of its
+    indices: entry(i, j), i < j, gives coefficients 0..size-1 of the
+    entry past degree W_i + W_j, below which it has no term, or None for
+    a zero entry.
 
-def _summed_determinants(rows: GaussRows, n: int, e: int, order: int):
-    """Lists (re, im) whose entries d are the int pair of the sum over
-    partitions lam of d with exactly n >= 2 nonnegative parts (zero
-    parts allowed) of det[h(e*lam_i - i + j)]: the undivided sums of
-    s_(e*lam) that _schur_sum scales. rows is the table h laid out by
-    whittaker.GaussRows.
-
-    The rows are built from the last up, by one level step per row
-    n-1..1. A level maps each total t of its rows to the rising list of
-    their top parts p and, for each p, the summed minors (a map from
-    column set to int pair) of every tail with total t and top part at
-    most p; the empty tail has total 0 and top part 0. Row i with part q
-    sits above every tail (rows i+1..n-1) whose top part is at most q,
-    and a Laplace expansion along it is linear in the minors below. So
-    for each total t of rows i..n-1, in rising order, the step walks the
-    rising parts q of row i and expands (whittaker.expand_row) the summed
-    minors at t - q below into a copy of the running sum. Rows 0..i-1
-    each take at least q, so t + i*q stays within order. The step walks
-    only the totals that the level below holds, falling, inside that
-    window of q, not every q: most q find no total there. So the entry at
-    total t below is last read at total t + (order - t) // (i + 1), and a
-    step pops it once that total is done: it frees the level below as it
-    builds its own. The level of rows 1..n-1 is not stored: at each of
-    its totals t, the row-0 parts q from one part of row 1 to the next
-    read the same summed minors, so each such run goes to
-    whittaker.expand_top_row once, and determinant q is added at t + q.
+    Each Pfaffian is expanded along its first index s_0: Pf(S) is the
+    sum over the j in S after s_0 of (-1)^(indices between s_0 and j)
+    * Q(s_0, j) * Pf(S - {s_0, j}), memoized by the index set. A
+    Pfaffian on two indices is its entry, and every set met has no term
+    below the sum of its weights, so each product keeps only size
+    coefficients and costs size*(size + 1)/2 Gaussian products
+    (_mul_add).
     """
+    memo: dict = {}
 
-    def step(i: int, below: dict):
-        held = list(below)  # its totals, rising, as the level was built
-        done = 0  # every total of below under done is popped
-        for total in range(order + 1):
-            parts, sums, running = [], [], {}
-            # the totals below in the window of parts q, falling, so q rises
-            first = total - min(total, (order - total) // i)
-            for sub in reversed(held[bisect_left(held, first):bisect_right(held, total)]):
-                q = total - sub
-                got = below[sub]
-                if got[0][0] > q:
-                    continue
-                # expanded into a copy, since sums keeps the running sum at each part
-                running = expand_row(rows, e * q - i, n, got[1][bisect_right(got[0], q) - 1],
-                                     dict(running))
-                if running:
-                    parts.append(q)
-                    sums.append(running)
-            # the entry at total t below is last read at t + (order - t) // (i + 1),
-            # which never falls as t rises
-            while done + (order - done) // (i + 1) <= total:
-                below.pop(done, None)
-                done += 1
-            if parts:
-                yield total, (parts, sums)
+    def pf(s: tuple):
+        got = memo.get(s, memo)
+        if got is not memo:
+            return got
+        if len(s) == 2:
+            got = entry(*s)
+        else:
+            re, im = [0] * size, [0] * size
+            first, rest = s[0], s[1:]
+            for place, j in enumerate(rest):
+                q = pf((first, j))
+                if q is not None:
+                    _mul_add(re, im, q, pf(rest[:place] + rest[place + 1:]), place & 1)
+            got = list(zip(re, im))
+        memo[s] = got
+        return got
 
-    level = {0: ([0], [{0: (1, 0)}])}
-    for i in range(n - 1, 1, -1):
-        level = dict(step(i, level))
-    sr = [0] * (order + 1)
-    si = [0] * (order + 1)
-    for total, (parts, sums) in step(1, level):
-        # row 0 takes each part q from parts[0] to order - total
-        for low, high, minors in zip(parts, parts[1:] + [order - total + 1], sums):
-            for d, (tr, ti) in zip(range(total + low, total + high),
-                                   expand_top_row(rows, n, minors, range(e * low, e * high, e))):
-                sr[d] += tr
-                si[d] += ti
-    return sr, si
+    return pf(tuple(range(count)))
+
+
+def _mul_add(re: list, im: list, x: list, y: list, negate: int) -> None:
+    """Add (-1)^negate * x*y, truncated to len(re) coefficients, into re
+    and im: x and y list int pairs. A product (a + bi)(c + di) takes
+    Gauss's three multiplications, k = c(a + b), re = k - b(c + d),
+    im = k + a(d - c), or one when both factors are real."""
+    size = len(re)
+    real = not any(d for _, d in y)
+    ys = [(c, d - c, c + d) for c, d in y]
+    for i, (a, b) in enumerate(x):
+        if not (a or b):
+            continue
+        if negate:
+            a, b = -a, -b
+        if real and not b:
+            for m, (c, _, _) in enumerate(ys[:size - i], i):
+                re[m] += a * c
+            continue
+        s = a + b
+        for m, (c, dmc, cpd) in enumerate(ys[:size - i], i):
+            k = c * s
+            re[m] += k - b * cpd
+            im[m] += k + a * dmc
+
+
+def _mirabolic_matrix(a: list, n: int, e: int, order: int):
+    """entry(i, j) of _pfaffian for the sum of s_(e*lam)(a) over the
+    partitions lam with at most n parts: rows i = 0..n-1 of weight
+    w_i = n - 1 - i and, for odd n, the border index n of weight 0. In
+    g = h(a), Q_ij has no term below degree w_i + w_j and depends only
+    on c = j - i (and, for e = 2, on the parity of w_i), so each is
+    built once.
+
+    With F(x) = g_x * g_(D-x), coefficient D of Q_ij past degree
+    w_i + w_j is sum over x of sgn(D - c - 2x) * F(x) for e = 1, and
+    F(x) = F(D-x) cancels every term outside (D-c)/2 < x <= (D+c)/2:
+    Q_ij[D] = -(the sum of F over those c places). For e = 2 only the
+    odd degrees w_i + w_j + D of u occur, so Q_ij/u is a series in
+    v = u^2 and the weights are floor(w_i/2); the sign becomes +1 at
+    the x of parity w_i below (D-c)/2 and -1 at those of the other
+    parity above. For even c, x and D - x differ in parity and the sum
+    cancels down to -(F at the places of parity w_i + 1 in the same
+    window). For odd c they share it, and the alternating sum of all F
+    is h_(D/2)(a^2), since H(t)H(-t) = H_(a^2)(t^2) for the generating
+    function H of g: 2Q_ij[D] = (-1)^(w_i) * h_(D/2)(a^2) - (the sum of
+    F over the c places). The border entry of row i is g from degree
+    w_i, over the even degrees only for e = 2.
+    """
+    size = order + 1
+    g = h_table(a, e * order + 1)
+    if e == 2:
+        squares = h_table([gauss_mul(x, x) for x in a], order)
+    built: dict = {}
+
+    def entry(i: int, j: int) -> list:
+        odd = (n - 1 - i) % e
+        if j == n:
+            return ([(0, 0)] * odd + g[odd::e])[:size]
+        c = j - i
+        got = built.get((c, odd))
+        if got is None:
+            got = built[c, odd] = []
+            for d in range(size):
+                # D: the degree in u of coefficient d, past w_i + w_j
+                D = d if e == 1 else 2 * d + 1 - odd - (odd + c) % 2
+                low, high = max(0, (D - c) // 2 + 1), min(D, (D + c) // 2)
+                step = 1
+                if e == 2 and c % 2 == 0:
+                    low += (low + odd + 1) % 2
+                    step = 2
+                sr = si = 0
+                for x in range(low, high + 1, step):
+                    (p, q), (r, s) = g[x], g[D - x]
+                    sr += p * r - q * s
+                    si += p * s + q * r
+                if e == 2 and c % 2:
+                    kr, ki = squares[D // 2]
+                    if odd:
+                        kr, ki = -kr, -ki
+                    got.append(((kr - sr) // 2, (ki - si) // 2))
+                else:
+                    got.append((-sr, -si))
+        return got
+
+    return entry
+
+
+def _cauchy_matrix(a: list, b: list, n: int, order: int):
+    """entry(i, j) of _pfaffian for the sum of s_lam(a) * s_lam(b) over
+    the partitions lam with at most n parts: the skew matrix
+    [[0, M], [-M^T, 0]] on the rows x = 0..n-1 of T^a, of weight
+    w_x = n - 1 - x, and the rows n + y of T^b, of weight 0. Entry M_xy
+    starts at degree max(w_x, w_y) >= w_x, and its coefficient D past
+    w_x is h_D(a) * h_(D + w_x - w_y)(b)."""
+    ga = h_table(a, order)
+    gb = h_table(b, order + n - 1)
+
+    def entry(i: int, j: int) -> list | None:
+        if i >= n or j < n:
+            return None
+        shift = j - n - i  # w_x - w_y
+        return [gauss_mul(x, y) for x, y in zip(ga, [(0, 0)] * -shift + gb[max(0, shift):])]
+
+    return entry
 
 
 def flicker_series(mod: UnramifiedModule, order: int) -> Series:

@@ -232,26 +232,39 @@ def per_partition_sum(alpha, k, e, order):
 
 
 def test_summed_kernel_matches_one_determinant_per_partition():
-    for alpha, orders in ((COINCIDENT[0], (12, 14)), (COINCIDENT[1], (10, 14))):
+    # k = 1..8 on five and six values: n = 1 (the table itself), even n
+    # (a Pfaffian), odd n (a bordered one), and k past the number of
+    # values, where a partition with more parts has s = 0; an order below
+    # k cuts n to the order, and order 0 leaves the constant 1
+    for alpha, orders in ((COINCIDENT[0], (0, 3, 14)), (COINCIDENT[1], (5, 12))):
         m = len(alpha)
         for order in orders:
-            # many tails share a key (total of rows 1.., part of row 1),
-            # so the kernel sums their minors before it expands row 0
-            lams = [lam for d in range(order + 1) for lam in partitions_within(d, m, d)]
-            keys = {(sum(lam[1:]), lam[1]) for lam in lams if len(lam) > 1}
-            assert len(lams) > 3 * len(keys)
             for e in (1, 2):
-                for k in (m, m - 1):
+                want = [per_partition_sum(alpha, j, e, order) for j in range(m + 1)]
+                for k in range(1, 9):
                     got = periods._schur_sum(alpha, k, e, order)
-                    assert got == per_partition_sum(alpha, k, e, order), (m, order, e, k)
-    # k = 1..3 give n = 1 (no row expanded), 2 (row 1 against the empty
-    # tail) and 3 (one stored level); an order below k cuts n to the order
-    alpha = COINCIDENT[0]
-    for k in (1, 2, 3):
-        for order in (k - 1, 12):
-            for e in (1, 2):
-                got = periods._schur_sum(alpha, k, e, order)
-                assert got == per_partition_sum(alpha, k, e, order), (order, e, k)
+                    assert got == want[min(k, m)], (m, order, e, k)
+    # with beta, e = 1: n = 1 is the one entry M_00 of the Cauchy-Binet matrix
+    for alpha, beta in ((COINCIDENT[0], COINCIDENT[1]), (COINCIDENT[1], COINCIDENT[0][:3])):
+        for k in range(1, 9):
+            got = periods._schur_sum(alpha, k, 1, 7, beta)
+            assert got == per_partition_product_sum(alpha, k, 1, 7, beta), (alpha, beta, k)
+    with pytest.raises(ValueError, match="needs e = 1"):
+        periods._schur_sum(COINCIDENT[0], 3, 2, 6, COINCIDENT[1])
+
+
+def test_rank_two_kernel_matches_one_determinant_per_partition_to_order_60():
+    # k = 2 is the one entry Q_01: for e = 2 its coefficients take the
+    # h(alpha^2) term of H(t)H(-t) = H_(alpha^2)(t^2)
+    rng = random.Random(1414)
+    for size in (1, 2, 3, 5):
+        alpha = [g(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 9))
+                 for _ in range(size)]
+        for e in (1, 2):
+            want = per_partition_sum(alpha, min(2, size), e, 60)
+            for order in (0, 1, 2, 60):
+                got = periods._schur_sum(alpha, 2, e, order)
+                assert got.coeffs == want.coeffs[:order + 1], (alpha, e, order)
 
 
 # -- the kernel at the Gaussian scale -------------------------------------
@@ -285,14 +298,14 @@ def per_partition_product_sum(alpha, k, e, order, beta):
 
 def test_gaussian_scale_kernel_matches_one_determinant_per_partition():
     for alpha in GAUSSIAN_SCALE:
-        for k in range(1, 6):
+        for k in range(1, 9):
             for e in (1, 2):
                 # a partition with more parts than alpha has values s = 0
                 got = periods._schur_sum(alpha, k, e, 7)
                 assert got == per_partition_sum(alpha, min(k, len(alpha)), e, 7), (alpha, k, e)
     for alpha, beta in ((GAUSSIAN_SCALE[0], GAUSSIAN_SCALE[2]), (GAUSSIAN_SCALE[1], SPLIT[4:]),
                         (GAUSSIAN_SCALE[3], (g(1, 3), g(-2, 5))), (GAUSSIAN_SCALE[2], SPLIT[:1])):
-        for k in range(1, 6):
+        for k in range(1, 9):
             got = periods._schur_sum(alpha, k, 1, 6, beta)
             assert got == per_partition_product_sum(alpha, k, 1, 6, beta), (alpha, beta, k)
 
@@ -305,22 +318,22 @@ def test_gaussian_scale_halves_the_table_bits(monkeypatch):
     den = 5 * 13 * 17
     tables = []
 
-    def spy(h):
-        tables.append(list(h))
-        return whittaker.GaussRows(h)
+    def spy(a, upto):
+        h = whittaker.h_table(a, upto)
+        tables.append(h)
+        return h
 
-    monkeypatch.setattr(periods, "GaussRows", spy)
+    monkeypatch.setattr(periods, "h_table", spy)
     assert periods._schur_sum(alpha, 3, 1, 20) == per_partition_sum(alpha, 3, 1, 20)
     (h,) = tables
     for d, (x, y) in enumerate(h[1:], 1):
         assert max(abs(x), abs(y)).bit_length() <= d * (den.bit_length() + 2) / 2, (d, x, y)
 
 
-def test_summed_kernel_frees_the_level_below():
+def test_pfaffian_kernel_peak_memory_at_the_work_cap():
     # rank 6 at order 55, the work cap, on the Satake values of the
-    # MAX_LATTICE_WORK comment: the traced peak was 0.911 MB while a step
-    # held the whole level below it, and 0.737 MB once it pops each entry
-    # after its last reader (Python 3.11)
+    # MAX_LATTICE_WORK comment: the summed row-expansion kernel this
+    # Pfaffian replaced traced 0.737 MB at its best (Python 3.11)
     alpha = [g(1, 2), g(-1, 3), g(2, 5), g(3, 7), g(-5, 6), g(4, 15), g(1, 35)]
     gc.collect()
     tracemalloc.start()
@@ -360,44 +373,6 @@ def test_schur_sum_over_work_cap_raises_before_summing(monkeypatch):
         assert periods.lattice_work(k, order) > periods.MAX_LATTICE_WORK
         with pytest.raises(periods.LatticeCostError, match="rank %d" % k):
             periods._schur_sum(HOSTILE[4], k, 1, order)
-
-
-def test_free_column_cache_holds_only_the_masks_a_sum_reaches(monkeypatch):
-    # k = 13 at order 13 is admitted by the work cap; a table of every
-    # column set for every first column would hold 14 * 2^13 lists
-    k = order = 13
-    assert periods.lattice_work(k, order) <= periods.MAX_LATTICE_WORK
-    tables, reached = {}, set()
-
-    def spy(rows, start, n, below, out=None):
-        tables[id(rows)] = rows
-        reached.update((id(rows), n, max(0, -start), mask) for mask in below)
-        return whittaker.expand_row(rows, start, n, below, out)
-
-    monkeypatch.setattr(periods, "expand_row", spy)
-    alpha = [g(p, q) for p, q in ((1, 2), (-1, 3), (2, 5), (3, 7), (-5, 6), (4, 15), (1, 35))] * 2
-    assert periods._schur_sum(alpha, k, 1, order).coeffs[1] == sum(alpha, g(0))
-    cached = sum(len(masks) for rows in tables.values() for masks in rows.free.values())
-    assert 0 < cached <= len(reached) < 2 ** k
-
-
-def test_top_row_never_expands_into_a_map(monkeypatch):
-    # row 0 sits on minors of n-1 columns; expand_row must meet none,
-    # with or without beta, down to n = 1, where no row but the top is left
-    calls = []
-
-    def spy(rows, start, n, below, out=None):
-        calls.append((n, max(map(int.bit_count, below))))
-        return whittaker.expand_row(rows, start, n, below, out)
-
-    monkeypatch.setattr(periods, "expand_row", spy)
-    alpha = GAUSSIAN_SCALE[1]
-    for k, e, beta in ((2, 1, None), (3, 2, None), (4, 1, None), (1, 1, SPLIT[:1]),
-                       (2, 1, SPLIT[4:]), (3, 1, GAUSSIAN_SCALE[0])):
-        del calls[:]
-        periods._schur_sum(alpha, k, e, 8, beta)
-        assert bool(calls) == (k > 1), (k, e, beta)
-        assert all(size < n - 1 for n, size in calls), (k, e, beta)
 
 
 # -- flicker_series ------------------------------------------------------
@@ -537,6 +512,21 @@ def test_mirabolic_at_the_largest_admitted_order_rank5():
         assert mirabolic_series(rep, order) == series_of(closed_form_for(rep), order)
         with pytest.raises(periods.LatticeCostError, match="largest order for this sum is %d" % order):
             mirabolic_series(rep, order + 1)
+
+
+def test_theorem1_at_the_largest_admitted_order_ranks_2_and_3():
+    # at ranks 2 and 3 the size cap binds before the work cap (orders 1428
+    # and 352 for the first values at e = 1); the Gaussian integers 1+2i,
+    # -1+3i, 2+5i give rank 2 order 1586 at e = 1 and 793 at e = 2
+    real = (g(1, 2), g(-1, 3), g(2, 5), g(3, 7))
+    for fp in (UFP, RFP):
+        for vals in (real[:3], (g(1, 1, 2), g(-1, 1, 3), g(2, 1, 5)), real):
+            rep = GenericRep(fp, tuple(Segment(MultChar.unramified(v), 1) for v in vals))
+            order = periods.mirabolic_largest_order(rep)
+            k = len(vals) - 1
+            assert periods.lattice_work(k, order) <= periods.MAX_LATTICE_WORK
+            report = verify_theorem1(rep, order)
+            assert report.match and report.series.order == order, (fp.e, vals)
 
 
 # -- rs_series -----------------------------------------------------------

@@ -5,23 +5,17 @@ and against a brute-force semistandard-tableau enumeration kept here as
 an independent oracle.
 """
 
-import ast
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
-import asaiperiods
 from asaiperiods.rational import rat
 from asaiperiods.scalars import GaussRat
 from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import GenericRep, MultChar, Segment, UnramifiedModule, pi_u
 from asaiperiods.whittaker import (
-    GaussRows,
     essential_value,
-    expand_row,
-    expand_top_row,
     is_dominant,
     modulus_exponent,
     schur,
@@ -120,111 +114,6 @@ def test_schur_pieri_like_identity():
     a, b = g(2), g(7, 2)
     e1 = schur((1, 0), (a, b))
     assert e1 * e1 == schur((2, 0), (a, b)) + schur((1, 1), (a, b))
-
-
-# -- expand_row ----------------------------------------------------------
-
-
-def laplace_row(h, start, n, below):
-    """Plain Laplace expansion along the row (h_start, ..., h_(start+n-1)),
-    h zero at a negative index, four integer products per term."""
-    out = {}
-    for mask, (c, d) in below.items():
-        for j in range(n):
-            if mask >> j & 1 or start + j < 0:
-                continue
-            a, b = h[start + j]
-            sign = -1 if bin(mask & ((1 << j) - 1)).count("1") % 2 else 1
-            re, im = out.get(mask | 1 << j, (0, 0))
-            out[mask | 1 << j] = (re + sign * (a * c - b * d), im + sign * (a * d + b * c))
-    return {key: v for key, v in out.items() if v != (0, 0)}
-
-
-def int_pair(rng, kind):
-    big = rng.randint(-2 ** 300, 2 ** 300)
-    small = rng.randint(-9, 9) or 1
-    return {"real": (big, 0), "imag": (0, big), "zero": (0, 0),
-            "complex": (big, rng.randint(-2 ** 200, 2 ** 200) or 1),
-            "small": (small, rng.randint(-9, 9))}[kind]
-
-
-def test_expand_row_matches_four_product_laplace():
-    rng = random.Random(2121)
-    kinds = ("real", "imag", "zero", "complex", "small")
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        h = [int_pair(rng, rng.choice(kinds)) for _ in range(12)]
-        start = rng.randint(-n, 12 - n)  # below 0: leading zero entries
-        size = rng.randint(0, n - 1)
-        below = {}
-        for _ in range(rng.randint(1, 6)):
-            mask = sum(1 << j for j in rng.sample(range(n), size))
-            below[mask] = int_pair(rng, rng.choice(kinds[:2] + kinds[3:]))
-        assert expand_row(GaussRows(h), start, n, below) == laplace_row(h, start, n, below)
-
-
-def test_expand_row_drops_a_column_set_whose_terms_cancel():
-    # {0, 1} gets +h_0 * x from {1} and -h_1 * x from {0}, which cancel
-    # when h_0 = h_1: on complex, real and purely imaginary operands
-    for x, entry in (((3, -4), (5, 7)), ((6, 0), (-2, 0)), ((0, 5), (0, -3)), ((6, 0), (1, 2))):
-        h = [entry, entry, (1, 1)]
-        below = {0b01: x, 0b10: x, 0b100: (1, 0)}
-        got = expand_row(GaussRows(h), 0, 3, below)
-        assert got == laplace_row(h, 0, 3, below)
-        assert 0b011 not in got and got
-    # a start below 0 leaves no nonzero entry at all
-    assert expand_row(GaussRows([(1, 2)] * 4), -3, 3, {0: (1, 0)}) == {}
-
-
-def test_expand_top_row_matches_the_full_mask_of_expand_row():
-    # the determinant that expand_row leaves under the full mask, for a
-    # run of starts e*q, on real and complex tables and on minor maps that
-    # lack some of the n column sets of size n-1
-    rng = random.Random(2626)
-    for trial in range(200):
-        n = rng.randint(1, 6)
-        e = rng.choice((1, 2))
-        kinds = ("real", "zero", "small") if trial % 2 else ("real", "imag", "complex", "small")
-        h = [int_pair(rng, rng.choice(kinds)) for _ in range(2 * 12 + n)]
-        rows = GaussRows(h)
-        full = (1 << n) - 1
-        below = {full ^ 1 << j: int_pair(rng, rng.choice(("real", "complex", "small")))
-                 for j in range(n) if rng.random() < 0.7}
-        low = rng.randint(0, 6)
-        starts = range(e * low, e * 12 + 1, e)
-        want = [expand_row(rows, start, n, below).get(full, (0, 0)) for start in starts]
-        assert list(expand_top_row(rows, n, below, starts)) == want, (n, e, below)
-    # an empty map leaves zero determinants, and so does a column of zeros
-    assert list(expand_top_row(GaussRows([(1, 2)] * 5), 3, {}, range(2))) == [(0, 0)] * 2
-    assert list(expand_top_row(GaussRows([(0, 0)] * 3), 2, {1: (4, 5), 2: (6, 0)}, [0])) == [(0, 0)]
-
-
-def test_real_table_entries_share_their_ints():
-    # a real entry and its negation lay out a and -a alone (beside the
-    # cached 0); a complex entry keeps its Gauss sums
-    rng = random.Random(2222)
-    h = [(rng.choice((1, -1)) * rng.randint(2 ** 70, 2 ** 300), 0) for _ in range(20)] + [(0, 0)]
-    entries = GaussRows(h).entries
-    for i, (a, _) in enumerate(h):
-        pair = entries[2 * i] + entries[2 * i + 1]
-        assert pair == (a, 0, a, -a, -a, 0, -a, a)
-        assert len({id(x) for x in pair if x}) <= 2, i
-    h = [int_pair(rng, kind) for kind in ("complex", "imag", "small") * 5]
-    assert GaussRows(h).entries == [x for a, b in h for x in (
-        (a, b, a + b, b - a), (-a, -b, -a - b, a - b))]
-
-
-def test_only_whittaker_reads_the_table_layout():
-    # GaussRows.entries and .free are expand_row's layout: no other
-    # module of the package may read them off a table
-    found = []
-    for path in sorted(Path(asaiperiods.__file__).parent.glob("*.py")):
-        if path.name == "whittaker.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("entries", "free"):
-                found.append("%s:%d" % (path.name, node.lineno))
-    assert found == []
 
 
 # -- modulus_exponent ----------------------------------------------------
