@@ -57,10 +57,10 @@ from .whittaker import h_table
 # order 40 (118,176); a rank-5 sum at order 40 (554,816) is 18x below the
 # cap. At the cap, on 2 vCPUs with Python 3.11 and the first k + 1 of the
 # Satake values 1/2, -1/3, 2/5, 3/7, -5/6, 4/15, 1/35 (denominator 210),
-# a mirabolic sum took 0.43-0.44 s at rank 3 (order 352, e = 2),
-# 0.15-0.17 s at e = 1, and 0.007-0.025 s at ranks 4-6 (orders 132, 77,
-# 55). At ranks 1 and 2 the size cap binds first: rank 1 at order 1785
-# took 0.03-0.04 s, and rank 2 at order 1428 took 0.054-0.062 s.
+# a mirabolic sum took 0.26-0.27 s at rank 3 (order 352, e = 2),
+# 0.030-0.034 s at e = 1, and 0.004-0.018 s at ranks 4-6 (orders 132,
+# 77, 55). At ranks 1 and 2 the size cap binds first: rank 1 at order
+# 1785 took 0.03-0.04 s, and rank 2 at order 1428 took 0.054-0.062 s.
 MAX_LATTICE_WORK = 10_000_000
 
 
@@ -95,11 +95,13 @@ def lattice_work(k: int, order: int) -> int:
     number of partitions with at most k parts and size at most order,
     times 2^m with m = min(k, order), the number of column sets that a
     Laplace expansion of each partition's determinant, row by row, holds
-    minors on. The Pfaffian of _schur_sum takes a few series products at
-    ranks 2-8, far fewer than this counts, but the number of index sets
-    it memoizes grows fast past rank 8, where this count does not follow
-    it. Exact up to MAX_LATTICE_WORK; once the count passes it, the value
-    returned is merely above it."""
+    minors on. The Pfaffian of _schur_sum takes far fewer series
+    products at ranks 2-8: at e = 1, none at rank 2, one at rank 3, one
+    and a square at rank 4, and 8, 10, 45 and 50 (with 1, 3, 3 and 7
+    squares) at ranks 5-8. Past rank 8 its count grows fast (200 and 692
+    products, with 10 and 16 squares, at ranks 10 and 12), and this
+    count does not follow it. Exact up to MAX_LATTICE_WORK; once the
+    count passes it, the value returned is merely above it."""
     m = min(k, order)
     if m <= 1:
         # () alone, or () and (1), ..., (order): no loop as long as order
@@ -300,32 +302,78 @@ def _pfaffian(count: int, entry, size: int) -> list:
 
     Each Pfaffian is expanded along its first index s_0: Pf(S) is the
     sum over the j in S after s_0 of (-1)^(indices between s_0 and j)
-    * Q(s_0, j) * Pf(S - {s_0, j}), memoized by the index set. A
-    Pfaffian on two indices is its entry, and every set met has no term
-    below the sum of its weights, so each product keeps only size
-    coefficients and costs size*(size + 1)/2 Gaussian products
-    (_mul_add).
+    * Q(s_0, j) * Pf(S - {s_0, j}). A Pfaffian on two indices is its
+    entry, and every set met has no term below the sum of its weights,
+    so each product keeps only size coefficients and costs
+    size*(size + 1)/2 Gaussian products (_mul_add).
+
+    entry returns one list object per distinct entry, and each
+    sub-Pfaffian is memoized by the ids of the entries it reads (the
+    table holds them for the whole call): index sets whose entries are
+    the same objects, such as translates when the entries depend only on
+    j - i, share one result object. Each index set builds that key once,
+    since the key has a place for every pair of indices. The terms of an expansion are then
+    multiplied by factor object, not one by one (_grouped_sum), and a
+    lone term whose two factors are one object is a square
+    (_square_add), at about half the products.
     """
+    table = [[entry(i, j) if i < j else None for j in range(count)] for i in range(count)]
+    ids = [[id(q) for q in row] for row in table]
     memo: dict = {}
+    by_set: dict = {}  # the memo entry of each index set met, so its key is built once
 
     def pf(s: tuple):
-        got = memo.get(s, memo)
-        if got is not memo:
-            return got
         if len(s) == 2:
-            got = entry(*s)
-        else:
-            re, im = [0] * size, [0] * size
-            first, rest = s[0], s[1:]
-            for place, j in enumerate(rest):
-                q = pf((first, j))
-                if q is not None:
-                    _mul_add(re, im, q, pf(rest[:place] + rest[place + 1:]), place & 1)
-            got = list(zip(re, im))
-        memo[s] = got
+            return table[s[0]][s[1]]
+        got = by_set.get(s)
+        if got is None:
+            key = tuple(ids[i][j] for place, i in enumerate(s) for j in s[place + 1:])
+            got = memo.get(key)
+            if got is None:
+                first, rest = s[0], s[1:]
+                terms = []
+                for place, j in enumerate(rest):
+                    q = table[first][j]
+                    if q is not None:
+                        terms.append((q, pf(rest[:place] + rest[place + 1:]), place & 1))
+                got = memo[key] = _grouped_sum(terms, size)
+            by_set[s] = got
         return got
 
     return pf(tuple(range(count)))
+
+
+def _grouped_sum(terms: list, size: int) -> list:
+    """Coefficients 0..size-1 of the sum of the terms (x, y, negate),
+    (-1)^negate * x*y, as int pairs: while a factor object occurs in two
+    or more of the terms left, the one in the most takes one series
+    product with the signed sum of its partners; each term left then
+    takes its own product, or a square when x is y."""
+    re, im = [0] * size, [0] * size
+    while terms:
+        tally: dict = {}  # id -> [terms it occurs in, the object]
+        for x, y, _ in terms:
+            for f in (x,) if x is y else (x, y):
+                tally.setdefault(id(f), [0, f])[0] += 1
+        most, common = max(tally.values(), key=lambda got: got[0])
+        if most == 1:
+            break
+        signs, partners = [], []
+        for x, y, negate in terms:
+            if x is common or y is common:
+                signs.append(-1 if negate else 1)
+                partners.append(y if x is common else x)
+        terms = [t for t in terms if t[0] is not common and t[1] is not common]
+        total = [(sum(s * c for s, (c, _) in zip(signs, col)),
+                  sum(s * d for s, (_, d) in zip(signs, col)))
+                 for col in zip(*partners)]
+        _mul_add(re, im, common, total, 0)
+    for x, y, negate in terms:
+        if x is y:
+            _square_add(re, im, x, negate)
+        else:
+            _mul_add(re, im, x, y, negate)
+    return list(zip(re, im))
 
 
 def _mul_add(re: list, im: list, x: list, y: list, negate: int) -> None:
@@ -336,7 +384,7 @@ def _mul_add(re: list, im: list, x: list, y: list, negate: int) -> None:
     size = len(re)
     real = not any(d for _, d in y)
     ys = [(c, d - c, c + d) for c, d in y]
-    for i, (a, b) in enumerate(x):
+    for i, (a, b) in enumerate(x[:size]):
         if not (a or b):
             continue
         if negate:
@@ -347,6 +395,32 @@ def _mul_add(re: list, im: list, x: list, y: list, negate: int) -> None:
             continue
         s = a + b
         for m, (c, dmc, cpd) in enumerate(ys[:size - i], i):
+            k = c * s
+            re[m] += k - b * cpd
+            im[m] += k + a * dmc
+
+
+def _square_add(re: list, im: list, x: list, negate: int) -> None:
+    """Add (-1)^negate * x*x, truncated to len(re) coefficients, into re
+    and im, as _mul_add(re, im, x, x, negate) does: each x_i*x_j with
+    i < j is taken once, by the same three multiplications (one when x
+    is real), and added twice, and each x_i^2 once."""
+    size = len(re)
+    real = not any(d for _, d in x)
+    xs = [(c, d - c, c + d) for c, d in x[:size]]
+    for i, (p, q) in enumerate(x[:(size + 1) // 2]):
+        if not (p or q):
+            continue
+        a, b = (-p, -q) if negate else (p, q)
+        re[2 * i] += a * p - b * q
+        im[2 * i] += a * q + b * p
+        a, b = 2 * a, 2 * b
+        if real:
+            for m, (c, _, _) in enumerate(xs[i + 1:size - i], 2 * i + 1):
+                re[m] += a * c
+            continue
+        s = a + b
+        for m, (c, dmc, cpd) in enumerate(xs[i + 1:size - i], 2 * i + 1):
             k = c * s
             re[m] += k - b * cpd
             im[m] += k + a * dmc
@@ -373,18 +447,19 @@ def _mirabolic_matrix(a: list, n: int, e: int, order: int):
     is h_(D/2)(a^2), since H(t)H(-t) = H_(a^2)(t^2) for the generating
     function H of g: 2Q_ij[D] = (-1)^(w_i) * h_(D/2)(a^2) - (the sum of
     F over the c places). The border entry of row i is g from degree
-    w_i, over the even degrees only for e = 2.
+    w_i, over the even degrees only for e = 2: one list per parity.
     """
     size = order + 1
     g = h_table(a, e * order + 1)
     if e == 2:
         squares = h_table([gauss_mul(x, x) for x in a], order)
+    border = [([(0, 0)] * odd + g[odd::e])[:size] for odd in range(e)]
     built: dict = {}
 
     def entry(i: int, j: int) -> list:
         odd = (n - 1 - i) % e
         if j == n:
-            return ([(0, 0)] * odd + g[odd::e])[:size]
+            return border[odd]
         c = j - i
         got = built.get((c, odd))
         if got is None:
@@ -420,15 +495,20 @@ def _cauchy_matrix(a: list, b: list, n: int, order: int):
     [[0, M], [-M^T, 0]] on the rows x = 0..n-1 of T^a, of weight
     w_x = n - 1 - x, and the rows n + y of T^b, of weight 0. Entry M_xy
     starts at degree max(w_x, w_y) >= w_x, and its coefficient D past
-    w_x is h_D(a) * h_(D + w_x - w_y)(b)."""
+    w_x is h_D(a) * h_(D + w_x - w_y)(b), built once per w_x - w_y."""
     ga = h_table(a, order)
     gb = h_table(b, order + n - 1)
+    built: dict = {}
 
     def entry(i: int, j: int) -> list | None:
         if i >= n or j < n:
             return None
         shift = j - n - i  # w_x - w_y
-        return [gauss_mul(x, y) for x, y in zip(ga, [(0, 0)] * -shift + gb[max(0, shift):])]
+        got = built.get(shift)
+        if got is None:
+            got = built[shift] = [gauss_mul(x, y) for x, y in
+                                  zip(ga, [(0, 0)] * -shift + gb[max(0, shift):])]
+        return got
 
     return entry
 

@@ -330,19 +330,80 @@ def test_gaussian_scale_halves_the_table_bits(monkeypatch):
         assert max(abs(x), abs(y)).bit_length() <= d * (den.bit_length() + 2) / 2, (d, x, y)
 
 
+# the Satake values of the MAX_LATTICE_WORK comment
+CAP_VALUES = (g(1, 2), g(-1, 3), g(2, 5), g(3, 7), g(-5, 6), g(4, 15), g(1, 35))
+
+
 def test_pfaffian_kernel_peak_memory_at_the_work_cap():
     # rank 6 at order 55, the work cap, on the Satake values of the
     # MAX_LATTICE_WORK comment: the summed row-expansion kernel this
     # Pfaffian replaced traced 0.737 MB at its best (Python 3.11)
-    alpha = [g(1, 2), g(-1, 3), g(2, 5), g(3, 7), g(-5, 6), g(4, 15), g(1, 35)]
     gc.collect()
     tracemalloc.start()
     try:
-        periods._schur_sum(alpha, 6, 1, 55)
+        periods._schur_sum(CAP_VALUES, 6, 1, 55)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 820_000, peak
+
+
+def test_pfaffian_takes_one_product_per_distinct_factor(monkeypatch):
+    # e = 1 at order 12: rank 3 (bordered) is g*(2Q_1 - Q_2), rank 4 is
+    # Q_1*(Q_1 + Q_3) - Q_2^2; ranks 10 and 12 took 317 and 1,055
+    # products term by term; with beta, rank 3 took 9
+    counts = {"_mul_add": 0, "_square_add": 0}
+    for name in counts:
+        def spy(*args, name=name, real=getattr(periods, name)):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(periods, name, spy)
+    alpha = CAP_VALUES * 2
+    for k, beta, want in ((3, None, (1, 0)), (4, None, (1, 1)), (10, None, (200, 10)),
+                          (12, None, (692, 16)), (3, CAP_VALUES[3:6], (7, 2))):
+        counts.update(_mul_add=0, _square_add=0)
+        periods._schur_sum(alpha[:k + 1], k, 1, 12, beta)
+        assert (counts["_mul_add"], counts["_square_add"]) == want, k
+
+
+def test_kernel_matrices_share_equal_entries():
+    # Q_ij by (j - i, parity), the border by parity, M_xy by y - x
+    a = [(3, 0), (-2, 1), (5, -4)]
+    for n, e in ((3, 1), (5, 2)):
+        entry = periods._mirabolic_matrix(a, n, e, 6)
+        for i, j in itertools.combinations(range(n - e), 2):
+            assert entry(i, j) is entry(i + e, j + e)
+        assert entry(0, n) is entry(e, n) and (entry(0, n) is entry(1, n)) == (e == 1)
+    n = 4
+    entry = periods._cauchy_matrix(a, [(1, 1), (7, 0)], n, 6)
+    for x, y in itertools.product(range(n - 1), repeat=2):
+        assert entry(x, n + y) is entry(x + 1, n + y + 1)
+    assert entry(0, 1) is None and entry(n, n + 1) is None
+
+
+def test_square_add_matches_mul_add_of_the_factor_with_itself():
+    rng = random.Random(3232)
+
+    def part():
+        return rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 80, 2 ** 80)))
+
+    for _ in range(200):
+        size = rng.randint(1, 12)
+        length = rng.choice((size, size, 1, size + rng.randint(1, 5)))
+        kind = rng.choice(("gaussian", "real", "imaginary", "zero"))
+        x = [(0 if kind in ("imaginary", "zero") else part(),
+              0 if kind in ("real", "zero") else part()) for _ in range(length)]
+        for negate in (0, 1):
+            start = [rng.randint(-99, 99) for _ in range(2 * size)]
+            want = start[:size], start[size:]
+            got = start[:size], start[size:]
+            periods._mul_add(*want, x, x, negate)
+            periods._square_add(*got, x, negate)
+            assert got == want, (x, size, negate)
+    # the diagonal takes the sign too: -(1 + 2t + 5t^2)^2 = -1 - 4t - 14t^2 - ...
+    re, im = [0] * 3, [0] * 3
+    periods._square_add(re, im, [(1, 0), (2, 0), (5, 0)], 1)
+    assert (re, im) == ([-1, -4, -14], [0, 0, 0])
 
 
 def test_schur_integer_path_matches_bialternant_oracle():
