@@ -11,7 +11,10 @@ _check_options has checked --at-s and --order. lfactor writes its JSON
 line as text from the packed factor products, each rendered once
 (descriptors.graded_texts), and its table from the factor lists alone;
 the multiplicativity suite compares two factor lists with
-ratfunc.same_product. verify loads and size-checks --rep once and
+ratfunc.same_product. period writes its series as text straight from
+the lattice-sum kernel's integers (descriptors.graded_texts, every
+coefficient kept), and on a match its "reconstructed" is the
+"closedForm" object itself; its table renders neither. verify loads and size-checks --rep once and
 hands that representation (or None) and --order to each suite, which
 returns its check rows. Without --rep the suites draw their subjects
 from the seeded built-in corpora, importing corpus (and random) only
@@ -39,7 +42,6 @@ from .descriptors import (
     ratfunc_json,
     reciprocal_text,
     segment_json,
-    series_json,
     value_str,
 )
 from .lfactors import (
@@ -262,31 +264,35 @@ def cmd_lfactor(ns: argparse.Namespace) -> int:
 def cmd_period(ns: argparse.Namespace) -> int:
     rep = _load_generic_rep(ns.rep, ns.at_s)[0]
     report = verify_theorem1(rep, ns.order)
-    obj = {
-        "series": series_json(report.series),
-        "reconstructed": None if report.reconstructed is None else ratfunc_json(report.reconstructed),
-        "closedForm": ratfunc_json(report.closed_form),
-        "match": report.match,
-        "valueAt1": value_str(report.value_at_1),
-    }
+    cf, rec = report.closed_form, report.reconstructed
+    value_at_1 = value_str(report.value_at_1)
+    value_at_s = None
     if ns.at_s is not None:
         try:
-            obj["valueAtS"] = value_str(lattice_value_at(rep, ns.at_s, report.closed_form))
+            value_at_s = value_str(lattice_value_at(rep, ns.at_s, cf))
         except ZeroDivisionError:
-            obj["valueAtS"] = "pole"
-
-    def tables(o):
-        yield "order: %d" % report.series.order
-        yield "match: %s" % ("yes" if o["match"] else "NO")
-        yield "closed form: (%s) / (%s)" % (
-            report.closed_form.num.to_str(),
-            report.closed_form.den.to_str(),
-        )
-        yield "value at s=1: %s" % o["valueAt1"]
-        if "valueAtS" in o:
-            yield "value at s=%d: %s" % (ns.at_s, o["valueAtS"])
-
-    _emit(obj, ns, tables)
+            value_at_s = "pole"
+    if ns.output == "table":
+        print("order: %d" % report.order)
+        print("match: %s" % ("yes" if report.match else "NO"))
+        print("closed form: (%s) / (%s)" % (cf.num.to_str(), cf.den.to_str()))
+        print("value at s=1: %s" % value_at_1)
+        if value_at_s is not None:
+            print("value at s=%d: %s" % (ns.at_s, value_at_s))
+        return EXIT_OK
+    closed = ratfunc_json(cf)
+    obj = {
+        "reconstructed": closed if rec is cf else None if rec is None else ratfunc_json(rec),
+        "closedForm": closed,
+        "match": report.match,
+        "valueAt1": value_at_1,
+    }
+    if value_at_s is not None:
+        obj["valueAtS"] = value_at_s
+    # the text json.dumps writes for {"series": ..., **obj}, the series
+    # written from the kernel's integers
+    series = ", ".join(graded_texts(*report.ints, trim=False))
+    print('{"series": [%s], %s' % (series, json.dumps(obj)[1:]))
     return EXIT_OK
 
 
@@ -367,8 +373,7 @@ def _suite_theorem1(rep: GenericRep | None, order: int) -> list:
     try:
         for name, subject in subjects:
             report = verify_theorem1(subject, order)
-            fail = {} if report.match else {
-                "firstFailIndex": report.series.first_mismatch(report.expected)}
+            fail = {} if report.match else {"firstFailIndex": report.first_fail}
             checks.append(_check("theorem1", name, report.match,
                                  valueAt1=value_str(report.value_at_1), **fail))
     except OrderTooSmall:

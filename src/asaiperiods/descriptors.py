@@ -8,7 +8,9 @@ component, which no coefficient of the package has, so "b" is always
 zero. RatFunc serializes as {"num": [...], "den": [...]} with
 ascending-degree coefficient arrays. graded_texts and reciprocal_text
 write the same text for a factor product's reciprocal straight from the
-digits of ratfunc.packed_product, with no GaussRat, Poly or dict.
+digits of ratfunc.packed_product, and graded_texts that of a period
+series straight from the lattice-sum kernel's integers, with no
+GaussRat, Poly, Series or dict.
 
 Parse errors raise DescriptorError whose message names the offending
 field; the CLI maps that to the input-error exit code.
@@ -198,15 +200,17 @@ _ZERO_TEXT = _COEFF_TEXT % (0, 1, 0, 1)
 _ONE_TEXT = _COEFF_TEXT % (1, 1, 0, 1)
 
 
-def graded_texts(re: list, im: list, scale: int) -> list[str]:
+def graded_texts(re: list, im: list, scale: int, trim: bool = True) -> list[str]:
     """The json.dumps text of each coefficient (re[m] + im[m]*i) /
-    scale^m of a scaled coefficient list, such as packed_product
-    returns, trailing zero coefficients dropped: "[%s]" % ", ".join of
-    them is json.dumps(poly_json(Poly(graded(re, im, scale)))), with no
-    GaussRat or dict on the way. Each part is put in lowest terms over
-    scale^m by its own gcd, as gauss_json does."""
+    scale^m of a scaled coefficient list, such as packed_product or the
+    period kernel returns, trailing zero coefficients dropped unless
+    trim is false: "[%s]" % ", ".join of them is
+    json.dumps(poly_json(Poly(graded(re, im, scale)))), or with trim
+    false json.dumps(series_json(Series(graded(re, im, scale)))), with
+    no GaussRat or dict on the way. Each part is put in lowest terms
+    over scale^m by its own gcd, as gauss_json does."""
     n = len(re)
-    while n and not (re[n - 1] or im[n - 1]):
+    while trim and n and not (re[n - 1] or im[n - 1]):
         n -= 1
     out = []
     den = 1

@@ -24,7 +24,6 @@ from itertools import combinations
 from .ratfunc import RatFunc, eval_at, same_product
 from .scalars import GaussRat
 from .segments import GenericRep, UnramifiedModule, is_unramified_rep, pi_u
-from .series import Poly
 
 FactorList = list[tuple[GaussRat, int]]
 
@@ -92,12 +91,12 @@ def closed_form_for(rep: GenericRep) -> RatFunc:
     """Closed form of the mirabolic period series: the Asai factor of
     the unramified support, times (1 - omega_pi(unif_F) t^n) when the
     representation is unramified (the Tate factor L(ns, omega_pi|F*)
-    of the central character moves to the other side)."""
+    of the central character moves to the other side), reduced. Its
+    factored keeps the Asai factor list and that numerator factor, for
+    the period check (ratfunc.factor_mismatch)."""
     mod = pi_u(rep)
-    cf = asai_L(mod)
-    if is_unramified_rep(rep):
-        cf = cf * Poly.one_minus(mod.omega_at_unif(), rep.n)
-    return cf
+    numerator = [(mod.omega_at_unif(), rep.n)] if is_unramified_rep(rep) else []
+    return RatFunc.from_factors(asai_factor_list(mod), numerator)
 
 
 def lattice_value_at(rep: GenericRep, s: int, cf: RatFunc | None = None) -> GaussRat:

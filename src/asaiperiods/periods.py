@@ -14,11 +14,17 @@ scalings, _schur_sum: the Pfaffian of a small matrix of truncated
 series, by the minor summation formula for the Littlewood sums and by
 Cauchy-Binet for the Cauchy sum. Each sum is truncated by total
 t-degree, which is exact: every omitted term has strictly larger
-degree. Analytic continuation goes through the closed form: a
-truncated series that matches it to order num_deg + den_deg + 1 or
-beyond determines it (Pade uniqueness), and its exact value is taken
-there, never by summing at a point. Rational reconstruction runs only
-on a mismatch, to report which rational function the series is.
+degree. The kernel returns integers (_schur_ints: coefficient d is
+(re[d] + im[d]*i) / S^d); the *_series functions wrap them as a Series
+for library callers. Analytic continuation goes through the closed
+form: a truncated series that matches it to order num_deg + den_deg + 1
+or beyond determines it (Pade uniqueness), and its exact value is taken
+there, never by summing at a point. verify_theorem1 decides the match
+on the kernel's integers, by multiplying out the closed form's factors
+(ratfunc.factor_mismatch), and its report builds the GaussRat series
+and the closed form's expansion only when asked. Rational
+reconstruction runs only on a mismatch, to report which rational
+function the series is.
 
 Every sum is capped before it starts, by its work (lattice_work) and by
 the size of its coefficients (coefficient_bits against printable_bits).
@@ -31,7 +37,7 @@ from math import log10
 from typing import Sequence
 
 from .lfactors import closed_form_for, lstar_at_1, rs_L
-from .ratfunc import RatFunc, reconstruct, series_of
+from .ratfunc import RatFunc, factor_mismatch, reconstruct, series_of
 from .scalars import GaussRat
 from .segments import (
     GenericRep,
@@ -199,9 +205,22 @@ def _schur_sum(
     order: int,
     beta: Sequence[GaussRat] | None = None,
 ) -> Series:
-    """Series whose coefficient d is the sum over partitions lam of d
-    with at most k parts of s_(e*lam)(alpha) * s_lam(beta), the beta
-    factor left out when beta is None; with beta, e must be 1.
+    """The Series of _schur_ints(alpha, k, e, order, beta)."""
+    return Series(graded(*_schur_ints(alpha, k, e, order, beta)))
+
+
+def _schur_ints(
+    alpha: Sequence[GaussRat],
+    k: int,
+    e: int,
+    order: int,
+    beta: Sequence[GaussRat] | None = None,
+) -> tuple[list, list, int]:
+    """(re, im, S) with coefficient d, (re[d] + im[d]*i) / S^d, the sum
+    over partitions lam of d with at most k parts of s_(e*lam)(alpha) *
+    s_lam(beta), the beta factor left out when beta is None; with beta,
+    e must be 1. S = D^e * D_b, for the integer common denominators D of
+    alpha and D_b of beta (1 without beta).
 
     This is every lattice sum of the module: the Iwasawa modulus weight
     q^(modulus exponent) at a lattice point is the inverse of the
@@ -268,12 +287,12 @@ def _schur_sum(
         )
     n = min(k, order)
     if n == 0:
-        return Series([1] + [0] * order)
+        return [1] + [0] * order, [0] * (order + 1), 1
     if beta is None and n == 1:
         # one row: the determinant of the partition (q) is h(e*q)
         den, a = clear_denominators(alpha)
-        h = h_table(a, e * order)
-        return Series(graded(*zip(*h[::e]), den ** e))
+        h = h_table(a, e * order)[::e]
+        return [x for x, _ in h], [y for _, y in h], den ** e
     den, c, a = clear_gaussian_denominators(alpha)
     if beta is None:
         den_b, c_b = 1, (1, 0)
@@ -290,7 +309,7 @@ def _schur_sum(
     for d in range(order + 1):
         sr[d], si[d] = sr[d] * pr - si[d] * pi, sr[d] * pi + si[d] * pr
         pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
-    return Series(graded(sr, si, den ** e * den_b))
+    return sr, si, den ** e * den_b
 
 
 def _pfaffian(count: int, entry, size: int) -> list:
@@ -534,7 +553,13 @@ def mirabolic_series(rep: GenericRep, order: int) -> Series:
     length <= min(r, n-1). A bare module enters as the representation
     whose segments are its rank-one pieces.
     """
-    return _schur_sum(*_mirabolic_sum(rep), order)
+    return Series(graded(*mirabolic_ints(rep, order)))
+
+
+def mirabolic_ints(rep: GenericRep, order: int) -> tuple[list, list, int]:
+    """mirabolic_series(rep, order) as the kernel's integers (re, im,
+    S): coefficient d is (re[d] + im[d]*i) / S^d (_schur_ints)."""
+    return _schur_ints(*_mirabolic_sum(rep), order)
 
 
 def _mirabolic_sum(rep: GenericRep) -> tuple:
@@ -566,54 +591,81 @@ def rs_series(m1: UnramifiedModule, m2: UnramifiedModule, order: int) -> Series:
 class PeriodReport:
     """Outcome of one period computation against its closed form.
 
-    expected is the closed form expanded to the series' order; a
-    value_at_1 of None encodes a pole at the edge point.
+    ints is the series as the kernel's integers (re, im, scale),
+    coefficient d (re[d] + im[d]*i) / scale^d. first_fail is the index
+    of the first coefficient at which it differs from the closed form,
+    None on a match; reconstructed is the rational function the series
+    determines (the closed form itself on a match, None when no function
+    within the closed form's degree bounds fits); a value_at_1 of None
+    encodes a pole at the edge point. series, and expected (the closed
+    form expanded to the series' order), are built on first use.
     """
 
-    __slots__ = ("series", "expected", "reconstructed", "closed_form", "match", "value_at_1")
+    __slots__ = ("ints", "closed_form", "first_fail", "reconstructed", "value_at_1",
+                 "_series", "_expected")
 
-    def __init__(self, series: Series, expected: Series, reconstructed: RatFunc | None,
-                 closed_form: RatFunc, match: bool, value_at_1: GaussRat | None):
-        self.series = series
-        self.expected = expected
-        self.reconstructed = reconstructed
+    def __init__(self, ints: tuple, closed_form: RatFunc):
+        self.ints = ints
         self.closed_form = closed_form
-        self.match = match
-        self.value_at_1 = value_at_1
+        self.first_fail = self.reconstructed = self.value_at_1 = None
+        self._series = self._expected = None
+
+    @property
+    def order(self) -> int:
+        return len(self.ints[0]) - 1
+
+    @property
+    def match(self) -> bool:
+        return self.first_fail is None
+
+    @property
+    def series(self) -> Series:
+        if self._series is None:
+            self._series = Series(graded(*self.ints))
+        return self._series
+
+    @property
+    def expected(self) -> Series:
+        if self._expected is None:
+            self._expected = series_of(self.closed_form, self.order)
+        return self._expected
 
 
 def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
     """Check the mirabolic period series against its closed form.
 
-    The report carries the truncated series, the closed form's expansion
-    to the same order, the rational function the series determines
-    (None when no function within the closed form's degree bounds fits),
-    the closed form, the match flag, and the exact edge value (None on a
-    pole). A matching series certifies the closed form by Pade
-    uniqueness: order >= num_deg + den_deg + 1, so any other p/q within
-    the bounds that fits has p*den - num*q of degree <= num_deg + den_deg
-    vanishing to a higher order, hence zero. Reconstruction therefore
-    runs only on a mismatch, to report what the series actually is.
+    The match is decided on the kernel's integers: the series times the
+    closed form's unreduced denominator, one factor 1 - c*t^k at a time,
+    against its numerator (ratfunc.factor_mismatch), with no GaussRat
+    per coefficient. A closed form that does not keep its factor lists
+    (RatFunc.factored) is expanded by series_of instead. A matching
+    series certifies the closed form by Pade uniqueness: order >=
+    num_deg + den_deg + 1, so any other p/q within the bounds that fits
+    has p*den - num*q of degree <= num_deg + den_deg vanishing to a
+    higher order, hence zero. Reconstruction therefore runs only on a
+    mismatch, to report what the series actually is.
     """
     cf = closed_form_for(rep)
     need = certifying_order(cf)
     if order < need:
         raise OrderTooSmall(order, need)
-    series = mirabolic_series(rep, order)
-    expected = series_of(cf, order)
-    match = series == expected
-    if match:
-        rec = cf
+    report = PeriodReport(mirabolic_ints(rep, order), cf)
+    if cf.factored is None:
+        report.first_fail = report.series.first_mismatch(report.expected)
+    else:
+        report.first_fail = factor_mismatch(*report.ints, *cf.factored)
+    if report.match:
+        report.reconstructed = cf
     else:
         try:
-            rec = reconstruct(series, cf.num_degree, cf.den_degree)
+            report.reconstructed = reconstruct(report.series, cf.num_degree, cf.den_degree)
         except ValueError:
-            rec = None
+            pass
     try:
-        v1 = lstar_at_1(rep, cf)
+        report.value_at_1 = lstar_at_1(rep, cf)
     except ValueError:
-        v1 = None
-    return PeriodReport(series, expected, rec, cf, match, v1)
+        pass
+    return report
 
 
 def verify_c_pi(rep: GenericRep) -> bool:

@@ -16,10 +16,14 @@ or four small products per factor, split into (re, im, D) digit lists
 once at the end. Its callers keep those ints: same_product decides
 whether two factor lists have one product by cross-multiplying the
 digits, and descriptors.graded_texts renders them as JSON text;
-from_factors alone grades them into a RatFunc. The constructor reduces
-through poly_gcd, the subresultant remainder sequence over Z[i], which
-for coprime parts (almost every closed form) ends at a constant
-remainder; series_of runs an integer recurrence whose coefficient k is
+from_factors alone grades them into a RatFunc, and keeps the factor
+lists. factor_mismatch checks a series given as scaled integers, such
+as the period kernel returns, against those lists unreduced: it
+multiplies the series by the denominator one factor at a time, in
+place, and compares it with the numerator, so a matching period builds
+no expansion. The constructor reduces through poly_gcd, the
+subresultant remainder sequence over Z[i], which for coprime parts
+(almost every closed form) ends at a constant remainder; series_of runs an integer recurrence whose coefficient k is
 over D^(k+1); eval_at is two integer Horner sums (Poly.__call__) and
 one Gaussian division. Each output coefficient becomes a GaussRat once,
 by one division (GaussRat.scaled); the public coefficients stay
@@ -47,9 +51,14 @@ from .series import Poly, Series, clear_denominators, graded, poly_gcd, scaled_p
 
 
 class RatFunc:
-    __slots__ = ("num", "den")
+    """A reduced rational function; factored holds the factor lists
+    (factors, numerator) it was reduced from when from_factors built it,
+    and None otherwise."""
+
+    __slots__ = ("num", "den", "factored")
 
     def __init__(self, num: Poly, den: Poly | None = None):
+        self.factored = None
         if den is None:
             den = Poly.one()
         if den.is_zero():
@@ -77,10 +86,16 @@ class RatFunc:
         return cls(Poly.one())
 
     @classmethod
-    def from_factors(cls, factors) -> "RatFunc":
-        """1 / prod(1 - c*t^k) for (c, k) pairs, k >= 1: the graded
-        coefficients of packed_product(factors)."""
-        return cls(Poly.one(), Poly(graded(*packed_product(factors))))
+    def from_factors(cls, factors, numerator=()) -> "RatFunc":
+        """prod(1 - c*t^k) over numerator / prod(1 - c*t^k) over
+        factors, for (c, k) pairs, k >= 1, reduced: each side the graded
+        coefficients of its packed_product. The reduced form keeps the
+        two lists as factored."""
+        factors, numerator = list(factors), list(numerator)
+        num = Poly(graded(*packed_product(numerator))) if numerator else Poly.one()
+        rf = cls(num, Poly(graded(*packed_product(factors))))
+        rf.factored = (factors, numerator)
+        return rf
 
     @property
     def num_degree(self) -> int:
@@ -169,6 +184,61 @@ def same_product(f1, f2) -> bool:
         p1 *= d1
         p2 *= d2
     return True
+
+
+def factor_mismatch(re: list, im: list, scale: int, factors, numerator) -> int | None:
+    """Index of the first coefficient at which the series whose
+    coefficient d is (re[d] + im[d]*i) / scale^d differs from
+    prod(1 - c*t^k) over numerator / prod(1 - c*t^k) over factors, the
+    unreduced form of RatFunc.from_factors(factors, numerator), or None
+    when the two agree through the series' order.
+
+    The series times the denominator is compared with the numerator.
+    This is exact and keeps the index: the denominator has constant term
+    1, so s - num/den vanishes to order m exactly when s*den - num does.
+    Both sides run in u = t/S, for S a multiple of scale with every
+    c*S^k a Gaussian integer b (the least such multiple is not needed):
+    coefficient d of either side is then a Gaussian integer over S^d,
+    and a factor 1 - b*u^k multiplies a list in place by x[d] -= b*x[d-k],
+    from d = order down to k, one small-by-big product per coefficient
+    and part. No coefficient is divided or turned into a GaussRat.
+    """
+    size = len(re)
+    work = scale
+    for c, k in (*factors, *numerator):
+        work = _covering_scale(work, c, k)
+    xr, xi = list(re), list(im)
+    if work != scale:
+        m, p = work // scale, 1
+        for d in range(size):
+            xr[d] *= p
+            xi[d] *= p
+            p *= m
+    yr, yi = [1] + [0] * (size - 1), [0] * size
+    for c, k in factors:
+        _times_factor(xr, xi, scaled_pair(c, work ** k), k)
+    for c, k in numerator:
+        _times_factor(yr, yi, scaled_pair(c, work ** k), k)
+    for d in range(size):
+        if xr[d] != yr[d] or xi[d] != yi[d]:
+            return d
+    return None
+
+
+def _times_factor(xr: list, xi: list, b: tuple, k: int) -> None:
+    """Multiply the series x = xr + xi*i by 1 - b*u^k in place,
+    truncated to its length: from the top down, so that each x[d - k]
+    read is still the old one."""
+    br, bi = b
+    if bi:
+        for d in range(len(xr) - 1, k - 1, -1):
+            pr, pi = xr[d - k], xi[d - k]
+            xr[d] -= br * pr - bi * pi
+            xi[d] -= br * pi + bi * pr
+    else:
+        for d in range(len(xr) - 1, k - 1, -1):
+            xr[d] -= br * xr[d - k]
+            xi[d] -= br * xi[d - k]
 
 
 def _digits(packed: int, size: int, terms: int) -> list:

@@ -725,6 +725,15 @@ def bumped(series, index):
     return Series(coeffs)
 
 
+def bumped_ints(ints, index):
+    """The kernel's integers (re, im, scale) of a series with 1 added to
+    its coefficient index, as bumped does to the Series."""
+    re, im, scale = ints
+    re = list(re)
+    re[index] += scale ** index
+    return re, im, scale
+
+
 def test_failing_identities_row_carries_first_fail_index(descriptor, monkeypatch, capsys):
     real = cli.flicker_series
     monkeypatch.setattr(cli, "flicker_series", lambda mod, order: bumped(real(mod, order), 5))
@@ -743,13 +752,59 @@ def test_failing_identities_row_carries_first_fail_index(descriptor, monkeypatch
 def test_theorem1_mismatch_that_no_function_fits_prints_null(descriptor, monkeypatch, capsys):
     # a series off the closed form in its last coefficient only: the
     # degree bounds leave no rational function that fits every coefficient
-    real = periods.mirabolic_series
-    monkeypatch.setattr(periods, "mirabolic_series", lambda rep, order: bumped(real(rep, order), order))
+    real = periods.mirabolic_ints
+    monkeypatch.setattr(periods, "mirabolic_ints", lambda rep, order: bumped_ints(real(rep, order), order))
     code, out, err, _ = run_fast(["period", "--rep", descriptor(GL2_SMALL), "--order", "12"], capsys)
     assert (code, err) == (0, "")
     obj = json.loads(out)
     assert obj["match"] is False
     assert obj["reconstructed"] is None
+
+
+def test_matching_period_builds_no_series(descriptor, monkeypatch, capsys):
+    # a match is decided and written from the kernel's integers: no
+    # Series, no closed-form expansion and no graded series on the way,
+    # in either output mode; the table renders no series text and no
+    # RatFunc JSON, and the JSON mode renders the closed form once, for
+    # both "closedForm" and "reconstructed"
+    from asaiperiods import ratfunc, series
+
+    calls = []
+
+    def never(what):
+        def call(*args, **kwargs):
+            raise AssertionError("%s on a matching period" % what)
+        return call
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, call)
+
+    for module, name in ((ratfunc, "series_of"), (periods, "series_of"), (series, "graded"),
+                         (periods, "graded"), (periods, "reconstruct")):
+        monkeypatch.setattr(module, name, never(name))
+    monkeypatch.setattr(series.Series, "__init__", never("Series"))
+    spy("graded_texts")
+    spy("ratfunc_json")
+    paths = [descriptor(STEINBERG), descriptor(SKEW, "skew.json"), descriptor(GL2_SMALL, "small.json")]
+    paths += [str(GOLDEN / name) for name in ("csd_mixed.json", "essential_route.json",
+                                              "omega_trivial_rank3.json", "rank5_complex.json")]
+    for path in paths:
+        for mode, rendered in (("table", []), ("json", ["ratfunc_json", "graded_texts"])):
+            calls.clear()
+            code, out, err, _ = run_fast(["period", "--rep", path, "--order", "30",
+                                          "--output", mode], capsys)
+            assert (code, err, calls) == (0, "", rendered), (path, mode)
+            if mode == "json":
+                obj = json.loads(out)
+                assert obj["match"] is True and obj["reconstructed"] == obj["closedForm"]
+                assert len(obj["series"]) == 31
+            else:
+                assert "match: yes" in out
 
 
 # -- one parser per process ------------------------------------------------

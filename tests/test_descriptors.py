@@ -7,7 +7,7 @@ import pytest
 
 from asaiperiods.rational import rat
 from asaiperiods.scalars import GaussRat
-from asaiperiods.series import Poly, Series
+from asaiperiods.series import Poly, Series, graded
 from asaiperiods.ratfunc import RatFunc, packed_product
 from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import GenericRep, MultChar, Segment
@@ -138,6 +138,49 @@ def random_factor_list(rng):
         im = 0 if kind in ("zero", "real") else rng.randint(-2 ** bits, 2 ** bits)
         factors.append((g(re, den, im, den), rng.randint(1, 4)))
     return factors
+
+
+def random_scaled_series(rng):
+    """(re, im, scale) of 1-41 coefficients over scale 1, small or up to
+    2^100, with zero, negative and shared-factor parts and runs of
+    trailing zeros."""
+    size = rng.randint(1, 41)
+    scale = rng.choice((1, rng.randint(2, 30), rng.randint(2, 2 ** 100)))
+    re, im = [], []
+    for d in range(size):
+        parts = []
+        for _ in range(2):
+            kind = rng.choice(("zero", "small", "big", "multiple"))
+            x = {"zero": 0, "small": rng.randint(-9, 9), "big": rng.randint(-2 ** 150, 2 ** 150),
+                 "multiple": rng.randint(-9, 9) * scale ** rng.randint(0, d)}[kind]
+            parts.append(x)
+        re.append(parts[0])
+        im.append(parts[1])
+    zeros = rng.choice((0, 0, 1, size))
+    for d in range(size - zeros, size):
+        re[d] = im[d] = 0
+    return re, im, scale
+
+
+def test_untrimmed_graded_texts_are_the_json_of_the_series():
+    # period writes its series with trim=False: every coefficient through
+    # the order, trailing zeros included, as series_json writes it; the
+    # trimmed texts that lfactor writes stay those of the Poly
+    rng = random.Random(3303)
+    cases = [([1] + [0] * order, [0] * (order + 1), 1) for order in (0, 1, 7, 40)]
+    cases += [([0, 0, 0], [0, 0, 0], 5), ([3, -6, 0, 12], [0, 9, -4, 0], 1),
+              ([1, 2 ** 200, -(3 ** 90)], [-1, 0, 7 * (2 ** 61 - 1) ** 2], 2 ** 61 - 1)]
+    cases += [random_scaled_series(rng) for _ in range(500)]
+    for re, im, scale in cases:
+        coeffs = graded(re, im, scale)
+        texts = graded_texts(re, im, scale, trim=False)
+        assert len(texts) == len(re)
+        assert "[%s]" % ", ".join(texts) == json.dumps(series_json(Series(coeffs)))
+        trimmed = "[%s]" % ", ".join(graded_texts(re, im, scale))
+        assert trimmed == json.dumps(poly_json(Poly(coeffs)))
+    # a rank-0 period series keeps every coefficient
+    assert len(graded_texts([1] + [0] * 40, [0] * 41, 1, trim=False)) == 41
+    assert graded_texts([1] + [0] * 40, [0] * 41, 1) == ['{"a": ["1/1", "0/1"], "b": ["0/1", "0/1"]}']
 
 
 def test_graded_texts_are_the_json_of_the_factor_product():

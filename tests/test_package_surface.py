@@ -21,12 +21,18 @@ HARNESS = [Path(__file__).parent.parent / "layerbench" / name for name in ("trac
 ALLOWED = {
     "descriptors.rep_json": "the inverse of load_rep_file; tests write descriptors with it, "
                             "so the descriptor format stays in one module",
+    "descriptors.series_json": "harness: the descriptors.serialize layer traces it; period "
+                               "writes the same text from the kernel's integers",
     "lfactors.tate_L": "harness: the lfactors layer traces it",
     "lfactors.asai_L_multiplicative": "harness: the lfactors layer traces it",
     "localfields.trace_conductor": "the conductor calculus; ROADMAP item 3 decides its fate",
     "localfields.conductor_zero_shift": "the conductor calculus; ROADMAP item 3 decides its fate",
     "localfields.trace_zero_element_kind": "the conductor calculus; ROADMAP item 3 decides its fate",
     "periods.essential_rs_check": "ROADMAP item 2 puts it on a command path",
+    "periods.mirabolic_series": "harness: the periods.lattice layer traces it; period "
+                                "reads the kernel's integers (mirabolic_ints)",
+    "series.Poly.one_minus": "the factor 1 - c*t^k of the Poly API; tests build closed forms "
+                             "with it, the swapped ones of the period mismatch tests among them",
     "scalars.AlgNum": "harness: the scalars micro-timings build it",
     "scalars.GaussRat.abs2": "ROADMAP item 8 needs it",
     "whittaker.essential_value": "harness: the whittaker.value layer traces it",

@@ -20,8 +20,8 @@ import pytest
 
 from asaiperiods.rational import rat
 from asaiperiods.scalars import GaussRat
-from asaiperiods.series import Poly, Series
-from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_of
+from asaiperiods.series import Poly, Series, graded
+from asaiperiods.ratfunc import RatFunc, eval_at, factor_mismatch, reconstruct, series_of
 from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import (
     GenericRep,
@@ -743,7 +743,7 @@ def test_theorem1_order_too_small():
 def test_theorem1_checks_order_before_summing(monkeypatch):
     def never(rep, order):
         raise AssertionError("series built before the order check")
-    monkeypatch.setattr(periods, "mirabolic_series", never)
+    monkeypatch.setattr(periods, "mirabolic_ints", never)
     with pytest.raises(ValueError, match="order"):
         verify_theorem1(steinberg(UFP), 1)
 
@@ -770,6 +770,77 @@ def test_reconstruct_of_period_series_is_the_closed_form():
         for order in (minimal, minimal + rng.randint(1, 4)):
             series = mirabolic_series(rep, order)
             assert reconstruct(series, cf.num_degree, cf.den_degree) == cf
+
+
+def factor_check_rep(rng, fp, route):
+    """A generic rep whose mirabolic sum takes route: "rank0" (no
+    unramified support, or one GL(1) piece: k = 0), "one-row" (k = 1),
+    "spherical" (a module of rank 0-6 as a rep) or "essential" (rank
+    0-5 beside a ramified segment); a quarter of the modules repeat a
+    value."""
+    def values(r):
+        vals = [corpus.rand_gauss(rng) for _ in range(r)]
+        if r >= 2 and rng.random() < 0.25:
+            vals[-1] = rng.choice(vals[:-1])
+        return vals
+
+    def make():
+        if route == "rank0":
+            if rng.random() < 0.5:
+                return module_as_rep(UnramifiedModule(fp, values(1)))
+            segs = [Segment(corpus.ramified_char(rng, rng.randint(1, 2)), rng.randint(1, 2))]
+        elif route == "one-row":
+            return module_as_rep(UnramifiedModule(fp, values(2)))
+        elif route == "spherical":
+            return module_as_rep(UnramifiedModule(fp, values(rng.randint(1, 6))))
+        else:
+            segs = [Segment(MultChar.unramified(v), 1) for v in values(rng.randint(0, 5))]
+            segs.append(Segment(corpus.ramified_char(rng, rng.randint(1, 2)), rng.randint(1, 2)))
+        return GenericRep(fp, tuple(segs))
+    return generic_draw(make)
+
+
+def test_factor_mismatch_agrees_with_expanding_the_closed_form():
+    # the factor check (the series times the unreduced denominator
+    # against the numerator) gives the verdict and the index that the
+    # GaussRat expansion gives, on the true closed form (cancelled
+    # numerators included: a GL(1) rep has closed form 1), on series
+    # perturbed at one index, and on wrong closed forms: a factor
+    # dropped, omega set to 1, and a factor swapped for one whose
+    # denominator the series' scale does not cover
+    rng = random.Random(3307)
+    seen = set()
+    for i in range(240):
+        fp = corpus.rand_field(rng, ramified=bool(i % 2))
+        route = ("rank0", "one-row", "spherical", "essential")[i % 4]
+        rep = factor_check_rep(rng, fp, route)
+        order = rng.randint(0, 30 if pi_u(rep).r <= 4 else 16)
+        ints = periods.mirabolic_ints(rep, order)
+        cf = closed_form_for(rep)
+        factors, numerator = cf.factored
+        re, im, scale = ints
+        bumped = list(re), list(im)
+        at = rng.randint(0, order)
+        bumped[rng.randint(0, 1)][at] += rng.choice((-1, 1)) * rng.randint(1, 5) * scale ** rng.randint(0, at)
+        variants = [(ints, factors, numerator), ((*bumped, scale), factors, numerator)]
+        if factors:
+            drop = rng.randrange(len(factors))
+            variants.append((ints, factors[:drop] + factors[drop + 1:], numerator))
+            swapped = list(factors)
+            swapped[drop] = (GaussRat(rat(rng.randint(1, 9), rng.choice((7, 11, 13, 49)))),
+                             factors[drop][1])
+            variants.append((ints, swapped, numerator))
+        if numerator:
+            variants.append((ints, factors, [(GaussRat(1), numerator[0][1])]))
+        for (xr, xi, s), f, num in variants:
+            want = Series(graded(xr, xi, s)).first_mismatch(series_of(RatFunc.from_factors(f, num), order))
+            assert factor_mismatch(xr, xi, s, f, num) == want, (route, fp, order, f, num)
+            seen.add((route, len(ints[0]) == 1, want is None, cf.num_degree == 0 and bool(numerator)))
+        assert factor_mismatch(*ints, factors, numerator) is None
+    # every route, matches and mismatches, and the cancelled GL(1) forms
+    assert {r for r, _, _, _ in seen} == {"rank0", "one-row", "spherical", "essential"}
+    assert {m for _, _, m, _ in seen} == {True, False}
+    assert any(c for _, _, _, c in seen) and any(one for _, one, _, _ in seen)
 
 
 def test_theorem1_match_never_reconstructs(monkeypatch):
