@@ -14,13 +14,13 @@ the multiplicativity suite compares two factor lists with
 ratfunc.same_product. period writes its series as text straight from
 the lattice-sum kernel's integers (descriptors.graded_texts, every
 coefficient kept), and on a match its "reconstructed" is the
-"closedForm" object itself; its table renders neither. verify loads and size-checks --rep once and
-hands that representation (or None) and --order to each suite, which
-returns its check rows. Without --rep the suites draw their subjects
-from the seeded built-in corpora, importing corpus (and random) only
-then, so no other invocation pays for them. main() builds the parser
-on its first call and reuses it on every later call in the process;
-nothing is built at import.
+"closedForm" object itself; its table renders neither. verify loads
+and size-checks --rep once and hands that representation (or None) and
+--order to each suite, which returns its check rows. Without --rep the
+suites draw their subjects from the seeded built-in corpora, importing
+corpus (and random) only then, so no other invocation pays for them.
+main() builds the parser on its first call and reuses it on every
+later call in the process; nothing is built at import.
 
 Exit codes: 0 success (a pole in a value is a result, not a failure),
 1 verification failure, 2 input error, 3 non-generic input.

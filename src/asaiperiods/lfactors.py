@@ -91,9 +91,9 @@ def closed_form_for(rep: GenericRep) -> RatFunc:
     """Closed form of the mirabolic period series: the Asai factor of
     the unramified support, times (1 - omega_pi(unif_F) t^n) when the
     representation is unramified (the Tate factor L(ns, omega_pi|F*)
-    of the central character moves to the other side), reduced. Its
-    factored keeps the Asai factor list and that numerator factor, for
-    the period check (ratfunc.factor_mismatch)."""
+    of the central character moves to the other side), reduced. Built
+    by from_factors, it keeps those factor lists unreduced, for the
+    period check (ratfunc.series_mismatch)."""
     mod = pi_u(rep)
     numerator = [(mod.omega_at_unif(), rep.n)] if is_unramified_rep(rep) else []
     return RatFunc.from_factors(asai_factor_list(mod), numerator)

@@ -20,11 +20,11 @@ for library callers. Analytic continuation goes through the closed
 form: a truncated series that matches it to order num_deg + den_deg + 1
 or beyond determines it (Pade uniqueness), and its exact value is taken
 there, never by summing at a point. verify_theorem1 decides the match
-on the kernel's integers, by multiplying out the closed form's factors
-(ratfunc.factor_mismatch), and its report builds the GaussRat series
-and the closed form's expansion only when asked. Rational
-reconstruction runs only on a mismatch, to report which rational
-function the series is.
+on the kernel's integers, by multiplying the series by the closed
+form's denominator factor by factor (ratfunc.series_mismatch), and its
+report builds the GaussRat series and the closed form's expansion only
+when asked. Rational reconstruction runs only on a mismatch, to report
+which rational function the series is.
 
 Every sum is capped before it starts, by its work (lattice_work) and by
 the size of its coefficients (coefficient_bits against printable_bits).
@@ -37,7 +37,7 @@ from math import log10
 from typing import Sequence
 
 from .lfactors import closed_form_for, lstar_at_1, rs_L
-from .ratfunc import RatFunc, factor_mismatch, reconstruct, series_of
+from .ratfunc import RatFunc, reconstruct, series_mismatch, series_of
 from .scalars import GaussRat
 from .segments import (
     GenericRep,
@@ -635,25 +635,21 @@ def verify_theorem1(rep: GenericRep, order: int) -> PeriodReport:
     """Check the mirabolic period series against its closed form.
 
     The match is decided on the kernel's integers: the series times the
-    closed form's unreduced denominator, one factor 1 - c*t^k at a time,
-    against its numerator (ratfunc.factor_mismatch), with no GaussRat
-    per coefficient. A closed form that does not keep its factor lists
-    (RatFunc.factored) is expanded by series_of instead. A matching
-    series certifies the closed form by Pade uniqueness: order >=
-    num_deg + den_deg + 1, so any other p/q within the bounds that fits
-    has p*den - num*q of degree <= num_deg + den_deg vanishing to a
-    higher order, hence zero. Reconstruction therefore runs only on a
-    mismatch, to report what the series actually is.
+    closed form's denominator, one factor 1 - c*t^k at a time, against
+    its numerator (ratfunc.series_mismatch), with no GaussRat per
+    coefficient. A matching series certifies the closed form by Pade
+    uniqueness: order >= num_deg + den_deg + 1, so any other p/q within
+    the bounds that fits has p*den - num*q of degree <= num_deg +
+    den_deg vanishing to a higher order, hence zero. Reconstruction
+    therefore runs only on a mismatch, to report what the series
+    actually is.
     """
     cf = closed_form_for(rep)
     need = certifying_order(cf)
     if order < need:
         raise OrderTooSmall(order, need)
     report = PeriodReport(mirabolic_ints(rep, order), cf)
-    if cf.factored is None:
-        report.first_fail = report.series.first_mismatch(report.expected)
-    else:
-        report.first_fail = factor_mismatch(*report.ints, *cf.factored)
+    report.first_fail = series_mismatch(*report.ints, cf)
     if report.match:
         report.reconstructed = cf
     else:

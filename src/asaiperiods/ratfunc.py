@@ -17,17 +17,17 @@ once at the end. Its callers keep those ints: same_product decides
 whether two factor lists have one product by cross-multiplying the
 digits, and descriptors.graded_texts renders them as JSON text;
 from_factors alone grades them into a RatFunc, and keeps the factor
-lists. factor_mismatch checks a series given as scaled integers, such
-as the period kernel returns, against those lists unreduced: it
-multiplies the series by the denominator one factor at a time, in
-place, and compares it with the numerator, so a matching period builds
-no expansion. The constructor reduces through poly_gcd, the
-subresultant remainder sequence over Z[i], which for coprime parts
-(almost every closed form) ends at a constant remainder; series_of runs an integer recurrence whose coefficient k is
-over D^(k+1); eval_at is two integer Horner sums (Poly.__call__) and
-one Gaussian division. Each output coefficient becomes a GaussRat once,
-by one division (GaussRat.scaled); the public coefficients stay
-GaussRat.
+list it reduced. series_mismatch checks a series given as scaled
+integers, such as the period kernel returns, against a RatFunc: it
+multiplies the series by the denominator, by its factors one at a time
+when the RatFunc keeps them, and compares it with the numerator, so a
+matching period builds no expansion. The constructor reduces through
+poly_gcd, the subresultant remainder sequence over Z[i], which for
+coprime parts (almost every closed form) ends at a constant remainder;
+series_of runs an integer recurrence whose coefficient k is over
+D^(k+1); eval_at is two integer Horner sums (Poly.__call__) and one
+Gaussian division. Each output coefficient becomes a GaussRat once, by
+one division (GaussRat.scaled); the public coefficients stay GaussRat.
 
 reconstruct recovers the unique rational function within given degree
 bounds from a long enough truncated expansion, by exact Gaussian
@@ -51,14 +51,17 @@ from .series import Poly, Series, clear_denominators, graded, poly_gcd, scaled_p
 
 
 class RatFunc:
-    """A reduced rational function; factored holds the factor lists
-    (factors, numerator) it was reduced from when from_factors built it,
-    and None otherwise."""
+    """num / den in canonical reduced form. unreduced, given only by
+    from_factors, is the form it was reduced from: (num, factors), the
+    numerator before reduction and the (c, k) pairs whose product of
+    1 - c*t^k is the denominator before reduction; series_mismatch
+    multiplies by those factors, a small multiplier each, instead of by
+    den. It is None for any other RatFunc, and equality ignores it."""
 
-    __slots__ = ("num", "den", "factored")
+    __slots__ = ("num", "den", "unreduced")
 
-    def __init__(self, num: Poly, den: Poly | None = None):
-        self.factored = None
+    def __init__(self, num: Poly, den: Poly | None = None, unreduced: tuple | None = None):
+        self.unreduced = unreduced
         if den is None:
             den = Poly.one()
         if den.is_zero():
@@ -89,13 +92,10 @@ class RatFunc:
     def from_factors(cls, factors, numerator=()) -> "RatFunc":
         """prod(1 - c*t^k) over numerator / prod(1 - c*t^k) over
         factors, for (c, k) pairs, k >= 1, reduced: each side the graded
-        coefficients of its packed_product. The reduced form keeps the
-        two lists as factored."""
-        factors, numerator = list(factors), list(numerator)
-        num = Poly(graded(*packed_product(numerator))) if numerator else Poly.one()
-        rf = cls(num, Poly(graded(*packed_product(factors))))
-        rf.factored = (factors, numerator)
-        return rf
+        coefficients of its packed_product, kept as unreduced."""
+        factors = list(factors)
+        num = Poly(graded(*packed_product(numerator)))
+        return cls(num, Poly(graded(*packed_product(factors))), (num, factors))
 
     @property
     def num_degree(self) -> int:
@@ -186,59 +186,67 @@ def same_product(f1, f2) -> bool:
     return True
 
 
-def factor_mismatch(re: list, im: list, scale: int, factors, numerator) -> int | None:
+def series_mismatch(re: list, im: list, scale: int, rf: RatFunc) -> int | None:
     """Index of the first coefficient at which the series whose
-    coefficient d is (re[d] + im[d]*i) / scale^d differs from
-    prod(1 - c*t^k) over numerator / prod(1 - c*t^k) over factors, the
-    unreduced form of RatFunc.from_factors(factors, numerator), or None
-    when the two agree through the series' order.
+    coefficient d is (re[d] + im[d]*i) / scale^d differs from the
+    expansion of rf, or None when the two agree through the series'
+    order: the index Series.first_mismatch(series_of(rf, order)) gives,
+    with no GaussRat per coefficient.
 
-    The series times the denominator is compared with the numerator.
-    This is exact and keeps the index: the denominator has constant term
-    1, so s - num/den vanishes to order m exactly when s*den - num does.
-    Both sides run in u = t/S, for S a multiple of scale with every
-    c*S^k a Gaussian integer b (the least such multiple is not needed):
-    coefficient d of either side is then a Gaussian integer over S^d,
-    and a factor 1 - b*u^k multiplies a list in place by x[d] -= b*x[d-k],
-    from d = order down to k, one small-by-big product per coefficient
-    and part. No coefficient is divided or turned into a GaussRat.
+    The series times a denominator of rf is compared with the numerator
+    over it: rf.unreduced's, one factor 1 - c*t^k at a time, when
+    from_factors built rf, and den with num otherwise. This is exact
+    and keeps the index: either denominator has constant term 1, so
+    s - num/den vanishes to order m exactly when s*den - num does. The
+    product runs in u = t/W, W a multiple of scale raised until each
+    factor's coefficient j times W^j is a Gaussian integer b_j. A factor
+    multiplies the list in place, x[d] += sum over j of b_j*x[d-j] from
+    the top down, so each x[d - j] read is still the old one; a factor
+    1 - c*t^k takes one small-by-big product per coefficient and part.
+    Coefficient d of the product is then a Gaussian integer over W^d,
+    and num coefficient d times W^d is compared with it by
+    cross-multiplying with that coefficient's denominator.
     """
-    size = len(re)
+    if rf.unreduced is None:
+        num, dens = rf.num, [rf.den]
+    else:
+        num, factors = rf.unreduced
+        dens = [Poly.one_minus(c, k) for c, k in factors]
     work = scale
-    for c, k in (*factors, *numerator):
-        work = _covering_scale(work, c, k)
+    for den in dens:
+        for j in range(1, len(den.coeffs)):
+            work = _covering_scale(work, den.coeffs[j], j)
     xr, xi = list(re), list(im)
     if work != scale:
         m, p = work // scale, 1
-        for d in range(size):
+        for d in range(len(xr)):
             xr[d] *= p
             xi[d] *= p
             p *= m
-    yr, yi = [1] + [0] * (size - 1), [0] * size
-    for c, k in factors:
-        _times_factor(xr, xi, scaled_pair(c, work ** k), k)
-    for c, k in numerator:
-        _times_factor(yr, yi, scaled_pair(c, work ** k), k)
-    for d in range(size):
-        if xr[d] != yr[d] or xi[d] != yi[d]:
+    for den in dens:
+        steps = [(j,) + scaled_pair(c, work ** j)
+                 for j, c in enumerate(den.coeffs) if j and not c.is_zero()]
+        for d in range(len(xr) - 1, 0, -1):
+            r, i = xr[d], xi[d]
+            for j, br, bi in steps:
+                if j > d:
+                    break
+                pr, pi = xr[d - j], xi[d - j]
+                r += br * pr - bi * pi
+                i += br * pi + bi * pr
+            xr[d], xi[d] = r, i
+    num = num.coeffs
+    p = 1  # W^d
+    for d in range(len(xr)):
+        r, i = xr[d], xi[d]
+        if d < len(num):
+            c = num[d]
+            if r * c.den != c.nr * p or i * c.den != c.ni * p:
+                return d
+            p *= work
+        elif r or i:
             return d
     return None
-
-
-def _times_factor(xr: list, xi: list, b: tuple, k: int) -> None:
-    """Multiply the series x = xr + xi*i by 1 - b*u^k in place,
-    truncated to its length: from the top down, so that each x[d - k]
-    read is still the old one."""
-    br, bi = b
-    if bi:
-        for d in range(len(xr) - 1, k - 1, -1):
-            pr, pi = xr[d - k], xi[d - k]
-            xr[d] -= br * pr - bi * pi
-            xi[d] -= br * pi + bi * pr
-    else:
-        for d in range(len(xr) - 1, k - 1, -1):
-            xr[d] -= br * xr[d - k]
-            xi[d] -= br * xi[d - k]
 
 
 def _digits(packed: int, size: int, terms: int) -> list:

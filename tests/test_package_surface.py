@@ -31,8 +31,6 @@ ALLOWED = {
     "periods.essential_rs_check": "ROADMAP item 2 puts it on a command path",
     "periods.mirabolic_series": "harness: the periods.lattice layer traces it; period "
                                 "reads the kernel's integers (mirabolic_ints)",
-    "series.Poly.one_minus": "the factor 1 - c*t^k of the Poly API; tests build closed forms "
-                             "with it, the swapped ones of the period mismatch tests among them",
     "scalars.AlgNum": "harness: the scalars micro-timings build it",
     "scalars.GaussRat.abs2": "ROADMAP item 8 needs it",
     "whittaker.essential_value": "harness: the whittaker.value layer traces it",

@@ -21,7 +21,7 @@ import pytest
 from asaiperiods.rational import rat
 from asaiperiods.scalars import GaussRat
 from asaiperiods.series import Poly, Series, graded
-from asaiperiods.ratfunc import RatFunc, eval_at, factor_mismatch, reconstruct, series_of
+from asaiperiods.ratfunc import RatFunc, eval_at, reconstruct, series_mismatch, series_of
 from asaiperiods.localfields import FieldPair
 from asaiperiods.segments import (
     GenericRep,
@@ -30,9 +30,10 @@ from asaiperiods.segments import (
     Segment,
     UnramifiedModule,
     conductor,
+    is_unramified_rep,
     pi_u,
 )
-from asaiperiods.lfactors import asai_L, closed_form_for, lattice_value_at, lstar_at_1, rs_L, tate_L
+from asaiperiods.lfactors import asai_L, asai_factor_list, closed_form_for, lattice_value_at, lstar_at_1, rs_L, tate_L
 from asaiperiods.periods import (
     essential_rs_check,
     flicker_series,
@@ -772,7 +773,7 @@ def test_reconstruct_of_period_series_is_the_closed_form():
             assert reconstruct(series, cf.num_degree, cf.den_degree) == cf
 
 
-def factor_check_rep(rng, fp, route):
+def kernel_route_rep(rng, fp, route):
     """A generic rep whose mirabolic sum takes route: "rank0" (no
     unramified support, or one GL(1) piece: k = 0), "one-row" (k = 1),
     "spherical" (a module of rank 0-6 as a rep) or "essential" (rank
@@ -800,43 +801,52 @@ def factor_check_rep(rng, fp, route):
     return generic_draw(make)
 
 
-def test_factor_mismatch_agrees_with_expanding_the_closed_form():
-    # the factor check (the series times the unreduced denominator
-    # against the numerator) gives the verdict and the index that the
+def test_series_mismatch_agrees_with_expanding_the_closed_form():
+    # the integer check (the series times a denominator against the
+    # numerator over it) gives the verdict and the index that the
     # GaussRat expansion gives, on the true closed form (cancelled
     # numerators included: a GL(1) rep has closed form 1), on series
     # perturbed at one index, and on wrong closed forms: a factor
-    # dropped, omega set to 1, and a factor swapped for one whose
-    # denominator the series' scale does not cover
+    # dropped, omega set to 1, a factor swapped for one whose
+    # denominator the series' scale does not cover, and the numerator
+    # times a constant that is not a Gaussian integer; each form both as
+    # from_factors builds it (the check multiplies by its unreduced
+    # factors) and as a plain RatFunc (by its reduced denominator)
     rng = random.Random(3307)
     seen = set()
     for i in range(240):
         fp = corpus.rand_field(rng, ramified=bool(i % 2))
         route = ("rank0", "one-row", "spherical", "essential")[i % 4]
-        rep = factor_check_rep(rng, fp, route)
+        rep = kernel_route_rep(rng, fp, route)
         order = rng.randint(0, 30 if pi_u(rep).r <= 4 else 16)
         ints = periods.mirabolic_ints(rep, order)
         cf = closed_form_for(rep)
-        factors, numerator = cf.factored
+        mod = pi_u(rep)
+        factors = asai_factor_list(mod)
+        numerator = [(mod.omega_at_unif(), rep.n)] if is_unramified_rep(rep) else []
+        assert cf.unreduced is not None
+        assert cf == RatFunc.from_factors(factors) * RatFunc.from_factors(numerator).den
         re, im, scale = ints
         bumped = list(re), list(im)
         at = rng.randint(0, order)
         bumped[rng.randint(0, 1)][at] += rng.choice((-1, 1)) * rng.randint(1, 5) * scale ** rng.randint(0, at)
-        variants = [(ints, factors, numerator), ((*bumped, scale), factors, numerator)]
+        third = GaussRat(rat(1, 3), rat(rng.randint(0, 2)))
+        variants = [(ints, cf), ((*bumped, scale), cf), (ints, RatFunc(cf.num * third, cf.den))]
         if factors:
             drop = rng.randrange(len(factors))
-            variants.append((ints, factors[:drop] + factors[drop + 1:], numerator))
+            variants.append((ints, RatFunc.from_factors(factors[:drop] + factors[drop + 1:], numerator)))
             swapped = list(factors)
             swapped[drop] = (GaussRat(rat(rng.randint(1, 9), rng.choice((7, 11, 13, 49)))),
                              factors[drop][1])
-            variants.append((ints, swapped, numerator))
+            variants.append((ints, RatFunc.from_factors(swapped, numerator)))
         if numerator:
-            variants.append((ints, factors, [(GaussRat(1), numerator[0][1])]))
-        for (xr, xi, s), f, num in variants:
-            want = Series(graded(xr, xi, s)).first_mismatch(series_of(RatFunc.from_factors(f, num), order))
-            assert factor_mismatch(xr, xi, s, f, num) == want, (route, fp, order, f, num)
+            variants.append((ints, RatFunc.from_factors(factors, [(GaussRat(1), numerator[0][1])])))
+        for (xr, xi, s), rf in variants:
+            want = Series(graded(xr, xi, s)).first_mismatch(series_of(rf, order))
+            for form in (rf, RatFunc(rf.num, rf.den)):
+                assert series_mismatch(xr, xi, s, form) == want, (route, fp, order, rf)
             seen.add((route, len(ints[0]) == 1, want is None, cf.num_degree == 0 and bool(numerator)))
-        assert factor_mismatch(*ints, factors, numerator) is None
+        assert series_mismatch(*ints, cf) is None
     # every route, matches and mismatches, and the cancelled GL(1) forms
     assert {r for r, _, _, _ in seen} == {"rank0", "one-row", "spherical", "essential"}
     assert {m for _, _, m, _ in seen} == {True, False}
